@@ -21,6 +21,7 @@ from .errors import (
     ProjectionResidualError,
     VacuumError,
 )
+from .geodesic import rk4
 from .grids import DiscGrid, ScalarField, VectorField, _radial_deriv
 
 
@@ -311,11 +312,7 @@ class ModeSystem:
         steps = max(1, int(np.ceil(t / dt)))
         h = t / steps
         for _ in range(steps):
-            k1 = M @ y
-            k2 = M @ (y + 0.5 * h * k1)
-            k3 = M @ (y + 0.5 * h * k2)
-            k4 = M @ (y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            (y,) = rk4(lambda y: (M @ y,), (y,), h)
         return ModeCoefficients(y[0], y[1], y[2])
 
     def displacement_amplitude(self, coeffs0: ModeCoefficients, t: float) -> float:
@@ -332,11 +329,6 @@ class ModeSystem:
             else:
                 total += amp * (np.exp(val * t) - 1.0) / val
         return abs(total)
-
-
-def mode_evolution(coeffs0: ModeCoefficients, lam: float, n: int, omega: float,
-                   c: float, t: float) -> ModeCoefficients:
-    return ModeSystem(lam, n, omega, c).evolve(coeffs0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +429,6 @@ def synthesize_and_classify(v0: VectorField, background: DiscBackground,
 # Direct radial integration (cross-check for the mode reduction)
 
 
-def _radial_deriv_matrix(n_nodes: int) -> np.ndarray:
-    """Dense matrix of the second-order radial derivative stencil used by the
-    grid operators (centered interior, one-sided ends)."""
-    h = 1.0 / n_nodes
-    D = np.zeros((n_nodes, n_nodes))
-    for i in range(1, n_nodes - 1):
-        D[i, i - 1] = -1 / (2 * h)
-        D[i, i + 1] = 1 / (2 * h)
-    D[0, 0], D[0, 1], D[0, 2] = -3 / (2 * h), 4 / (2 * h), -1 / (2 * h)
-    D[-1, -1], D[-1, -2], D[-1, -3] = 3 / (2 * h), -4 / (2 * h), 1 / (2 * h)
-    return D
-
-
 def radial_poisson_gradient_mode(background: DiscBackground, pair: EigenPair):
     """Solve Delta_n f = zeta with f(1) = 0, using the same composite
     derivative stencil as the grid operators, so that div(grad(f e^{in theta}))
@@ -459,7 +438,7 @@ def radial_poisson_gradient_mode(background: DiscBackground, pair: EigenPair):
     n = pair.n
     n_nodes = len(pair.r)
     r = pair.r
-    D = _radial_deriv_matrix(n_nodes)
+    D = _radial_deriv(np.eye(n_nodes), 1.0 / n_nodes)
     # Delta_n f = (1/r) d/dr(r df/dr) - n^2 f / r^2 through the grid stencil
     lap = (np.diag(1.0 / r) @ D @ np.diag(r) @ D
            - np.diag(n**2 / r**2))
@@ -503,17 +482,11 @@ def direct_mode_integration(background: DiscBackground, n: int,
         dV = -1j * n * om * V - 2 * om * a - 1j * n * c**2 * sig / r
         return dsig, da, dV
 
-    sig = np.asarray(sigma0, dtype=complex).copy()
-    a = np.asarray(a0, dtype=complex).copy()
-    V = r * np.asarray(b0, dtype=complex)
+    y = (np.asarray(sigma0, dtype=complex), np.asarray(a0, dtype=complex),
+         r * np.asarray(b0, dtype=complex))
     steps = max(1, int(np.ceil(t_end / dt)))
     hstep = t_end / steps
     for _ in range(steps):
-        k1 = rhs(sig, a, V)
-        k2 = rhs(sig + 0.5 * hstep * k1[0], a + 0.5 * hstep * k1[1], V + 0.5 * hstep * k1[2])
-        k3 = rhs(sig + 0.5 * hstep * k2[0], a + 0.5 * hstep * k2[1], V + 0.5 * hstep * k2[2])
-        k4 = rhs(sig + hstep * k3[0], a + hstep * k3[1], V + hstep * k3[2])
-        sig = sig + (hstep / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        a = a + (hstep / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        V = V + (hstep / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        y = rk4(rhs, y, hstep)
+    sig, a, V = y
     return sig, a, V / r

@@ -156,43 +156,58 @@ def _rhs(u: np.ndarray, rho: np.ndarray, q: np.ndarray, eta, grid, model):
     return du, drho, dq, deta
 
 
-def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
-                  dt: float) -> tuple[FluidState, FlowMap | None]:
-    """One RK4 step of u_t = -nabla_u u - (1/rho) grad(q^2 phi/lambda^2),
-    q_t = -div(qu), rho_t = -div(rho u), eta_t = u(eta)."""
+def rk4(rhs, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of y' = rhs(*y) over a tuple of arrays."""
+    k1 = rhs(*y)
+    k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + (s1 + 2 * s2 + 2 * s3 + s4) * (dt / 6.0)
+                 for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+
+
+def _advance(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
+             dt: float, extra: tuple = (), extra_rhs=None):
+    """Guarded RK4 step of the background (u, rho, q[, eta]) together with the
+    `extra` arrays, whose derivative extra_rhs(u, rho, q, eta, *extra, grid,
+    model) is taken at the same background stage."""
     g = state.grid
     bound = cfl_dt_max(state, model)
     if dt > bound:
         raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}")
-    u0, r0, q0 = state.u.values, state.rho.values, state.q.values
-    e0 = flowmap.eta if flowmap is not None else None
+    bg = (state.u.values, state.rho.values, state.q.values)
+    if flowmap is not None:
+        bg += (flowmap.eta,)
+    nb = len(bg)
+
+    def rhs(*y):
+        eta = y[3] if nb == 4 else None
+        out = _rhs(y[0], y[1], y[2], eta, g, model)[:nb]
+        if extra_rhs is None:
+            return out
+        return out + extra_rhs(y[0], y[1], y[2], eta, *y[nb:], g, model)
 
     try:
-        k1 = _rhs(u0, r0, q0, e0, g, model)
-        k2 = _rhs(u0 + 0.5 * dt * k1[0], r0 + 0.5 * dt * k1[1], q0 + 0.5 * dt * k1[2],
-                  None if e0 is None else e0 + 0.5 * dt * k1[3], g, model)
-        k3 = _rhs(u0 + 0.5 * dt * k2[0], r0 + 0.5 * dt * k2[1], q0 + 0.5 * dt * k2[2],
-                  None if e0 is None else e0 + 0.5 * dt * k2[3], g, model)
-        k4 = _rhs(u0 + dt * k3[0], r0 + dt * k3[1], q0 + dt * k3[2],
-                  None if e0 is None else e0 + dt * k3[3], g, model)
-
-        def comb(i):
-            return (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) * (dt / 6.0)
-
-        new_state = FluidState(
-            VectorField(g, u0 + comb(0)),
-            ScalarField(g, r0 + comb(1)),
-            ScalarField(g, q0 + comb(2)),
-        )
+        y = rk4(rhs, bg + extra, dt)
+        new_state = FluidState(VectorField(g, y[0]), ScalarField(g, y[1]),
+                               ScalarField(g, y[2]))
     except (DomainError, ValueError) as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening
         raise ShockError(f"solution left the smooth regime: {exc}") from exc
     new_map = None
     if flowmap is not None:
-        new_map = FlowMap(e0 + comb(3), flowmap.rho0)
+        new_map = FlowMap(y[3], flowmap.rho0)
         if float(np.min(new_map.jacobian())) <= SHOCK_JACOBIAN_FLOOR:
             raise ShockError("flow map lost monotonicity (shock reached)")
+    return new_state, new_map, y[nb:]
+
+
+def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
+                  dt: float) -> tuple[FluidState, FlowMap | None]:
+    """One RK4 step of u_t = -nabla_u u - (1/rho) grad(q^2 phi/lambda^2),
+    q_t = -div(qu), rho_t = -div(rho u), eta_t = u(eta)."""
+    new_state, new_map, _ = _advance(state, flowmap, model, dt)
     return new_state, new_map
 
 

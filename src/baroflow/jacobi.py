@@ -14,7 +14,7 @@ from scipy import optimize
 
 from . import grids
 from .errors import DomainError, ShockError
-from .geodesic import FluidState, FlowMap, cfl_dt_max, identity_flowmap, step_geodesic
+from .geodesic import FluidState, FlowMap, _advance, identity_flowmap
 from .grids import (
     CircleGrid,
     ScalarField,
@@ -69,72 +69,39 @@ def g_function(jstate: JacobiState, state: FluidState, model: PressureModel) -> 
                        + grids.directional(jstate.j, ratio).values)
 
 
-def _linearized_rhs(jv, jsig, jj, jG, state: FluidState, eta, model: PressureModel):
-    g = state.grid
-    u, rho = state.u, state.rho
+def _linearized_rhs(u, rho, q, eta, jv, jsig, jj, jG, g, model: PressureModel):
+    """Derivative of (v, sigma, j, G) at the background stage (u, rho, q, eta)."""
+    uf = VectorField(g, u)
+    rho = np.maximum(rho, 1e-6)
     vf = VectorField(g, jv)
-    sigf = ScalarField(g, jsig)
     jf = VectorField(g, jj)
-    hp = model.linearization_coefficient(rho.values)
-    dsig = -(grids.div(VectorField(g, jsig * u.values)).values
-             + grids.div(VectorField(g, rho.values * jv)).values)
-    dv = -(grids.covariant_derivative(u, vf).values
-           + grids.covariant_derivative(vf, u).values
+    hp = model.linearization_coefficient(rho)
+    dsig = -(grids.div(VectorField(g, jsig * uf.values)).values
+             + grids.div(VectorField(g, rho * jv)).values)
+    dv = -(grids.covariant_derivative(uf, vf).values
+           + grids.covariant_derivative(vf, uf).values
            + grids.grad(ScalarField(g, hp * jsig)).values)
-    dj = jv - commutator(u, jf).values
-    if eta is not None:
-        st = FluidState(u, rho, state.q)
-        gval = g_function(JacobiState(vf, sigf, jf, ScalarField(g, jG)), st, model)
-        dG = circle_interp(gval.values, eta)
-    else:
-        dG = np.zeros(g.shape)
-    return dv, dsig, dj, dG
+    dj = jv - commutator(uf, jf).values
+    if eta is None:
+        return dv, dsig, dj, np.zeros(g.shape)
+    st = FluidState(uf, ScalarField(g, rho), ScalarField(g, q))
+    gval = g_function(JacobiState(vf, ScalarField(g, jsig), jf, ScalarField(g, jG)), st, model)
+    return dv, dsig, dj, circle_interp(gval.values, eta)
 
 
 def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | None,
                     model: PressureModel, dt: float
                     ) -> tuple[JacobiState, FluidState, FlowMap | None]:
-    """One coupled RK4 step of the background and the linearized system:
+    """One RK4 step of the background and the linearized system as one ODE:
     sigma_t = -div(sigma u) - div(rho v); v_t = -nabla_u v - nabla_v u
     - grad(h'(rho) sigma); j_t = v - [u, j]; G_t = g(eta)."""
     g = jstate.grid
     check_same_grid(jstate.sigma, state.rho)
-    u0, r0, q0 = state.u.values, state.rho.values, state.q.values
-    e0 = flowmap.eta if flowmap is not None else None
-    jv0, js0, jj0, jG0 = (jstate.v.values, jstate.sigma.values,
-                          jstate.j.values, jstate.G.values)
-
-    from .geodesic import _rhs as _bg_rhs
-
-    def both(u, r, q, e, jv, js, jj, jG):
-        rc = np.maximum(r, 1e-6)
-        bg = _bg_rhs(u, r, q, e, g, model)
-        st = FluidState(VectorField(g, u), ScalarField(g, rc), ScalarField(g, q))
-        lin = _linearized_rhs(jv, js, jj, jG, st, e, model)
-        return bg, lin
-
-    def advance(y, b, l, w):
-        u, r, q, e, jv, js, jj, jG = y
-        return (u + w * b[0], r + w * b[1], q + w * b[2],
-                None if e is None else e + w * b[3],
-                jv + w * l[0], js + w * l[1], jj + w * l[2], jG + w * l[3])
-
-    y0 = (u0, r0, q0, e0, jv0, js0, jj0, jG0)
-    b1, l1 = both(*y0)
-    b2, l2 = both(*advance(y0, b1, l1, 0.5 * dt))
-    b3, l3 = both(*advance(y0, b2, l2, 0.5 * dt))
-    b4, l4 = both(*advance(y0, b3, l3, dt))
-
-    def comb(k1, k2, k3, k4, i):
-        return (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) * (dt / 6.0)
-
-    new_state, new_map = step_geodesic(state, flowmap, model, dt)
-    new_j = JacobiState(
-        VectorField(g, jv0 + comb(l1, l2, l3, l4, 0)),
-        ScalarField(g, js0 + comb(l1, l2, l3, l4, 1)),
-        VectorField(g, jj0 + comb(l1, l2, l3, l4, 2)),
-        ScalarField(g, jG0 + comb(l1, l2, l3, l4, 3)),
-    )
+    extra = (jstate.v.values, jstate.sigma.values, jstate.j.values, jstate.G.values)
+    new_state, new_map, (jv, js, jj, jG) = _advance(
+        state, flowmap, model, dt, extra, _linearized_rhs)
+    new_j = JacobiState(VectorField(g, jv), ScalarField(g, js),
+                        VectorField(g, jj), ScalarField(g, jG))
     return new_j, new_state, new_map
 
 
@@ -157,8 +124,6 @@ def integrate_linearized(state0: FluidState, jstate0: JacobiState,
                          store_every: int = 1) -> LinearizedTrajectory:
     g = state0.grid
     flowmap = identity_flowmap(state0.rho) if isinstance(g, CircleGrid) else None
-    if dt > cfl_dt_max(state0, model):
-        raise DomainError(f"dt={dt} exceeds the initial CFL bound")
     traj = LinearizedTrajectory()
     traj.append(0.0, state0, flowmap, jstate0)
     n_steps = int(np.ceil(t_end / dt - 1e-12))

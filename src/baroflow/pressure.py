@@ -114,14 +114,6 @@ class PressureModel:
         return np.sqrt(np.maximum(rho * self.linearization_coefficient(rho), 0.0))
 
 
-def phi_from_lambda(model: PressureModel, rho):
-    return model.phi(rho)
-
-
-def pressure_from_lambda(model: PressureModel, rho):
-    return model.pressure(rho)
-
-
 def polytropic(A: float, gamma: float) -> PressureModel:
     """Model with p(rho) = A rho^gamma, via lambda = ((gamma-1)/(2A)) rho^(2-gamma)."""
     if A <= 0:

@@ -70,10 +70,6 @@ def synthesize(v0: VectorField, omega: float, c: float) -> TorusModeSolution:
     return TorusModeSolution(v0.grid, np.fft.fft2(f.values), z, float(omega), float(c))
 
 
-def torus_jacobi(v0: VectorField, omega: float, c: float, t: float) -> VectorField:
-    return synthesize(v0, omega, c).j_at(t)
-
-
 @dataclass(frozen=True)
 class BoundednessReport:
     bounded: bool

@@ -40,6 +40,12 @@ class TestPlumbing:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShockError"
 
+    def test_jacobi_step_over_cfl_bound_exits_1(self, tmp_path, monkeypatch, capsys):
+        rc = run(["jacobi", "--dt", "1.0"], tmp_path, monkeypatch)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StepSizeError"
+
     def test_config_file_and_flag_override(self, tmp_path, monkeypatch):
         conf = tmp_path / "run.conf"
         conf.write_text("trials = 5\ngamma = 2.0\nseed = 3\nn-grid = 32\n")

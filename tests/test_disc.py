@@ -135,7 +135,7 @@ class TestRayleighBounds:
 
 class TestModeEvolution:
     def test_zero_stays_zero(self):
-        out = disc.mode_evolution(disc.ModeCoefficients(0, 0, 0), 5.0, 1, 1.0, 1.0, 10.0)
+        out = disc.ModeSystem(5.0, 1, 1.0, 1.0).evolve(disc.ModeCoefficients(0, 0, 0), 10.0)
         assert abs(out.sigma) + abs(out.F) + abs(out.G) == 0.0
 
     def test_eig_vs_rk4(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from baroflow import burgers, geodesic, jacobi
-from baroflow.errors import DomainError
-from baroflow.grids import CircleGrid, ScalarField, VectorField
+from baroflow.errors import DomainError, StepSizeError
+from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField
 from baroflow.pressure import polytropic
 
 GAMMA3 = polytropic(1 / 3, 3.0)
@@ -77,6 +77,39 @@ class TestLinearizedStep:
             for fa, fb in ((a.v, b.v), (a.sigma, b.sigma), (a.j, b.j), (a.G, b.G)):
                 scale = np.max(np.abs(fb.values)) + 1e-300
                 assert np.max(np.abs(2 * fa.values - fb.values)) / scale < 1e-10
+
+    @pytest.mark.parametrize("case", ["circle_sine", "torus_shear"])
+    def test_background_advances_as_step_geodesic(self, case):
+        if case == "circle_sine":
+            state, g = sine_background(64)
+            fm = geodesic.identity_flowmap(state.rho)
+            model = GAMMA3
+            v0 = VectorField(g, np.cos(2 * g.x)[None])
+        else:
+            g = TorusGrid(16, 16)
+            model = polytropic(0.5, 2.0)
+            state = geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model)
+            fm = None
+            X, Y = g.mesh
+            v0 = VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)]))
+        js, st_lin, fm_lin = jacobi.initial_jacobi(v0), state, fm
+        st_geo, fm_geo = state, fm
+        for _ in range(5):
+            js, st_lin, fm_lin = jacobi.linearized_step(js, st_lin, fm_lin, model, 0.01)
+            st_geo, fm_geo = geodesic.step_geodesic(st_geo, fm_geo, model, 0.01)
+        for a, b in ((st_lin.u, st_geo.u), (st_lin.rho, st_geo.rho), (st_lin.q, st_geo.q)):
+            assert np.array_equal(a.values, b.values)
+        if fm is None:
+            assert fm_lin is None and fm_geo is None
+        else:
+            assert np.array_equal(fm_lin.eta, fm_geo.eta)
+
+    def test_cfl_violation_raises_step_size_error(self):
+        state, g = sine_background(64)
+        v0 = VectorField(g, np.cos(2 * g.x)[None])
+        with pytest.raises(StepSizeError):
+            jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0),
+                                        GAMMA3, t_end=2.0, dt=1.0)
 
 
 class TestDeviationOracle:

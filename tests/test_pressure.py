@@ -8,9 +8,7 @@ from baroflow.pressure import (
     EntropyPressure,
     PressureModel,
     from_catalog,
-    phi_from_lambda,
     polytropic,
-    pressure_from_lambda,
 )
 
 RHO = np.geomspace(0.1, 10.0, 20)
@@ -19,16 +17,16 @@ RHO = np.geomspace(0.1, 10.0, 20)
 class TestPhi:
     def test_lambda_rho_gives_zero(self):
         m = from_catalog("rho")
-        assert np.max(np.abs(phi_from_lambda(m, RHO))) < 1e-14
+        assert np.max(np.abs(m.phi(RHO))) < 1e-14
 
     def test_lambda_const(self):
         c = 2.0
         m = from_catalog("const", c=c)
-        assert np.allclose(phi_from_lambda(m, RHO), 1 / (2 * c**2), atol=1e-14)
+        assert np.allclose(m.phi(RHO), 1 / (2 * c**2), atol=1e-14)
 
     def test_lambda_3_over_rho(self):
         m = from_catalog("3/rho")
-        assert np.allclose(phi_from_lambda(m, RHO), 3.0 / RHO, rtol=1e-13)
+        assert np.allclose(m.phi(RHO), 3.0 / RHO, rtol=1e-13)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -38,12 +36,12 @@ class TestPhi:
 class TestPressure:
     def test_gamma3(self):
         m = from_catalog("3/rho")
-        assert np.allclose(pressure_from_lambda(m, RHO), RHO**3 / 3, rtol=1e-13)
+        assert np.allclose(m.pressure(RHO), RHO**3 / 3, rtol=1e-13)
 
     def test_gamma2(self):
         c = 1.3
         m = from_catalog("const", c=c)
-        assert np.allclose(pressure_from_lambda(m, RHO), c**2 * RHO**2 / 2, rtol=1e-13)
+        assert np.allclose(m.pressure(RHO), c**2 * RHO**2 / 2, rtol=1e-13)
 
     def test_lambda_rho_zero_pressure(self):
         assert np.max(np.abs(from_catalog("rho").pressure(RHO))) < 1e-14

@@ -27,20 +27,20 @@ class TestTorusJacobi:
         c = 1.3
         v0 = grad_field(np.cos(X))
         for t in (0.3, 1.0, 2.5):
-            j = torus.torus_jacobi(v0, omega=0.0, c=c, t=t)
+            j = torus.synthesize(v0, 0.0, c).j_at(t)
             expect_x = -np.sin(c * t) / c * np.sin(X)
             assert np.max(np.abs(j.values[0] - expect_x)) < 1e-12
             assert np.max(np.abs(j.values[1])) < 1e-12
 
     def test_divergence_free_grows_linearly(self):
         v0 = VectorField(G, np.stack([np.zeros(G.shape), np.ones(G.shape)]))
-        j = torus.torus_jacobi(v0, omega=0.4, c=1.0, t=7.0)
+        j = torus.synthesize(v0, 0.4, 1.0).j_at(7.0)
         assert np.allclose(j.values[1], 7.0, atol=1e-12)
         assert np.max(np.abs(j.values[0])) < 1e-12
 
     def test_zero_input(self):
         v0 = VectorField(G, np.zeros((2,) + G.shape))
-        j = torus.torus_jacobi(v0, 0.5, 1.0, 3.0)
+        j = torus.synthesize(v0, 0.5, 1.0).j_at(3.0)
         assert np.max(np.abs(j.values)) == 0.0
 
     def test_initial_conditions(self):
