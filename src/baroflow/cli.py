@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +57,18 @@ class ExperimentConfig:
     seed: int = 0
     kind: str = "gradient"
     output_dir: str = "."
-    extra: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        for key, value in self.__dict__.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{key.replace('_', '-')} must be finite, got {value}")
         checks = [
             (self.gamma > 1.0, f"gamma must exceed 1, got {self.gamma}"),
             (self.a_coeff > 0, f"a-coeff must be positive, got {self.a_coeff}"),
             (self.c > 0, f"c must be positive, got {self.c}"),
             (self.rho0 > 0, f"rho0 must be positive, got {self.rho0}"),
             (self.n_grid >= 8, f"n-grid must be at least 8, got {self.n_grid}"),
+            (self.n_grid % 2 == 0, f"n-grid must be even, got {self.n_grid}"),
             (self.n_nodes >= 16, f"n-nodes must be at least 16, got {self.n_nodes}"),
             (self.m_max >= 1, f"m-max must be at least 1, got {self.m_max}"),
             (self.k_max >= 1, f"k-max must be at least 1, got {self.k_max}"),
@@ -82,9 +86,7 @@ class ExperimentConfig:
                 raise ValidationError(message)
 
     def params(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k not in ("extra", "output_dir")}
-        out.update(self.extra)
-        return out
+        return {k: v for k, v in self.__dict__.items() if k != "output_dir"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -105,7 +107,7 @@ def _coerce(name: str, value, target):
     if isinstance(value, str) and not isinstance(target, str):
         try:
             value = type(target)(float(value)) if isinstance(target, int) else type(target)(value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot parse {name}={value!r}") from exc
     return value
 
@@ -333,13 +335,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=args.experiment)
     if args.config:
         for key, val in parse_config_file(args.config).items():
-            if hasattr(cfg, key) and key not in ("experiment", "extra"):
-                setattr(cfg, key, _coerce(key, val, getattr(cfg, key)))
-            else:
-                cfg.extra[key] = val
+            if key not in cfg.__dict__ or key == "experiment":
+                raise ValidationError(f"{args.config}: unknown key {key!r}")
+            setattr(cfg, key, _coerce(key, val, getattr(cfg, key)))
     for key in cfg.__dict__:
         flag_val = getattr(args, key, None)
-        if flag_val is not None and key not in ("experiment", "extra"):
+        if flag_val is not None and key != "experiment":
             setattr(cfg, key, flag_val)
     cfg.validate()
     return cfg

@@ -144,7 +144,7 @@ def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
 
 def _rhs(u: np.ndarray, rho: np.ndarray, q: np.ndarray, eta, grid, model):
     uf = VectorField(grid, u)
-    rhof = ScalarField(grid, np.maximum(rho, 1e-6))
+    rhof = ScalarField(grid, rho)
     phi = model.phi(rhof.values)
     lam = model.lam(rhof.values)
     pressure_like = ScalarField(grid, q**2 * phi / lam**2)

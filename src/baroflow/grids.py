@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class ScalarField:
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.shape:
             raise GridMismatchError(f"scalar values {v.shape} vs grid {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("scalar field has non-finite entries")
 
 
@@ -152,7 +152,7 @@ class VectorField:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.ncomp,) + self.grid.shape:
             raise GridMismatchError(f"vector values {v.shape} vs grid {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("vector field has non-finite entries")
 
 
@@ -168,13 +168,22 @@ def check_same_grid(*fields):
 # Spectral building blocks
 
 
+@lru_cache(maxsize=None)
+def _ik(n: int, ndim: int, axis: int) -> np.ndarray:
+    """Read-only i*k over the rfft bins of length-n data, shaped to broadcast
+    along `axis`.  The Nyquist bin is zeroed: it has no odd derivative."""
+    ik = 1j * np.arange(n // 2 + 1)
+    ik[-1] = 0.0
+    shape = [1] * ndim
+    shape[axis] = n // 2 + 1
+    ik = ik.reshape(shape)
+    ik.flags.writeable = False
+    return ik
+
+
 def _spectral_deriv(values: np.ndarray, axis: int, n: int) -> np.ndarray:
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k[n // 2] = 0.0  # drop the Nyquist mode for odd derivatives
-    shape = [1] * values.ndim
-    shape[axis] = n
-    hat = np.fft.fft(values, axis=axis)
-    return np.real(np.fft.ifft(1j * k.reshape(shape) * hat, axis=axis))
+    hat = np.fft.rfft(values, axis=axis)
+    return np.fft.irfft(_ik(n, values.ndim, axis) * hat, n, axis=axis)
 
 
 def _radial_deriv(values: np.ndarray, dr: float) -> np.ndarray:
@@ -337,37 +346,42 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
 # Trigonometric interpolation on the circle
 
 
+def _trig_coeffs(values: np.ndarray) -> np.ndarray:
+    """Coefficients a_k, k = 0..n/2, of the trigonometric interpolant
+    Re sum_k a_k e^{ikx} of grid samples (rfft / n, interior modes doubled)."""
+    a = np.fft.rfft(values) / len(values)
+    a[1:-1] *= 2.0
+    return a
+
+
+def _phases(xq: np.ndarray, m: int) -> np.ndarray:
+    """e^{ikx} for k = 0..m-1 at each point of xq, one row per point, as a
+    cumulative product of e^{ix}: one complex exp per point, not per mode."""
+    out = np.empty((len(xq), m), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = np.exp(1j * xq)[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
 def circle_interp(values: np.ndarray, xq, deriv: int = 0) -> np.ndarray:
     """Evaluate the trigonometric interpolant of grid samples (or its
     derivative) at arbitrary points."""
-    n = len(values)
-    c = np.fft.rfft(values) / n
-    k = np.arange(n // 2 + 1)
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
+    a = _trig_coeffs(values)
     if deriv:
-        c = c * (1j * k) ** deriv
-        c[-1] = 0.0  # Nyquist mode has no odd derivative
-    xq = np.atleast_1d(np.asarray(xq, dtype=float))
-    phase = np.exp(1j * np.outer(xq, k))
-    return np.real(phase @ (w * c))
+        a = a * (1j * np.arange(len(a))) ** deriv
+        a[-1] = 0.0  # Nyquist mode has no odd derivative
+    xq = np.asarray(xq, dtype=float).ravel()
+    return np.real(_phases(xq, len(a)) @ a)
 
 
 def circle_interp_antideriv(values: np.ndarray, xq) -> np.ndarray:
     """Antiderivative V of the trigonometric interpolant with V(0) = 0,
     evaluated on the real line (the mean contributes a linear part)."""
-    n = len(values)
-    c = np.fft.rfft(values) / n
-    k = np.arange(n // 2 + 1)
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    xq = np.atleast_1d(np.asarray(xq, dtype=float))
-    out = np.real(c[0]) * xq
-    kk = k[1:]
-    terms = (np.exp(1j * np.outer(xq, kk)) - 1.0) / (1j * kk)
-    return out + np.real(terms @ (w[1:] * c[1:]))
+    a = _trig_coeffs(values)
+    xq = np.asarray(xq, dtype=float).ravel()
+    k = np.arange(1, len(a))
+    terms = (_phases(xq, len(a))[:, 1:] - 1.0) @ (a[1:] / (1j * k))
+    return np.real(a[0]) * xq + np.real(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ def g_function(jstate: JacobiState, state: FluidState, model: PressureModel) -> 
 def _linearized_rhs(u, rho, q, eta, jv, jsig, jj, jG, g, model: PressureModel):
     """Derivative of (v, sigma, j, G) at the background stage (u, rho, q, eta)."""
     uf = VectorField(g, u)
-    rho = np.maximum(rho, 1e-6)
     vf = VectorField(g, jv)
     jf = VectorField(g, jj)
     hp = model.linearization_coefficient(rho)

@@ -21,9 +21,9 @@ RHO_MAX = 1e6
 
 def _check_rho(rho):
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
+    if (rho <= 0).any():
         raise DomainError("density must be positive")
-    if np.any(rho < RHO_MIN) or np.any(rho > RHO_MAX):
+    if (rho < RHO_MIN).any() or (rho > RHO_MAX).any():
         raise DomainError(f"density outside working range [{RHO_MIN}, {RHO_MAX}]")
     return rho
 

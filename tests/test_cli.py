@@ -33,6 +33,27 @@ class TestPlumbing:
         assert err["error"] == "validation"
         assert "gamma" in err["message"]
 
+    @pytest.mark.parametrize("argv, config, key", [
+        (["geodesic", "--n-grid", "9"], None, "n-grid"),
+        (["geodesic", "--t-end", "inf"], None, "t-end"),
+        (["geodesic", "--amplitude", "nan"], None, "amplitude"),
+        (["geodesic"], "t-end = inf\n", "t-end"),
+        (["geodesic"], "n-grid = inf\n", "n_grid"),
+        (["curvature-scan"], "trials = 3\ngama = 2\n", "gama"),
+    ], ids=["odd_grid", "inf_flag", "nan_amplitude", "inf_config", "inf_int_config",
+            "unknown_key"])
+    def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
+                                         monkeypatch, capsys):
+        if config is not None:
+            conf = tmp_path / "run.conf"
+            conf.write_text(config)
+            argv = argv + ["--config", str(conf)]
+        rc = run(argv, tmp_path, monkeypatch)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert key in err["message"]
+
     def test_numerical_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         rc = run(["geodesic", "--t-end", "3.0", "--dt", "0.005",
                   "--n-grid", "128"], tmp_path, monkeypatch)

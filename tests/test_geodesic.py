@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baroflow import burgers, geodesic
+from baroflow import burgers, geodesic, jacobi
 from baroflow.errors import ShockError, StepSizeError, VacuumError
 from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
 from baroflow.pressure import from_catalog, polytropic
@@ -84,6 +84,23 @@ class TestStepGeodesic:
         state, g = circle_state(n=64)
         with pytest.raises(StepSizeError):
             geodesic.step_geodesic(state, None, GAMMA3, dt=1.0)
+
+    @pytest.mark.parametrize("step", ["step_geodesic", "linearized_step"])
+    def test_stage_density_below_floor_raises(self, step):
+        # compression at x = pi takes the RK4 midpoint density from 1.02e-6
+        # to 0.95 of that, below RHO_MIN; the step must not go on clamped
+        g = CircleGrid(32)
+        rho0 = ScalarField(g, 1.0 + (1.0 - 1.02e-6) * np.cos(g.x))
+        state = geodesic.barotropic_initializer(
+            VectorField(g, (-50.0 * np.sin(g.x))[None]), rho0, GAMMA3)
+        fm = geodesic.identity_flowmap(rho0)
+        dt = 0.99 * geodesic.cfl_dt_max(state, GAMMA3)
+        with pytest.raises(ShockError, match="working range"):
+            if step == "step_geodesic":
+                geodesic.step_geodesic(state, fm, GAMMA3, dt)
+            else:
+                jstate = jacobi.initial_jacobi(VectorField(g, np.cos(g.x)[None]))
+                jacobi.linearized_step(jstate, state, fm, GAMMA3, dt)
 
     def test_shock_detection(self):
         state, g = circle_state(n=128)

@@ -182,6 +182,71 @@ class TestInterp:
         assert np.max(np.abs(circle_interp_antideriv(vals, xq) - expect)) < 1e-12
 
 
+def dense_interp(values, xq, deriv):
+    """Reference interpolant: the dense sum Re sum_k w_k c_k (ik)^d e^{ikx}.
+    Returns the values and the scale sum_k |w_k c_k k^d|."""
+    n = len(values)
+    c = np.fft.rfft(values) / n
+    k = np.arange(n // 2 + 1)
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0
+    if deriv:
+        c = c * (1j * k) ** deriv
+        c[-1] = 0.0
+    return np.real(np.exp(1j * np.outer(xq, k)) @ (w * c)), np.sum(np.abs(w * c))
+
+
+def complex_fft_deriv(values, axis):
+    """Reference periodic derivative along `axis`: complex FFT with fftfreq
+    wavenumbers and the Nyquist mode dropped."""
+    n = values.shape[axis]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = n
+    hat = np.fft.fft(values, axis=axis)
+    return np.real(np.fft.ifft(1j * k.reshape(shape) * hat, axis=axis))
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("n", [8, 64, 128, 1024])
+    def test_interp_matches_dense_phases(self, n, deriv):
+        r = rng(n + deriv)
+        vals = r.standard_normal(n)
+        xq = r.uniform(-20 * np.pi, 20 * np.pi, 300)
+        expect, scale = dense_interp(vals, xq, deriv)
+        assert np.max(np.abs(circle_interp(vals, xq, deriv=deriv) - expect)) <= 1e-12 * scale
+
+    def test_circle_derivative_and_grad(self):
+        g = CircleGrid(64)
+        f = ScalarField(g, rng(11).standard_normal(g.n))
+        expect = complex_fft_deriv(f.values, 0)
+        tol = 1e-13 * np.max(np.abs(expect))
+        assert np.max(np.abs(derivative(f).values - expect)) <= tol
+        assert np.max(np.abs(grad(f).values[0] - expect)) <= tol
+
+    def test_torus_grad_both_axes(self):
+        g = TorusGrid(16, 24)
+        f = ScalarField(g, rng(12).standard_normal(g.shape))
+        v = grad(f).values
+        for axis in (0, 1):
+            expect = complex_fft_deriv(f.values, axis)
+            assert np.max(np.abs(v[axis] - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_disc_angular_grad(self):
+        g = DiscGrid(16, 24)
+        f = ScalarField(g, rng(13).standard_normal(g.shape))
+        expect = complex_fft_deriv(f.values, 1) / g.r[:, None] ** 2
+        assert np.max(np.abs(grad(f).values[1] - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_nyquist_mode_has_zero_derivative(self, n):
+        g = CircleGrid(n)
+        assert np.max(np.abs(derivative(ScalarField(g, np.cos(n // 2 * g.x))).values)) < 1e-12
+
+
 class TestSerialization:
     def test_csv_header_and_rows(self):
         g = CircleGrid(8)
