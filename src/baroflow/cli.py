@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,12 +105,17 @@ def parse_config_file(path: str) -> dict:
 
 
 def _coerce(name: str, value, target):
-    if isinstance(value, str) and not isinstance(target, str):
-        try:
-            value = type(target)(float(value)) if isinstance(target, int) else type(target)(value)
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"cannot parse {name}={value!r}") from exc
-    return value
+    """Parse a config-file string as the type of `target`.  An integer key
+    takes an exact integer ("3", "3.0", "1e3"), never a fraction."""
+    if not isinstance(value, str) or isinstance(target, str):
+        return value
+    try:
+        number = Fraction(value) if isinstance(target, int) else float(value)
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse {name}={value!r}") from exc
+    if isinstance(target, int) and number.denominator != 1:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number) if isinstance(target, int) else number
 
 
 def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
@@ -291,8 +297,22 @@ EXPERIMENTS = {
 # Argument handling
 
 
+def _report_error(payload: dict, code: int) -> int:
+    """Write one JSON object to stderr; return the exit code."""
+    json.dump(payload, sys.stderr)
+    sys.stderr.write("\n")
+    return code
+
+
+class _JsonArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON object on stderr, exit code 2."""
+
+    def error(self, message):
+        sys.exit(_report_error({"error": "usage", "message": f"{self.prog}: {message}"}, 2))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonArgumentParser(
         prog="baroflow",
         description="Batch experiments for barotropic-flow geometry.")
     sub = parser.add_subparsers(dest="experiment", required=True)
@@ -353,16 +373,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
     except ValidationError as exc:
-        json.dump({"error": "validation", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _report_error({"error": "validation", "message": str(exc)}, 2)
     try:
         header, rows, summary = EXPERIMENTS[cfg.experiment](cfg)
     except BaroflowError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc),
-                   "experiment": cfg.experiment}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return _report_error({"error": type(exc).__name__, "message": str(exc),
+                              "experiment": cfg.experiment}, 1)
     csv_path, json_path = write_outputs(cfg, header, rows, summary, t0)
     print(f"wrote {csv_path} and {json_path}")
     return 0

@@ -1,10 +1,14 @@
-"""Discrete geometry substrate: grids on S^1, the flat 2-torus, and the unit disc,
-with differential operators and quadrature.
+"""Discrete geometry substrate: grids on S^1, the flat 2-torus and the unit
+disc, fields on them, and their differential operators and quadrature.
 
-Periodic directions use trigonometric (FFT) differentiation, exact for
-band-limited fields.  The radial direction on the disc uses second-order
-centered finite differences with one-sided stencils at the ends; the grid
-excludes r=0 (regularity is handled mode-wise by the consumers).
+Each grid owns its operators as methods on raw arrays, which the time
+steppers call on RK stage arrays.  The circle and the torus share one
+periodic implementation, a real-FFT derivative along each axis (exact for
+band-limited fields) with the axis terms summed in axis order from the first
+term.  The disc uses second-order centered differences in r, one-sided at
+both ends (r=0 is excluded; the consumers handle regularity mode-wise), and
+a spectral derivative in theta.  The field functions (grad, div, ...) are the
+public API: they validate their fields, then call the grid method.
 
 Vector fields are stored in coordinate components: (u_x, u_y) on the torus,
 (u^r, u^theta) on the disc, where u = u^r d/dr + u^theta d/dtheta.  Note the
@@ -14,158 +18,17 @@ disc components are coordinate, not physical: |d/dtheta| = r.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import DomainError, GridMismatchError
 
 
 # ---------------------------------------------------------------------------
-# Grids
-
-
-@dataclass(frozen=True)
-class CircleGrid:
-    """Uniform periodic grid on [0, 2*pi)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 8 or self.n % 2:
-            raise ValueError(f"circle grid needs n >= 8 and even, got {self.n}")
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n) / self.n
-
-    @property
-    def dx(self) -> float:
-        return 2.0 * np.pi / self.n
-
-    @property
-    def shape(self):
-        return (self.n,)
-
-    ncomp = 1
-
-
-@dataclass(frozen=True)
-class TorusGrid:
-    """Uniform periodic grid on [0, 2*pi)^2."""
-
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        for n in (self.nx, self.ny):
-            if n < 8 or n % 2:
-                raise ValueError(f"torus grid needs counts >= 8 and even, got {n}")
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.nx) / self.nx
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.ny) / self.ny
-
-    @cached_property
-    def mesh(self):
-        return np.meshgrid(self.x, self.y, indexing="ij")
-
-    @property
-    def shape(self):
-        return (self.nx, self.ny)
-
-    ncomp = 2
-
-
-@dataclass(frozen=True)
-class DiscGrid:
-    """Polar grid on the unit disc: radial nodes j/n_r for j=1..n_r (so the last
-    node sits on the boundary and r=0 is excluded), uniform angles."""
-
-    n_r: int
-    n_theta: int
-
-    def __post_init__(self):
-        if self.n_r < 8:
-            raise ValueError(f"disc grid needs n_r >= 8, got {self.n_r}")
-        if self.n_theta < 8 or self.n_theta % 2:
-            raise ValueError(f"disc grid needs n_theta >= 8 and even, got {self.n_theta}")
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return np.arange(1, self.n_r + 1) / self.n_r
-
-    @property
-    def dr(self) -> float:
-        return 1.0 / self.n_r
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
-    @cached_property
-    def mesh(self):
-        return np.meshgrid(self.r, self.theta, indexing="ij")
-
-    @property
-    def shape(self):
-        return (self.n_r, self.n_theta)
-
-    ncomp = 2
-
-
-Grid = CircleGrid | TorusGrid | DiscGrid
-
-
-# ---------------------------------------------------------------------------
-# Fields
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != self.grid.shape:
-            raise GridMismatchError(f"scalar values {v.shape} vs grid {self.grid.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("scalar field has non-finite entries")
-
-
-@dataclass(frozen=True)
-class VectorField:
-    grid: Grid
-    values: np.ndarray  # shape (ncomp, *grid.shape)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if isinstance(self.grid, CircleGrid) and v.shape == self.grid.shape:
-            v = v[None, :]
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.ncomp,) + self.grid.shape:
-            raise GridMismatchError(f"vector values {v.shape} vs grid {self.grid.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("vector field has non-finite entries")
-
-
-def check_same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise GridMismatchError("fields live on different grids")
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Spectral building blocks
+# Derivative kernels
 
 
 @lru_cache(maxsize=None)
@@ -195,127 +58,299 @@ def _radial_deriv(values: np.ndarray, dr: float) -> np.ndarray:
     return out
 
 
-def _deriv_x(f: np.ndarray, grid) -> np.ndarray:
-    if isinstance(grid, CircleGrid):
-        return _spectral_deriv(f, 0, grid.n)
-    if isinstance(grid, TorusGrid):
-        return _spectral_deriv(f, 0, grid.nx)
-    return _radial_deriv(f, grid.dr)
+# ---------------------------------------------------------------------------
+# Grids and their operators (raw arrays in, raw arrays out)
 
 
-def _deriv_y(f: np.ndarray, grid) -> np.ndarray:
-    if isinstance(grid, TorusGrid):
-        return _spectral_deriv(f, 1, grid.ny)
-    return _spectral_deriv(f, 1, grid.n_theta)
+class PeriodicGrid:
+    """Operators of a uniform periodic grid on [0, 2*pi)^ncomp, with one
+    spectral derivative per axis."""
+
+    def _d(self, f: np.ndarray, axis: int) -> np.ndarray:
+        return _spectral_deriv(f, axis, self.shape[axis])
+
+    def grad(self, f: np.ndarray) -> np.ndarray:
+        return np.array([self._d(f, a) for a in range(self.ncomp)])
+
+    def div(self, v: np.ndarray) -> np.ndarray:
+        return reduce(operator.add, (self._d(v[a], a) for a in range(self.ncomp)))
+
+    def directional(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """u(h) = sum_a u_a d_a h."""
+        return reduce(operator.add, (u[a] * self._d(h, a) for a in range(self.ncomp)))
+
+    def covariant_derivative(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.array([self.directional(u, c) for c in v])
+
+    def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.einsum("c...,c...->...", u, v)
+
+    def integrate(self, f: np.ndarray) -> float:
+        return float(reduce(operator.mul, (2 * np.pi / n for n in self.shape), f.sum()))
+
+    @property
+    def cfl_spacing(self) -> float:
+        return min(2 * np.pi / n for n in self.shape)
+
+
+@dataclass(frozen=True)
+class CircleGrid(PeriodicGrid):
+    """Uniform periodic grid on [0, 2*pi)."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 8 or self.n % 2:
+            raise DomainError(f"circle grid needs n >= 8 and even, got {self.n}")
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.n) / self.n
+
+    @cached_property
+    def mesh(self):
+        return np.meshgrid(self.x, indexing="ij")
+
+    @cached_property
+    def shape(self):
+        return (self.n,)
+
+    ncomp = 1
+    axis_names = ("x",)
+
+
+@dataclass(frozen=True)
+class TorusGrid(PeriodicGrid):
+    """Uniform periodic grid on [0, 2*pi)^2."""
+
+    nx: int
+    ny: int
+
+    def __post_init__(self):
+        for n in (self.nx, self.ny):
+            if n < 8 or n % 2:
+                raise DomainError(f"torus grid needs counts >= 8 and even, got {n}")
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.nx) / self.nx
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.ny) / self.ny
+
+    @cached_property
+    def mesh(self):
+        return np.meshgrid(self.x, self.y, indexing="ij")
+
+    @cached_property
+    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only FFT wavenumbers in fftfreq order: kx a column, ky a row."""
+        kx = np.fft.fftfreq(self.nx, d=1.0 / self.nx)[:, None]
+        ky = np.fft.fftfreq(self.ny, d=1.0 / self.ny)[None, :]
+        kx.flags.writeable = ky.flags.writeable = False
+        return kx, ky
+
+    @cached_property
+    def shape(self):
+        return (self.nx, self.ny)
+
+    ncomp = 2
+    axis_names = ("x", "y")
+
+    def sgrad(self, f: np.ndarray) -> np.ndarray:
+        return np.array([self._d(f, 1), -self._d(f, 0)])
+
+    def curl(self, v: np.ndarray) -> np.ndarray:
+        return self._d(v[1], 0) - self._d(v[0], 1)
+
+
+@dataclass(frozen=True)
+class DiscGrid:
+    """Polar grid on the unit disc: radial nodes j/n_r for j=1..n_r (so the last
+    node sits on the boundary and r=0 is excluded), uniform angles."""
+
+    n_r: int
+    n_theta: int
+
+    def __post_init__(self):
+        if self.n_r < 8:
+            raise DomainError(f"disc grid needs n_r >= 8, got {self.n_r}")
+        if self.n_theta < 8 or self.n_theta % 2:
+            raise DomainError(f"disc grid needs n_theta >= 8 and even, got {self.n_theta}")
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return np.arange(1, self.n_r + 1) / self.n_r
+
+    @property
+    def dr(self) -> float:
+        return 1.0 / self.n_r
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+
+    @cached_property
+    def mesh(self):
+        return np.meshgrid(self.r, self.theta, indexing="ij")
+
+    @cached_property
+    def shape(self):
+        return (self.n_r, self.n_theta)
+
+    ncomp = 2
+    axis_names = ("r", "theta")
+
+    def _dr(self, f: np.ndarray) -> np.ndarray:
+        return _radial_deriv(f, self.dr)
+
+    def _dtheta(self, f: np.ndarray) -> np.ndarray:
+        return _spectral_deriv(f, 1, self.n_theta)
+
+    def grad(self, f: np.ndarray) -> np.ndarray:
+        """grad f = f_r d/dr + (f_theta / r^2) d/dtheta."""
+        return np.array([self._dr(f), self._dtheta(f) / self.r[:, None] ** 2])
+
+    def sgrad(self, f: np.ndarray) -> np.ndarray:
+        """sgrad f = (f_theta/r) d/dr - (f_r/r) d/dtheta (divergence-free)."""
+        r = self.r[:, None]
+        return np.array([self._dtheta(f) / r, -self._dr(f) / r])
+
+    def div(self, v: np.ndarray) -> np.ndarray:
+        r = self.r[:, None]
+        return self._dr(r * v[0]) / r + self._dtheta(v[1])
+
+    def curl(self, v: np.ndarray) -> np.ndarray:
+        r = self.r[:, None]
+        return (self._dr(r**2 * v[1]) - self._dtheta(v[0])) / r
+
+    def directional(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return u[0] * self._dr(h) + u[1] * self._dtheta(h)
+
+    def covariant_derivative(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Flat nabla_u v with the polar Christoffel symbols."""
+        au, bu = u
+        av, bv = v
+        r = self.r[:, None]
+        return np.array([self.directional(u, av) - r * bu * bv,
+                         self.directional(u, bv) + (au * bv + bu * av) / r])
+
+    def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return u[0] * v[0] + self.r[:, None] ** 2 * u[1] * v[1]
+
+    def integrate(self, f: np.ndarray) -> float:
+        """int f r dr dtheta; the integrand r*f vanishes at r=0."""
+        ring = f.mean(axis=1) * 2 * np.pi * self.r
+        return float(np.trapezoid(np.concatenate([[0.0], ring]),
+                                  np.concatenate([[0.0], self.r])))
+
+    @property
+    def cfl_spacing(self) -> float:
+        raise DomainError("time stepping is supported on periodic grids")
+
+
+Grid = CircleGrid | TorusGrid | DiscGrid
 
 
 # ---------------------------------------------------------------------------
-# Differential operators
+# Fields
+
+
+@dataclass(frozen=True)
+class ScalarField:
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", v)
+        if v.shape != self.grid.shape:
+            raise GridMismatchError(f"scalar values {v.shape} vs grid {self.grid.shape}")
+        if not np.isfinite(v).all():
+            raise DomainError("scalar field has non-finite entries")
+
+
+@dataclass(frozen=True)
+class VectorField:
+    grid: Grid
+    values: np.ndarray  # shape (ncomp, *grid.shape)
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if isinstance(self.grid, CircleGrid) and v.shape == self.grid.shape:
+            v = v[None, :]
+        object.__setattr__(self, "values", v)
+        if v.shape != (self.grid.ncomp,) + self.grid.shape:
+            raise GridMismatchError(f"vector values {v.shape} vs grid {self.grid.shape}")
+        if not np.isfinite(v).all():
+            raise DomainError("vector field has non-finite entries")
+
+
+def check_same_grid(*fields):
+    g = fields[0].grid
+    for f in fields[1:]:
+        if f.grid != g:
+            raise GridMismatchError("fields live on different grids")
+    return g
+
+
+# ---------------------------------------------------------------------------
+# Differential operators and quadrature on fields (validate, then delegate)
+
+
+def _planar(grid, name: str):
+    if isinstance(grid, CircleGrid):
+        raise GridMismatchError(f"{name} is defined on 2D grids only")
+    return grid
 
 
 def derivative(f: ScalarField) -> ScalarField:
     """Trigonometric-interpolation derivative on the circle."""
     if not isinstance(f.grid, CircleGrid):
         raise GridMismatchError("derivative() expects a circle field; use grad()")
-    return ScalarField(f.grid, _spectral_deriv(f.values, 0, f.grid.n))
+    return ScalarField(f.grid, f.grid._d(f.values, 0))
 
 
 def grad(f: ScalarField) -> VectorField:
-    g = f.grid
-    if isinstance(g, CircleGrid):
-        return VectorField(g, _spectral_deriv(f.values, 0, g.n)[None])
-    if isinstance(g, TorusGrid):
-        return VectorField(g, np.stack([_deriv_x(f.values, g), _deriv_y(f.values, g)]))
-    # disc: grad f = f_r d/dr + (f_theta / r^2) d/dtheta
-    fr = _radial_deriv(f.values, g.dr)
-    ft = _deriv_y(f.values, g)
-    return VectorField(g, np.stack([fr, ft / g.r[:, None] ** 2]))
+    return VectorField(f.grid, f.grid.grad(f.values))
 
 
 def sgrad(f: ScalarField) -> VectorField:
     """Rotated gradient (divergence-free).  On the disc this follows the
     orientation sgrad f = (f_theta/r) d/dr - (f_r/r) d/dtheta."""
-    g = f.grid
-    if isinstance(g, TorusGrid):
-        return VectorField(g, np.stack([_deriv_y(f.values, g), -_deriv_x(f.values, g)]))
-    if isinstance(g, DiscGrid):
-        fr = _radial_deriv(f.values, g.dr)
-        ft = _deriv_y(f.values, g)
-        r = g.r[:, None]
-        return VectorField(g, np.stack([ft / r, -fr / r]))
-    raise GridMismatchError("sgrad is defined on 2D grids only")
+    return VectorField(f.grid, _planar(f.grid, "sgrad").sgrad(f.values))
 
 
 def div(v: VectorField) -> ScalarField:
-    g = v.grid
-    if isinstance(g, CircleGrid):
-        return ScalarField(g, _spectral_deriv(v.values[0], 0, g.n))
-    if isinstance(g, TorusGrid):
-        return ScalarField(g, _deriv_x(v.values[0], g) + _deriv_y(v.values[1], g))
-    r = g.r[:, None]
-    return ScalarField(g, _radial_deriv(r * v.values[0], g.dr) / r + _deriv_y(v.values[1], g))
+    return ScalarField(v.grid, v.grid.div(v.values))
 
 
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl of a 2D vector field."""
-    g = v.grid
-    if isinstance(g, TorusGrid):
-        return ScalarField(g, _deriv_x(v.values[1], g) - _deriv_y(v.values[0], g))
-    if isinstance(g, DiscGrid):
-        r = g.r[:, None]
-        return ScalarField(
-            g, (_radial_deriv(r**2 * v.values[1], g.dr) - _deriv_y(v.values[0], g)) / r
-        )
-    raise GridMismatchError("curl is defined on 2D grids only")
+    return ScalarField(v.grid, _planar(v.grid, "curl").curl(v.values))
 
 
 def directional(u: VectorField, h: ScalarField) -> ScalarField:
     """u(h): derivative of the scalar h along u (coordinate components)."""
     g = check_same_grid(u, h)
-    if isinstance(g, CircleGrid):
-        return ScalarField(g, u.values[0] * _deriv_x(h.values, g))
-    return ScalarField(g, u.values[0] * _deriv_x(h.values, g) + u.values[1] * _deriv_y(h.values, g))
+    return ScalarField(g, g.directional(u.values, h.values))
 
 
 def covariant_derivative(u: VectorField, v: VectorField) -> VectorField:
     """nabla_u v in the flat metric (polar Christoffel symbols on the disc)."""
     g = check_same_grid(u, v)
-    if isinstance(g, CircleGrid):
-        return VectorField(g, (u.values[0] * _deriv_x(v.values[0], g))[None])
-    if isinstance(g, TorusGrid):
-        au, bu = u.values
-        out = [au * _deriv_x(c, g) + bu * _deriv_y(c, g) for c in v.values]
-        return VectorField(g, np.stack(out))
-    au, bu = u.values
-    av, bv = v.values
-    r = g.r[:, None]
-    comp_r = au * _deriv_x(av, g) + bu * _deriv_y(av, g) - r * bu * bv
-    comp_t = au * _deriv_x(bv, g) + bu * _deriv_y(bv, g) + (au * bv + bu * av) / r
-    return VectorField(g, np.stack([comp_r, comp_t]))
+    return VectorField(g, g.covariant_derivative(u.values, v.values))
 
 
 def inner(u: VectorField, v: VectorField) -> ScalarField:
     """Pointwise Riemannian inner product <u, v> on M."""
     g = check_same_grid(u, v)
-    if isinstance(g, DiscGrid):
-        r2 = g.r[:, None] ** 2
-        return ScalarField(g, u.values[0] * v.values[0] + r2 * u.values[1] * v.values[1])
-    return ScalarField(g, np.einsum("c...,c...->...", u.values, v.values))
-
-
-# ---------------------------------------------------------------------------
-# Quadrature
+    return ScalarField(g, g.inner(u.values, v.values))
 
 
 def integrate(f: ScalarField) -> float:
-    g = f.grid
-    if isinstance(g, CircleGrid):
-        return float(f.values.sum() * g.dx)
-    if isinstance(g, TorusGrid):
-        return float(f.values.sum() * (2 * np.pi / g.nx) * (2 * np.pi / g.ny))
-    # disc: int f r dr dtheta; the integrand r*f vanishes at r=0
-    ring = f.values.mean(axis=1) * 2 * np.pi * g.r
-    return float(np.trapezoid(np.concatenate([[0.0], ring]), np.concatenate([[0.0], g.r])))
+    return f.grid.integrate(f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +363,7 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
     g = v.grid
     if not isinstance(g, TorusGrid):
         raise GridMismatchError("hodge_decompose expects a torus field")
-    kx = np.fft.fftfreq(g.nx, d=1.0 / g.nx)[:, None]
-    ky = np.fft.fftfreq(g.ny, d=1.0 / g.ny)[None, :]
+    kx, ky = g.wavenumbers
     k2 = kx**2 + ky**2
     k2safe = np.where(k2 == 0, 1.0, k2)
     vx_hat = np.fft.fft2(v.values[0])
@@ -338,7 +372,7 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
     f_hat = -div_hat / k2safe
     f_hat[0, 0] = 0.0
     f = ScalarField(g, np.real(np.fft.ifft2(f_hat)))
-    w = VectorField(g, v.values - grad(f).values)
+    w = VectorField(g, v.values - g.grad(f.values))
     return f, w
 
 
@@ -424,18 +458,9 @@ def random_band_limited_vector(grid: Grid, rng: np.random.Generator) -> VectorFi
 # CSV serialization
 
 
-def _coords(grid) -> tuple[list[str], np.ndarray]:
-    if isinstance(grid, CircleGrid):
-        return ["x"], grid.x[:, None]
-    if isinstance(grid, TorusGrid):
-        X, Y = grid.mesh
-        return ["x", "y"], np.column_stack([X.ravel(), Y.ravel()])
-    R, T = grid.mesh
-    return ["r", "theta"], np.column_stack([R.ravel(), T.ravel()])
-
-
 def to_csv(field: ScalarField | VectorField) -> str:
-    names, coords = _coords(field.grid)
+    names = list(field.grid.axis_names)
+    coords = [c.ravel() for c in field.grid.mesh]
     if isinstance(field, ScalarField):
         cols = [field.values.ravel()]
         names = names + ["value"]
@@ -444,6 +469,5 @@ def to_csv(field: ScalarField | VectorField) -> str:
         names = names + [f"value_{i}" for i in range(len(cols))]
     buf = io.StringIO()
     buf.write(",".join(names) + "\n")
-    data = np.column_stack([coords] + [c[:, None] for c in cols])
-    np.savetxt(buf, data, delimiter=",", fmt="%.17g")
+    np.savetxt(buf, np.column_stack(coords + cols), delimiter=",", fmt="%.17g")
     return buf.getvalue()

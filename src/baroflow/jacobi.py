@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from . import grids
 from .errors import DomainError, ShockError
 from .geodesic import FluidState, FlowMap, _advance, identity_flowmap
 from .grids import (
@@ -21,7 +20,6 @@ from .grids import (
     VectorField,
     check_same_grid,
     circle_interp,
-    integrate,
 )
 from .pressure import PressureModel
 
@@ -52,40 +50,21 @@ def initial_jacobi(v0: VectorField) -> JacobiState:
                        VectorField(g, np.zeros_like(v0.values)), ScalarField(g, zeros))
 
 
-def commutator(u: VectorField, j: VectorField) -> VectorField:
-    """[u, j] = nabla_u j - nabla_j u (flat M)."""
-    return VectorField(u.grid, grids.covariant_derivative(u, j).values
-                       - grids.covariant_derivative(j, u).values)
-
-
-def g_function(jstate: JacobiState, state: FluidState, model: PressureModel) -> ScalarField:
-    """g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho/lambda(rho))."""
-    g = jstate.grid
-    rv = state.rho.values
-    phi = model.phi(rv)
-    lam = model.lam(rv)
-    ratio = ScalarField(g, rv / lam)
-    return ScalarField(g, 2 * phi * jstate.sigma.values / lam**2
-                       + grids.directional(jstate.j, ratio).values)
-
-
 def _linearized_rhs(u, rho, q, eta, jv, jsig, jj, jG, g, model: PressureModel):
-    """Derivative of (v, sigma, j, G) at the background stage (u, rho, q, eta)."""
-    uf = VectorField(g, u)
-    vf = VectorField(g, jv)
-    jf = VectorField(g, jj)
+    """Derivative of (v, sigma, j, G) at the background stage (u, rho, q, eta),
+    on raw arrays."""
     hp = model.linearization_coefficient(rho)
-    dsig = -(grids.div(VectorField(g, jsig * uf.values)).values
-             + grids.div(VectorField(g, rho * jv)).values)
-    dv = -(grids.covariant_derivative(uf, vf).values
-           + grids.covariant_derivative(vf, uf).values
-           + grids.grad(ScalarField(g, hp * jsig)).values)
-    dj = jv - commutator(uf, jf).values
+    dsig = -(g.div(jsig * u) + g.div(rho * jv))
+    dv = -(g.covariant_derivative(u, jv) + g.covariant_derivative(jv, u) + g.grad(hp * jsig))
+    # [u, j] = nabla_u j - nabla_j u (flat M)
+    dj = jv - (g.covariant_derivative(u, jj) - g.covariant_derivative(jj, u))
     if eta is None:
         return dv, dsig, dj, np.zeros(g.shape)
-    st = FluidState(uf, ScalarField(g, rho), ScalarField(g, q))
-    gval = g_function(JacobiState(vf, ScalarField(g, jsig), jf, ScalarField(g, jG)), st, model)
-    return dv, dsig, dj, circle_interp(gval.values, eta)
+    # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along eta
+    phi = model.phi(rho)
+    lam = model.lam(rho)
+    gval = 2 * phi * jsig / lam**2 + g.directional(jj, rho / lam)
+    return dv, dsig, dj, circle_interp(gval, eta)
 
 
 def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | None,
@@ -139,15 +118,14 @@ def integrate_linearized(state0: FluidState, jstate0: JacobiState,
 def constraint_residual(jstate: JacobiState, state: FluidState) -> float:
     """sup norm of sigma + div(rho j)."""
     g = jstate.grid
-    flux = grids.div(VectorField(g, state.rho.values * jstate.j.values)).values
+    flux = g.div(state.rho.values * jstate.j.values)
     return float(np.max(np.abs(jstate.sigma.values + flux)))
 
 
 def jacobi_norm_sq(jstate: JacobiState) -> float:
     """L^2 size of the displacement pair (j, G); vanishes at conjugate points."""
     g = jstate.grid
-    jj = grids.inner(jstate.j, jstate.j).values
-    return integrate(ScalarField(g, jj + jstate.G.values**2))
+    return g.integrate(g.inner(jstate.j.values, jstate.j.values) + jstate.G.values**2)
 
 
 # ---------------------------------------------------------------------------

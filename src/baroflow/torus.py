@@ -17,12 +17,6 @@ from .grids import ScalarField, TorusGrid, VectorField, hodge_decompose, integra
 from .pressure import PressureModel, polytropic
 
 
-def _wavenumbers(g: TorusGrid):
-    kx = np.fft.fftfreq(g.nx, d=1.0 / g.nx)[:, None]
-    ky = np.fft.fftfreq(g.ny, d=1.0 / g.ny)[None, :]
-    return kx, ky
-
-
 @dataclass(frozen=True)
 class TorusModeSolution:
     """Spectral data for the shear-geodesic Jacobi field: f_hat holds the FFT
@@ -38,7 +32,7 @@ class TorusModeSolution:
         """j(t) = sum_k (a_k sin(c|k|t)/(c|k|)) grad phi_k(x, y - omega t)
         + t z(x, y - omega t)."""
         g = self.grid
-        kx, ky = _wavenumbers(g)
+        kx, ky = g.wavenumbers
         kmag = np.sqrt(kx**2 + ky**2)
         ksafe = np.where(kmag == 0, 1.0, kmag)
         osc = np.where(kmag == 0, 0.0, np.sin(self.c * ksafe * t) / (self.c * ksafe))

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from baroflow import cli
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def run(argv, tmp_path, monkeypatch, env_dir=None):
@@ -21,10 +24,21 @@ def read_outputs(directory, name):
 
 
 class TestPlumbing:
-    def test_unknown_experiment_exits_2(self):
+    def test_unknown_experiment_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-experiment"])
         assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "no-such-experiment" in err["message"]
+
+    def test_non_integer_flag_exits_2_with_json(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["geodesic", "--n-grid", "abc"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "--n-grid" in err["message"]
 
     def test_validation_error_exits_2(self, tmp_path, monkeypatch, capsys):
         rc = run(["curvature-scan", "--gamma", "0.5"], tmp_path, monkeypatch)
@@ -40,8 +54,9 @@ class TestPlumbing:
         (["geodesic"], "t-end = inf\n", "t-end"),
         (["geodesic"], "n-grid = inf\n", "n_grid"),
         (["curvature-scan"], "trials = 3\ngama = 2\n", "gama"),
+        (["curvature-scan"], "trials = 3.7\n", "trials"),
     ], ids=["odd_grid", "inf_flag", "nan_amplitude", "inf_config", "inf_int_config",
-            "unknown_key"])
+            "unknown_key", "fractional_int_config"])
     def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
                                          monkeypatch, capsys):
         if config is not None:
@@ -77,6 +92,13 @@ class TestPlumbing:
         assert manifest["parameters"]["trials"] == 7  # flag wins
         assert manifest["parameters"]["gamma"] == 2.0  # from config
         assert manifest["parameters"]["seed"] == 3
+
+    def test_integer_config_values_are_exact(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = 9007199254740993\ntrials = 1e2\n")
+        args = cli.build_parser().parse_args(["curvature-scan", "--config", str(conf)])
+        cfg = cli.config_from_args(args)
+        assert (cfg.seed, cfg.trials) == (2**53 + 1, 100)
 
     def test_malformed_config_rejected(self, tmp_path, monkeypatch, capsys):
         conf = tmp_path / "bad.conf"
@@ -156,3 +178,29 @@ class TestExperiments:
         csv_text, manifest = read_outputs(tmp_path, "burgers-exact")
         assert csv_text.decode().splitlines()[0] == "t,x,u,rho"
         assert manifest["summary"]["shock_time"] == pytest.approx(2.0, rel=1e-6)
+
+
+# each preset's experiment and the values it sets
+PRESET_VALUES = {
+    "conjugate": ("conjugate", {"n_mode": 2, "m_max": 3, "n_grid": 128, "dt": 0.005}),
+    "curvature-scan": ("curvature-scan", {"gamma": 2.0, "trials": 200, "seed": 7}),
+    "disc-spectrum": ("disc-spectrum", {"n_max": 16, "k_max": 12, "n_nodes": 400}),
+    "shock-portrait": ("geodesic", {"n_grid": 256, "dt": 0.004, "t_end": 1.9}),
+    "torus-modes": ("torus-modes", {"n_grid": 32, "t_end": 60.0, "n_samples": 300,
+                                    "kind": "gradient"}),
+}
+
+
+def test_presets_are_the_listed_ones():
+    assert sorted(p.stem for p in PRESETS.glob("*.conf")) == sorted(PRESET_VALUES)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_VALUES))
+def test_preset_loads_and_validates(preset):
+    experiment, expect = PRESET_VALUES[preset]
+    path = str(PRESETS / f"{preset}.conf")
+    assert set(cli.parse_config_file(path)) == set(expect)
+    cfg = cli.config_from_args(cli.build_parser().parse_args([experiment, "--config", path]))
+    got = {key: getattr(cfg, key) for key in expect}
+    assert got == expect
+    assert all(type(got[key]) is type(expect[key]) for key in expect)

@@ -102,6 +102,17 @@ class TestStepGeodesic:
                 jstate = jacobi.initial_jacobi(VectorField(g, np.cos(g.x)[None]))
                 jacobi.linearized_step(jstate, state, fm, GAMMA3, dt)
 
+    def test_programming_error_is_not_reported_as_a_shock(self, monkeypatch):
+        state, g = circle_state(n=64)
+
+        def broken_rhs(*args):
+            raise ValueError("broken right-hand side")
+
+        monkeypatch.setattr(geodesic, "_rhs", broken_rhs)
+        with pytest.raises(ValueError, match="broken right-hand side") as exc:
+            geodesic.step_geodesic(state, None, GAMMA3, dt=0.01)
+        assert not isinstance(exc.value, ShockError)
+
     def test_shock_detection(self):
         state, g = circle_state(n=128)
         with pytest.raises(ShockError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baroflow import grids
-from baroflow.errors import GridMismatchError
+from baroflow.errors import BaroflowError, DomainError, GridMismatchError
 from baroflow.grids import (
     CircleGrid,
     DiscGrid,
@@ -13,11 +13,14 @@ from baroflow.grids import (
     VectorField,
     circle_interp,
     circle_interp_antideriv,
+    covariant_derivative,
     curl,
     derivative,
+    directional,
     div,
     grad,
     hodge_decompose,
+    inner,
     integrate,
     random_band_limited,
     random_band_limited_vector,
@@ -27,6 +30,23 @@ from baroflow.grids import (
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("make", [lambda: CircleGrid(9), lambda: TorusGrid(8, 6),
+                                      lambda: DiscGrid(4, 8), lambda: DiscGrid(8, 9)],
+                             ids=["circle_odd", "torus_small", "disc_nr", "disc_ntheta"])
+    def test_bad_grid_size_is_a_baroflow_domain_error(self, make):
+        with pytest.raises(BaroflowError) as exc:
+            make()
+        assert isinstance(exc.value, DomainError)
+
+    def test_non_finite_values_are_domain_errors(self):
+        g = CircleGrid(8)
+        with pytest.raises(DomainError):
+            ScalarField(g, np.full(8, np.nan))
+        with pytest.raises(DomainError):
+            VectorField(g, np.full((1, 8), np.inf))
 
 
 class TestCircleDerivative:
@@ -209,7 +229,117 @@ def complex_fft_deriv(values, axis):
     return np.real(np.fft.ifft(1j * k.reshape(shape) * hat, axis=axis))
 
 
+def spectral_d(values, axis):
+    """Periodic derivative along `axis`: real FFT times i*k, Nyquist bin
+    zeroed."""
+    n = values.shape[axis]
+    ik = 1j * np.arange(n // 2 + 1)
+    ik[-1] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = n // 2 + 1
+    return np.fft.irfft(ik.reshape(shape) * np.fft.rfft(values, axis=axis), n, axis=axis)
+
+
+def radial_d(values, dr):
+    """Second-order d/dr along axis 0, one-sided at both ends."""
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2 * dr)
+    out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dr)
+    out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dr)
+    return out
+
+
+def random_fields(g, seed):
+    r = rng(seed)
+    return (ScalarField(g, r.standard_normal(g.shape)),
+            VectorField(g, r.standard_normal((g.ncomp,) + g.shape)),
+            VectorField(g, r.standard_normal((g.ncomp,) + g.shape)))
+
+
+def assert_all_equal(cases):
+    for name, (got, want) in cases.items():
+        assert np.array_equal(got, want), name
+
+
 class TestKernelEquivalence:
+    """The grid-owned operators reproduce the coordinate formulas bit for bit."""
+
+    def test_circle_operators_match_formulas(self):
+        g = CircleGrid(32)
+        f, u, v = random_fields(g, 20)
+        (a,), (c,) = u.values, v.values
+        d = spectral_d
+        assert_all_equal({
+            "grad": (grad(f).values, d(f.values, 0)[None]),
+            "div": (div(v).values, d(c, 0)),
+            "directional": (directional(u, f).values, a * d(f.values, 0)),
+            "covariant_derivative": (covariant_derivative(u, v).values, (a * d(c, 0))[None]),
+            "inner": (inner(u, v).values, np.einsum("c...,c...->...", u.values, v.values)),
+            "integrate": (integrate(f), float(f.values.sum() * (2 * np.pi / 32))),
+        })
+
+    def test_torus_operators_match_formulas(self):
+        g = TorusGrid(16, 24)
+        f, u, v = random_fields(g, 21)
+        (a, b), (c, e) = u.values, v.values
+        fv, d = f.values, spectral_d
+        assert_all_equal({
+            "grad": (grad(f).values, np.stack([d(fv, 0), d(fv, 1)])),
+            "sgrad": (sgrad(f).values, np.stack([d(fv, 1), -d(fv, 0)])),
+            "div": (div(v).values, d(c, 0) + d(e, 1)),
+            "curl": (curl(v).values, d(e, 0) - d(c, 1)),
+            "directional": (directional(u, f).values, a * d(fv, 0) + b * d(fv, 1)),
+            "covariant_derivative": (
+                covariant_derivative(u, v).values,
+                np.stack([a * d(c, 0) + b * d(c, 1), a * d(e, 0) + b * d(e, 1)])),
+            "inner": (inner(u, v).values, np.einsum("c...,c...->...", u.values, v.values)),
+            "integrate": (integrate(f), float(fv.sum() * (2 * np.pi / 16) * (2 * np.pi / 24))),
+        })
+
+    def test_disc_operators_match_formulas(self):
+        g = DiscGrid(16, 24)
+        f, u, v = random_fields(g, 22)
+        (a, b), (c, e) = u.values, v.values
+        fv, r = f.values, g.r[:, None]
+
+        def dr(x):
+            return radial_d(x, g.dr)
+
+        def dt(x):
+            return spectral_d(x, 1)
+
+        ring = fv.mean(axis=1) * 2 * np.pi * g.r
+        assert_all_equal({
+            "grad": (grad(f).values, np.stack([dr(fv), dt(fv) / r**2])),
+            "sgrad": (sgrad(f).values, np.stack([dt(fv) / r, -dr(fv) / r])),
+            "div": (div(v).values, dr(r * c) / r + dt(e)),
+            "curl": (curl(v).values, (dr(r**2 * e) - dt(c)) / r),
+            "directional": (directional(u, f).values, a * dr(fv) + b * dt(fv)),
+            "covariant_derivative": (
+                covariant_derivative(u, v).values,
+                np.stack([a * dr(c) + b * dt(c) - r * b * e,
+                          a * dr(e) + b * dt(e) + (a * e + b * c) / r])),
+            "inner": (inner(u, v).values, a * c + r**2 * b * e),
+            "integrate": (integrate(f), float(np.trapezoid(
+                np.concatenate([[0.0], ring]), np.concatenate([[0.0], g.r])))),
+        })
+
+    def test_circle_rejects_planar_operators(self):
+        f, u, _ = random_fields(CircleGrid(8), 23)
+        with pytest.raises(GridMismatchError):
+            sgrad(f)
+        with pytest.raises(GridMismatchError):
+            curl(u)
+
+    def test_torus_wavenumbers_are_cached_and_read_only(self):
+        g = TorusGrid(8, 12)
+        kx, ky = g.wavenumbers
+        assert g.wavenumbers[0] is kx
+        assert np.array_equal(kx[:, 0], np.fft.fftfreq(8, d=1.0 / 8))
+        assert np.array_equal(ky[0], np.fft.fftfreq(12, d=1.0 / 12))
+        with pytest.raises(ValueError):
+            kx[0, 0] = 1.0
+
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     @pytest.mark.parametrize("n", [8, 64, 128, 1024])
     def test_interp_matches_dense_phases(self, n, deriv):

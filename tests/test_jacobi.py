@@ -104,6 +104,31 @@ class TestLinearizedStep:
         else:
             assert np.array_equal(fm_lin.eta, fm_geo.eta)
 
+    @pytest.mark.parametrize("case", ["circle_flowmap", "torus_shear"])
+    def test_stages_build_no_fields(self, case, monkeypatch):
+        if case == "circle_flowmap":
+            state, g = sine_background(64)
+            fm = geodesic.identity_flowmap(state.rho)
+            model = GAMMA3
+            v0 = VectorField(g, np.cos(2 * g.x)[None])
+        else:
+            g = TorusGrid(16, 16)
+            model = polytropic(0.5, 2.0)
+            state = geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model)
+            fm = None
+            X, Y = g.mesh
+            v0 = VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)]))
+        js = jacobi.initial_jacobi(v0)
+        built = []
+        for cls in (ScalarField, VectorField):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        jacobi.linearized_step(js, state, fm, model, 0.01)
+        # only the fields of the returned states: (v, sigma, j, G) and (u, rho, q)
+        assert len(built) <= 7, built
+
     def test_cfl_violation_raises_step_size_error(self):
         state, g = sine_background(64)
         v0 = VectorField(g, np.cos(2 * g.x)[None])
