@@ -189,14 +189,6 @@ def conjugate_G(n: int, t, x) -> np.ndarray:
     return (4.0 / (3 * n)) * np.sin(n * x) * np.sin(n * t / 2) ** 2
 
 
-def conjugate_g(n: int, t, x) -> np.ndarray:
-    """g(t,x) = (2/3) sigma(t,x) with sigma = (1/2)(v0(x-2t) - v0(x))."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    sigma = 0.5 * (np.cos(n * (x - 2 * t)) - np.cos(n * x))
-    return (2.0 / 3.0) * sigma
-
-
 def pde_residual(u0: ScalarField | VectorField, rho0: ScalarField, t: float,
                  dt: float = 1e-5) -> float:
     """Sup norm of u_t + u u_x + rho rho_x at time t (centered difference in

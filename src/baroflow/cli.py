@@ -20,7 +20,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+import scipy
 
 from . import __version__, burgers, disc, geodesic, geometry, jacobi, torus
 from .errors import BaroflowError
@@ -134,8 +136,10 @@ def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
         "rng": "Philox (counter-based; key=seed, counter=trial index)",
         "versions": {
             "baroflow": __version__,
+            "mpmath": mpmath.__version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
+            "scipy": scipy.__version__,
         },
         "summary": summary,
         "wall_time_s": time.perf_counter() - t0,

@@ -21,8 +21,8 @@ from .errors import (
     ProjectionResidualError,
     VacuumError,
 )
-from .geodesic import rk4
-from .grids import DiscGrid, ScalarField, VectorField, _radial_deriv
+from .geodesic import FluidState, rk4
+from .grids import DiscGrid, ScalarField, VectorField, _radial_deriv, _radial_nodes
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,12 @@ class DiscBackground:
         r = np.asarray(r, dtype=float)
         return self.a + self.b * r**2
 
+    def state(self, grid: DiscGrid) -> FluidState:
+        """The rotating background on `grid`, with q = rho."""
+        rho = ScalarField(grid, np.broadcast_to(self.rho(grid.r)[:, None], grid.shape).copy())
+        u = VectorField(grid, np.stack([np.zeros(grid.shape), np.full(grid.shape, self.omega)]))
+        return FluidState(u, rho, ScalarField(grid, rho.values.copy()))
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -66,10 +72,6 @@ class EigenPair:
     lam: float
     r: np.ndarray
     zeta: np.ndarray
-
-
-def _radial_nodes(n_nodes: int) -> np.ndarray:
-    return np.arange(1, n_nodes + 1) / n_nodes
 
 
 def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,

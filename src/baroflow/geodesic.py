@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grids
-from .errors import DomainError, ShockError, StepSizeError, VacuumError
+from .errors import DomainError, ShockError, StepSizeError
 from .grids import (
     CircleGrid,
     DiscGrid,
@@ -23,7 +23,7 @@ from .grids import (
     check_same_grid,
     circle_interp,
 )
-from .pressure import PressureModel, polytropic
+from .pressure import PressureModel
 
 SHOCK_JACOBIAN_FLOOR = 1e-3
 CFL_SAFETY = 0.5
@@ -83,19 +83,28 @@ def identity_flowmap(rho0: ScalarField) -> FlowMap:
 
 
 @dataclass
-class GeodesicTrajectory:
+class Trajectory:
+    """The stored samples of one run: times, background states, flow maps
+    (None off the circle) and, for a linearized run, Jacobi states (None for
+    a geodesic run).  Energies are computed from the states and the model."""
+
+    model: PressureModel
     times: list[float] = field(default_factory=list)
     states: list[FluidState] = field(default_factory=list)
     flowmaps: list[FlowMap | None] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)
+    jstates: list = field(default_factory=list)
 
-    def append(self, t, state, flowmap, energy_value):
+    def append(self, t, state, flowmap, jstate=None):
         if self.times and t <= self.times[-1]:
             raise ValueError("trajectory times must be strictly increasing")
         self.times.append(t)
         self.states.append(state)
         self.flowmaps.append(flowmap)
-        self.energies.append(energy_value)
+        self.jstates.append(jstate)
+
+    @property
+    def energies(self) -> list[float]:
+        return [energy(s, self.model) for s in self.states]
 
     def energy_drift(self) -> float:
         e = np.asarray(self.energies)
@@ -107,13 +116,6 @@ class GeodesicTrajectory:
 def barotropic_initializer(u0: VectorField, rho0: ScalarField, model: PressureModel) -> FluidState:
     """Barotropic initial data: q0 = rho0 (equivalently f0 = rho0/lambda(rho0))."""
     return FluidState(u0, rho0, ScalarField(rho0.grid, rho0.values.copy()))
-
-
-def entropy_initializer(u0: VectorField, rho0: ScalarField, s0: ScalarField,
-                        zeta) -> FluidState:
-    """Initial data with an entropy profile: q0 = rho0 * zeta(s0)."""
-    check_same_grid(u0, rho0, s0)
-    return FluidState(u0, rho0, ScalarField(rho0.grid, rho0.values * zeta(s0.values)))
 
 
 def energy(state: FluidState, model: PressureModel) -> float:
@@ -198,23 +200,34 @@ def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureMod
     return new_state, new_map
 
 
+def _integrate(state0: FluidState, model: PressureModel, t_end: float, dt: float,
+               store_every: int, step, jstate0=None, flowmap=...) -> Trajectory:
+    """The run loop of every integrator: fixed steps
+    step(jstate, state, flowmap, model, h) -> (jstate, state, flowmap) to
+    t_end, the last one shortened to land on t_end exactly, storing the start,
+    every store_every-th step and the last.  A given flow map (None for none)
+    is carried on; by default circle runs start one at the identity."""
+    if flowmap is ...:
+        flowmap = identity_flowmap(state0.rho) if isinstance(state0.grid, CircleGrid) else None
+    traj = Trajectory(model)
+    traj.append(0.0, state0, flowmap, jstate0)
+    n_steps = int(np.ceil(t_end / dt - 1e-12))
+    jstate, state, t = jstate0, state0, 0.0
+    for k in range(n_steps):
+        h = min(dt, t_end - t)
+        jstate, state, flowmap = step(jstate, state, flowmap, model, h)
+        t += h
+        if (k + 1) % store_every == 0 or k == n_steps - 1:
+            traj.append(t, state, flowmap, jstate)
+    return traj
+
+
 def integrate_geodesic(state0: FluidState, model: PressureModel, t_end: float,
-                       dt: float, store_every: int = 1) -> GeodesicTrajectory:
+                       dt: float, store_every: int = 1) -> Trajectory:
     """Integrate to t_end with fixed steps (last step shortened to land on
     t_end exactly).  The flow map is carried on circle grids."""
-    g = state0.grid
-    flowmap = identity_flowmap(state0.rho) if isinstance(g, CircleGrid) else None
-    traj = GeodesicTrajectory()
-    traj.append(0.0, state0, flowmap, energy(state0, model))
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    state, t = state0, 0.0
-    for k in range(n_steps):
-        step = min(dt, t_end - t)
-        state, flowmap = step_geodesic(state, flowmap, model, step)
-        t += step
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            traj.append(t, state, flowmap, energy(state, model))
-    return traj
+    return _integrate(state0, model, t_end, dt, store_every,
+                      lambda _, s, fm, m, h: (None, *step_geodesic(s, fm, m, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +258,3 @@ def steady_shear_torus(omega_of_x: np.ndarray, grid: TorusGrid,
     u = VectorField(grid, np.stack([np.zeros(grid.shape), np.broadcast_to(om[:, None], grid.shape)]))
     ones = ScalarField(grid, np.ones(grid.shape))
     return FluidState(u, ones, ones)
-
-
-def rigid_rotation_disc(omega: float, c: float, rho0: float, grid: DiscGrid) -> FluidState:
-    """Rigid rotation u = omega d/dtheta with the balancing density profile
-    rho(r) = rho0 - omega^2/2c^2 + omega^2 r^2/2c^2 for the gamma = 2 model."""
-    if rho0 <= omega**2 / (2 * c**2):
-        raise VacuumError(
-            f"rho0={rho0} must exceed omega^2/(2 c^2)={omega**2 / (2 * c**2)}")
-    rho_r = rho0 - omega**2 / (2 * c**2) + omega**2 * grid.r**2 / (2 * c**2)
-    rho = ScalarField(grid, np.broadcast_to(rho_r[:, None], grid.shape).copy())
-    u = VectorField(grid, np.stack([np.zeros(grid.shape), np.full(grid.shape, omega)]))
-    return FluidState(u, rho, ScalarField(grid, rho.values.copy()))
-
-
-def rigid_rotation_model(c: float) -> PressureModel:
-    """The gamma = 2 pressure model p = c^2 rho^2 / 2 used by the rotating disc."""
-    return polytropic(c**2 / 2, 2.0)

@@ -4,8 +4,7 @@ comparison curvature of the energy-conformal (Jacobi) metric."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +37,6 @@ class CurvatureReport:
     term_grad: float
     total: float
     normalized: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _check_density(rho: ScalarField):
@@ -165,15 +161,6 @@ class ScanReport:
     trials: list[ScanTrial]
     min_total: float
     argmin: int
-
-    def to_csv(self) -> str:
-        lines = ["trial,seed,term_R,term_div,term_Q,term_grad,total"]
-        for t in self.trials:
-            lines.append(
-                f"{t.index},{t.seed},{t.term_R:.17g},{t.term_div:.17g},"
-                f"{t.term_Q:.17g},{t.term_grad:.17g},{t.total:.17g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def random_section_1d(grid: grids.CircleGrid, rng: np.random.Generator):

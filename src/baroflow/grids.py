@@ -17,7 +17,6 @@ disc components are coordinate, not physical: |d/dtheta| = r.
 
 from __future__ import annotations
 
-import io
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -47,6 +46,11 @@ def _ik(n: int, ndim: int, axis: int) -> np.ndarray:
 def _spectral_deriv(values: np.ndarray, axis: int, n: int) -> np.ndarray:
     hat = np.fft.rfft(values, axis=axis)
     return np.fft.irfft(_ik(n, values.ndim, axis) * hat, n, axis=axis)
+
+
+def _radial_nodes(n_r: int) -> np.ndarray:
+    """Radial nodes j/n_r for j = 1..n_r: r = 0 is excluded, r = 1 included."""
+    return np.arange(1, n_r + 1) / n_r
 
 
 def _radial_deriv(values: np.ndarray, dr: float) -> np.ndarray:
@@ -116,7 +120,6 @@ class CircleGrid(PeriodicGrid):
         return (self.n,)
 
     ncomp = 1
-    axis_names = ("x",)
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,6 @@ class TorusGrid(PeriodicGrid):
         return (self.nx, self.ny)
 
     ncomp = 2
-    axis_names = ("x", "y")
 
     def sgrad(self, f: np.ndarray) -> np.ndarray:
         return np.array([self._d(f, 1), -self._d(f, 0)])
@@ -181,7 +183,7 @@ class DiscGrid:
 
     @cached_property
     def r(self) -> np.ndarray:
-        return np.arange(1, self.n_r + 1) / self.n_r
+        return _radial_nodes(self.n_r)
 
     @property
     def dr(self) -> float:
@@ -200,7 +202,6 @@ class DiscGrid:
         return (self.n_r, self.n_theta)
 
     ncomp = 2
-    axis_names = ("r", "theta")
 
     def _dr(self, f: np.ndarray) -> np.ndarray:
         return _radial_deriv(f, self.dr)
@@ -452,22 +453,3 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, mean: float = 0.0)
 def random_band_limited_vector(grid: Grid, rng: np.random.Generator) -> VectorField:
     comps = [random_band_limited(grid, rng).values for _ in range(grid.ncomp)]
     return VectorField(grid, np.stack(comps))
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-
-
-def to_csv(field: ScalarField | VectorField) -> str:
-    names = list(field.grid.axis_names)
-    coords = [c.ravel() for c in field.grid.mesh]
-    if isinstance(field, ScalarField):
-        cols = [field.values.ravel()]
-        names = names + ["value"]
-    else:
-        cols = [c.ravel() for c in field.values]
-        names = names + [f"value_{i}" for i in range(len(cols))]
-    buf = io.StringIO()
-    buf.write(",".join(names) + "\n")
-    np.savetxt(buf, np.column_stack(coords + cols), delimiter=",", fmt="%.17g")
-    return buf.getvalue()

@@ -7,15 +7,14 @@ detection by minimizing the Jacobi norm along the trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, ShockError
-from .geodesic import FluidState, FlowMap, _advance, identity_flowmap
+from .geodesic import FluidState, FlowMap, Trajectory, _advance, _integrate
 from .grids import (
-    CircleGrid,
     ScalarField,
     VectorField,
     check_same_grid,
@@ -83,36 +82,12 @@ def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | N
     return new_j, new_state, new_map
 
 
-@dataclass
-class LinearizedTrajectory:
-    times: list[float] = field(default_factory=list)
-    states: list[FluidState] = field(default_factory=list)
-    flowmaps: list[FlowMap | None] = field(default_factory=list)
-    jstates: list[JacobiState] = field(default_factory=list)
-
-    def append(self, t, state, flowmap, jstate):
-        self.times.append(t)
-        self.states.append(state)
-        self.flowmaps.append(flowmap)
-        self.jstates.append(jstate)
-
-
 def integrate_linearized(state0: FluidState, jstate0: JacobiState,
                          model: PressureModel, t_end: float, dt: float,
-                         store_every: int = 1) -> LinearizedTrajectory:
-    g = state0.grid
-    flowmap = identity_flowmap(state0.rho) if isinstance(g, CircleGrid) else None
-    traj = LinearizedTrajectory()
-    traj.append(0.0, state0, flowmap, jstate0)
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    state, jstate, t = state0, jstate0, 0.0
-    for k in range(n_steps):
-        step = min(dt, t_end - t)
-        jstate, state, flowmap = linearized_step(jstate, state, flowmap, model, step)
-        t += step
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            traj.append(t, state, flowmap, jstate)
-    return traj
+                         store_every: int = 1) -> Trajectory:
+    """integrate_geodesic with the Jacobi field carried along: the same steps,
+    stored samples and flow map."""
+    return _integrate(state0, model, t_end, dt, store_every, linearized_step, jstate0)
 
 
 def constraint_residual(jstate: JacobiState, state: FluidState) -> float:
@@ -200,20 +175,16 @@ def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
     if scale2 == 0.0:
         return []
 
-    def norm2_at(time, k_checkpoint):
+    def norm2_at(time, k):
         """Squared norm at an off-grid time (smooth near a zero crossing),
         re-integrating from checkpoint k."""
-        state = traj.states[k_checkpoint]
-        jstate = traj.jstates[k_checkpoint]
-        fm = traj.flowmaps[k_checkpoint]
-        remain = time - traj.times[k_checkpoint]
+        remain = time - traj.times[k]
         if remain <= 0:
-            return jacobi_norm_sq(jstate)
+            return jacobi_norm_sq(traj.jstates[k])
         nsub = max(1, int(np.ceil(remain / dt)))
-        h = remain / nsub
-        for _ in range(nsub):
-            jstate, state, fm = linearized_step(jstate, state, fm, model, h)
-        return jacobi_norm_sq(jstate)
+        run = _integrate(traj.states[k], model, remain, remain / nsub, nsub,
+                         linearized_step, traj.jstates[k], traj.flowmaps[k])
+        return jacobi_norm_sq(run.jstates[-1])
 
     zeros = []
     for k in range(1, len(t) - 1):

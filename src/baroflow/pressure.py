@@ -62,9 +62,6 @@ class PressureModel:
     def lam(self, rho):
         return self.lam_fn(_check_rho(rho))
 
-    def dlam(self, rho):
-        return self.dlam_fn(_check_rho(rho))
-
     def phi(self, rho):
         rho = _check_rho(rho)
         return 0.5 * (self.lam_fn(rho) - rho * self.dlam_fn(rho))
@@ -139,15 +136,3 @@ def from_catalog(name: str, c: float = 1.0) -> PressureModel:
     if name == "const":
         return polytropic(c**2 / 2.0, 2.0)
     raise DomainError(f"unknown catalog model {name!r}")
-
-
-@dataclass(frozen=True)
-class EntropyPressure:
-    """Separable extension p(rho, s) = p(rho) * zeta(s)^2 of a barotropic model."""
-
-    base: PressureModel
-    zeta: Callable[[np.ndarray], np.ndarray]
-    zeta_inv: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def pressure(self, rho, s):
-        return self.base.pressure(rho) * np.asarray(self.zeta(s)) ** 2

@@ -127,6 +127,19 @@ class TestPlumbing:
         man2.pop("wall_time_s")
         assert man1 == man2
 
+    def test_manifest_records_library_versions(self, tmp_path, monkeypatch):
+        import mpmath
+        import scipy
+
+        rc = run(["curvature-scan", "--trials", "3", "--n-grid", "32"], tmp_path, monkeypatch)
+        assert rc == 0
+        _, manifest = read_outputs(tmp_path, "curvature-scan")
+        versions = manifest["versions"]
+        assert versions["numpy"] == np.__version__
+        assert versions["scipy"] == scipy.__version__
+        assert versions["mpmath"] == mpmath.__version__
+        assert set(versions) == {"baroflow", "mpmath", "numpy", "python", "scipy"}
+
 
 class TestExperiments:
     def test_conjugate_example(self, tmp_path, monkeypatch):

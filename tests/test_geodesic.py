@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from baroflow import burgers, geodesic, jacobi
+from baroflow.disc import DiscBackground
 from baroflow.errors import ShockError, StepSizeError, VacuumError
 from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
 from baroflow.pressure import from_catalog, polytropic
@@ -54,6 +55,18 @@ class TestEnergy:
         state, g = circle_state(n=128)
         traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.8, dt=0.002)
         assert traj.energy_drift() < 1e-8
+
+
+class TestTrajectory:
+    def test_non_increasing_time_rejected(self):
+        state, g = circle_state(n=16)
+        traj = geodesic.Trajectory(GAMMA3)
+        traj.append(0.0, state, None)
+        traj.append(0.1, state, None)
+        for t in (0.1, 0.05):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                traj.append(t, state, None)
+        assert traj.times == [0.0, 0.1]
 
 
 class TestStepGeodesic:
@@ -153,7 +166,7 @@ class TestFlowMapAndTransport:
         u0 = VectorField(g, (0.3 * np.sin(g.x))[None])
         rho0 = ScalarField(g, np.ones(n))
         s0 = ScalarField(g, 0.2 * np.cos(g.x))
-        state = geodesic.entropy_initializer(u0, rho0, s0, zeta=np.exp)
+        state = geodesic.FluidState(u0, rho0, ScalarField(g, rho0.values * np.exp(s0.values)))
         traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.5, dt=0.002,
                                            store_every=50)
         # s = log(q/rho) should be advected: s(t, eta(t,x)) = s0(x)
@@ -191,12 +204,12 @@ class TestSteadyShearTorus:
 class TestRigidRotationDisc:
     def test_zero_omega_constant_density(self):
         g = DiscGrid(32, 32)
-        st = geodesic.rigid_rotation_disc(0.0, 1.0, 2.0, g)
+        st = DiscBackground(0.0, 1.0, 2.0).state(g)
         assert np.allclose(st.rho.values, 2.0, atol=1e-14)
 
     def test_profile_values(self):
         g = DiscGrid(32, 32)
-        st = geodesic.rigid_rotation_disc(1.0, 1.0, 1.0, g)
+        st = DiscBackground(1.0, 1.0, 1.0).state(g)
         expect = 0.5 + g.r**2 / 2
         assert np.allclose(st.rho.values, expect[:, None], atol=1e-14)
         assert st.rho.values[-1, 0] == pytest.approx(1.0)
@@ -205,19 +218,19 @@ class TestRigidRotationDisc:
         from baroflow.grids import _radial_deriv
         g = DiscGrid(64, 16)
         om, c = 0.8, 1.3
-        st = geodesic.rigid_rotation_disc(om, c, 2.0, g)
+        st = DiscBackground(om, c, 2.0).state(g)
         slope = _radial_deriv(st.rho.values, g.dr)
         assert np.allclose(slope, (om**2 * g.r / c**2)[:, None], atol=1e-10)
 
     def test_steady_residual(self):
         g = DiscGrid(64, 16)
         om, c = 0.8, 1.3
-        m = geodesic.rigid_rotation_model(c)
-        st = geodesic.rigid_rotation_disc(om, c, 2.0, g)
+        m = polytropic(c**2 / 2, 2.0)
+        st = DiscBackground(om, c, 2.0).state(g)
         mom, cont = geodesic.steady_euler_residual(st, m)
         assert mom < 1e-10 and cont < 1e-10
 
     def test_vacuum_error(self):
         g = DiscGrid(32, 32)
         with pytest.raises(VacuumError):
-            geodesic.rigid_rotation_disc(2.0, 1.0, 1.0, g)
+            DiscBackground(2.0, 1.0, 1.0).state(g)

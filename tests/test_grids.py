@@ -375,12 +375,3 @@ class TestKernelEquivalence:
     def test_nyquist_mode_has_zero_derivative(self, n):
         g = CircleGrid(n)
         assert np.max(np.abs(derivative(ScalarField(g, np.cos(n // 2 * g.x))).values)) < 1e-12
-
-
-class TestSerialization:
-    def test_csv_header_and_rows(self):
-        g = CircleGrid(8)
-        txt = grids.to_csv(ScalarField(g, np.arange(8.0)))
-        lines = txt.strip().split("\n")
-        assert lines[0] == "x,value"
-        assert len(lines) == 9

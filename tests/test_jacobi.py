@@ -137,6 +137,43 @@ class TestLinearizedStep:
                                         GAMMA3, t_end=2.0, dt=1.0)
 
 
+class TestSharedRunLoop:
+    @staticmethod
+    def background(case):
+        if case == "circle_sine":
+            state, g = sine_background(64)
+            return state, GAMMA3, VectorField(g, np.cos(2 * g.x)[None])
+        g = TorusGrid(16, 16)
+        model = polytropic(0.5, 2.0)
+        state = geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model)
+        X, Y = g.mesh
+        return state, model, VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)]))
+
+    @pytest.mark.parametrize("case", ["circle_sine", "torus_shear"])
+    def test_linearized_run_stores_the_geodesic_run(self, case):
+        state, model, v0 = self.background(case)
+        geo = geodesic.integrate_geodesic(state, model, t_end=0.73, dt=0.011, store_every=7)
+        lin = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
+                                          t_end=0.73, dt=0.011, store_every=7)
+        assert len(geo.times) == 11 and geo.times[-1] == pytest.approx(0.73, abs=1e-14)
+        assert lin.times == geo.times
+        for a, b in zip(lin.states, geo.states):
+            for fa, fb in ((a.u, b.u), (a.rho, b.rho), (a.q, b.q)):
+                assert np.array_equal(fa.values, fb.values)
+        for a, b in zip(lin.flowmaps, geo.flowmaps):
+            if case == "circle_sine":
+                assert np.array_equal(a.eta, b.eta)
+            else:
+                assert a is None and b is None
+        assert geo.jstates == [None] * len(geo.times)
+
+    def test_linearized_energies_come_from_the_states(self):
+        state, model, v0 = self.background("circle_sine")
+        traj = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
+                                           t_end=0.2, dt=0.01, store_every=5)
+        assert traj.energies == [geodesic.energy(s, model) for s in traj.states]
+
+
 class TestDeviationOracle:
     def test_zero_perturbation(self):
         state, g = sine_background(64, amp=0.3)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from baroflow.errors import DomainError
 from baroflow.pressure import (
-    EntropyPressure,
     PressureModel,
     from_catalog,
     polytropic,
@@ -125,15 +124,6 @@ class TestDerivedCoefficients:
             generic.potential_density(RHO), m.potential_density(RHO) - m.potential_density(1.0),
             atol=1e-3,
         )
-
-
-class TestEntropyPressure:
-    def test_separable_by_construction(self):
-        base = polytropic(0.5, 2.0)
-        ep = EntropyPressure(base, zeta=np.exp, zeta_inv=np.log)
-        s = np.linspace(-1, 1, 5)
-        expect = base.pressure(2.0) * np.exp(s) ** 2
-        assert np.allclose(ep.pressure(2.0, s), expect, rtol=1e-13)
 
 
 class TestReferenceConsistency:
