@@ -163,8 +163,17 @@ def _sine_background(cfg: ExperimentConfig):
     return geodesic.barotropic_initializer(u0, rho0, model), g, model
 
 
+def _check_dt(cfg: ExperimentConfig, state, model) -> None:
+    """A --dt above the CFL bound of the initial state is a usage error."""
+    bound = geodesic.cfl_dt_max(state, model)
+    if cfg.dt > bound:
+        raise ValidationError(f"dt must not exceed the CFL bound {bound:.6g} of the "
+                              f"initial state, got {cfg.dt}")
+
+
 def run_geodesic(cfg: ExperimentConfig):
     state, g, model = _sine_background(cfg)
+    _check_dt(cfg, state, model)
     store = max(1, int(np.ceil(cfg.t_end / cfg.dt)) // cfg.n_samples)
     traj = geodesic.integrate_geodesic(state, model, cfg.t_end, cfg.dt,
                                        store_every=store)
@@ -180,6 +189,7 @@ def run_geodesic(cfg: ExperimentConfig):
 
 def run_jacobi(cfg: ExperimentConfig):
     state, g, model = _sine_background(cfg)
+    _check_dt(cfg, state, model)
     v0 = VectorField(g, np.cos(cfg.n_mode * g.x)[None])
     store = max(1, int(np.ceil(cfg.t_end / cfg.dt)) // cfg.n_samples)
     traj = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
@@ -216,6 +226,7 @@ def run_conjugate(cfg: ExperimentConfig):
     g = CircleGrid(cfg.n_grid)
     state = geodesic.barotropic_initializer(
         VectorField(g, np.ones((1, g.n))), ScalarField(g, np.ones(g.n)), model)
+    _check_dt(cfg, state, model)
     v0 = VectorField(g, np.cos(cfg.n_mode * g.x)[None])
     expect = burgers.conjugate_times(cfg.n_mode, cfg.m_max)
     t_max = expect[-1] + 0.5
@@ -376,13 +387,12 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = config_from_args(args)
+        header, rows, summary = EXPERIMENTS[cfg.experiment](cfg)
     except ValidationError as exc:
         return _report_error({"error": "validation", "message": str(exc)}, 2)
-    try:
-        header, rows, summary = EXPERIMENTS[cfg.experiment](cfg)
     except BaroflowError as exc:
         return _report_error({"error": type(exc).__name__, "message": str(exc),
-                              "experiment": cfg.experiment}, 1)
+                              "experiment": args.experiment}, 1)
     csv_path, json_path = write_outputs(cfg, header, rows, summary, t0)
     print(f"wrote {csv_path} and {json_path}")
     return 0

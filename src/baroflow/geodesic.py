@@ -8,7 +8,10 @@ evaluating the trigonometric interpolant of u at the particle positions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,14 +138,53 @@ def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
     return CFL_SAFETY * dx / float(np.max(speed + cs))
 
 
-def _rhs(u: np.ndarray, rho: np.ndarray, q: np.ndarray, eta, grid, model):
-    phi = model.phi(rho)
+def _along(w: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """w(h) = sum_a w_a d_a h, from the partials dh[a] = d_a h."""
+    return reduce(operator.add, (w[a] * dh[a] for a in range(len(w))))
+
+
+def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """nabla_w v (flat), from the partials dv[c, a] = d_a v_c."""
+    return np.array([_along(w, dvc) for dvc in dv])
+
+
+def _div(dv: np.ndarray) -> np.ndarray:
+    """div v = sum_a d_a v_a, from the partials dv[c, a] = d_a v_c."""
+    return reduce(operator.add, (dv[a, a] for a in range(len(dv))))
+
+
+def _rhs(u: np.ndarray, rho: np.ndarray, q: np.ndarray, eta, jac: tuple, grid, model):
+    """The RK stage on raw arrays: the derivative of (u, rho, q[, eta]) and,
+    if jac = (v, sigma, j, G) is given, of the Jacobi state at the same stage,
+    with u_t = -nabla_u u - (1/rho) grad(q^2 phi/lambda^2), q_t = -div(qu),
+    rho_t = -div(rho u), eta_t = u(eta) and the equations of
+    jacobi.linearized_step.  Every derivative operand is differentiated in one
+    stacked transform, and u and g are interpolated at eta from one phase
+    matrix."""
+    phi = model.phi(rho)  # first: its density check is the stage guard
     lam = model.lam(rho)
-    du = -(grid.covariant_derivative(u, u) + grid.grad(q**2 * phi / lam**2) / rho)
-    dq = -grid.div(q * u)
-    drho = -grid.div(rho * u)
-    deta = circle_interp(u[0], eta) if eta is not None else None
-    return du, drho, dq, deta
+    ops = [u, (q**2 * phi / lam**2)[None], q * u, rho * u]
+    if jac:
+        v, sigma, j, _ = jac
+        hp = model.linearization_coefficient(rho)
+        ops += [sigma * u, rho * v, v, (hp * sigma)[None], j, (rho / lam)[None]]
+    ends = list(accumulate(len(op) for op in ops))
+    d = grid.partials(np.concatenate(ops))
+    du_, dpress, dqu, drhou, *djac = (d[i:k] for i, k in zip([0] + ends, ends))
+    out = (-(_nabla(u, du_) + dpress[0] / rho), -_div(drhou), -_div(dqu))
+    if not jac:
+        return out if eta is None else out + (circle_interp(u[0], eta),)
+    dsigmau, drhov, dv_, dhps, dj_, drl = djac
+    dsigma = -(_div(dsigmau) + _div(drhov))
+    dv = -(_nabla(u, dv_) + _nabla(v, du_) + dhps[0])
+    # [u, j] = nabla_u j - nabla_j u (flat M)
+    dj = v - (_nabla(u, dj_) - _nabla(j, du_))
+    if eta is None:
+        return out + (dv, dsigma, dj, np.zeros(grid.shape))
+    # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along eta
+    gval = 2 * phi * sigma / lam**2 + _along(j, drl[0])
+    deta, dG = circle_interp(np.stack([u[0], gval], axis=1), eta).T
+    return out + (deta, dv, dsigma, dj, dG)
 
 
 def rk4(rhs, y: tuple, dt: float) -> tuple:
@@ -156,10 +198,9 @@ def rk4(rhs, y: tuple, dt: float) -> tuple:
 
 
 def _advance(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
-             dt: float, extra: tuple = (), extra_rhs=None):
+             dt: float, jac: tuple = ()):
     """Guarded RK4 step of the background (u, rho, q[, eta]) together with the
-    `extra` arrays, whose derivative extra_rhs(u, rho, q, eta, *extra, grid,
-    model) is taken at the same background stage."""
+    Jacobi arrays jac = (v, sigma, j, G), if given."""
     g = state.grid
     bound = cfl_dt_max(state, model)
     if dt > bound:
@@ -170,14 +211,10 @@ def _advance(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
     nb = len(bg)
 
     def rhs(*y):
-        eta = y[3] if nb == 4 else None
-        out = _rhs(y[0], y[1], y[2], eta, g, model)[:nb]
-        if extra_rhs is None:
-            return out
-        return out + extra_rhs(y[0], y[1], y[2], eta, *y[nb:], g, model)
+        return _rhs(y[0], y[1], y[2], y[3] if nb == 4 else None, y[nb:], g, model)
 
     try:
-        y = rk4(rhs, bg + extra, dt)
+        y = rk4(rhs, bg + jac, dt)
         new_state = FluidState(VectorField(g, y[0]), ScalarField(g, y[1]),
                                ScalarField(g, y[2]))
     except DomainError as exc:

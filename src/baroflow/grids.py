@@ -73,6 +73,13 @@ class PeriodicGrid:
     def _d(self, f: np.ndarray, axis: int) -> np.ndarray:
         return _spectral_deriv(f, axis, self.shape[axis])
 
+    def partials(self, ops: np.ndarray) -> np.ndarray:
+        """Every first partial of a stack of operands (leading axis), with one
+        real-FFT pair per grid axis: out[k, a] = d_a ops[k], bit for bit the
+        single-operand derivative."""
+        return np.stack([_spectral_deriv(ops, 1 + a, n) for a, n in enumerate(self.shape)],
+                        axis=1)
+
     def grad(self, f: np.ndarray) -> np.ndarray:
         return np.array([self._d(f, a) for a in range(self.ncomp)])
 
@@ -383,8 +390,9 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
 
 def _trig_coeffs(values: np.ndarray) -> np.ndarray:
     """Coefficients a_k, k = 0..n/2, of the trigonometric interpolant
-    Re sum_k a_k e^{ikx} of grid samples (rfft / n, interior modes doubled)."""
-    a = np.fft.rfft(values) / len(values)
+    Re sum_k a_k e^{ikx} of grid samples along axis 0 (rfft / n, interior
+    modes doubled)."""
+    a = np.fft.rfft(values, axis=0) / len(values)
     a[1:-1] *= 2.0
     return a
 
@@ -400,13 +408,18 @@ def _phases(xq: np.ndarray, m: int) -> np.ndarray:
 
 def circle_interp(values: np.ndarray, xq, deriv: int = 0) -> np.ndarray:
     """Evaluate the trigonometric interpolant of grid samples (or its
-    derivative) at arbitrary points."""
+    derivative) at arbitrary points.  Samples of shape (n, k) are k functions
+    evaluated from one phase matrix; the result is then (len(xq), k)."""
     a = _trig_coeffs(values)
     if deriv:
-        a = a * (1j * np.arange(len(a))) ** deriv
+        a = (a.T * (1j * np.arange(len(a))) ** deriv).T
         a[-1] = 0.0  # Nyquist mode has no odd derivative
     xq = np.asarray(xq, dtype=float).ravel()
-    return np.real(_phases(xq, len(a)) @ a)
+    phases = _phases(xq, len(a))
+    if a.ndim == 1:
+        return np.real(phases @ a)
+    # one matvec per function: an (m, k) matmat is not bitwise equal to them
+    return np.stack([np.real(phases @ col) for col in a.T], axis=1)
 
 
 def circle_interp_antideriv(values: np.ndarray, xq) -> np.ndarray:

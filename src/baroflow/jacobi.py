@@ -49,23 +49,6 @@ def initial_jacobi(v0: VectorField) -> JacobiState:
                        VectorField(g, np.zeros_like(v0.values)), ScalarField(g, zeros))
 
 
-def _linearized_rhs(u, rho, q, eta, jv, jsig, jj, jG, g, model: PressureModel):
-    """Derivative of (v, sigma, j, G) at the background stage (u, rho, q, eta),
-    on raw arrays."""
-    hp = model.linearization_coefficient(rho)
-    dsig = -(g.div(jsig * u) + g.div(rho * jv))
-    dv = -(g.covariant_derivative(u, jv) + g.covariant_derivative(jv, u) + g.grad(hp * jsig))
-    # [u, j] = nabla_u j - nabla_j u (flat M)
-    dj = jv - (g.covariant_derivative(u, jj) - g.covariant_derivative(jj, u))
-    if eta is None:
-        return dv, dsig, dj, np.zeros(g.shape)
-    # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along eta
-    phi = model.phi(rho)
-    lam = model.lam(rho)
-    gval = 2 * phi * jsig / lam**2 + g.directional(jj, rho / lam)
-    return dv, dsig, dj, circle_interp(gval, eta)
-
-
 def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | None,
                     model: PressureModel, dt: float
                     ) -> tuple[JacobiState, FluidState, FlowMap | None]:
@@ -74,9 +57,8 @@ def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | N
     - grad(h'(rho) sigma); j_t = v - [u, j]; G_t = g(eta)."""
     g = jstate.grid
     check_same_grid(jstate.sigma, state.rho)
-    extra = (jstate.v.values, jstate.sigma.values, jstate.j.values, jstate.G.values)
-    new_state, new_map, (jv, js, jj, jG) = _advance(
-        state, flowmap, model, dt, extra, _linearized_rhs)
+    jac = (jstate.v.values, jstate.sigma.values, jstate.j.values, jstate.G.values)
+    new_state, new_map, (jv, js, jj, jG) = _advance(state, flowmap, model, dt, jac)
     new_j = JacobiState(VectorField(g, jv), ScalarField(g, js),
                         VectorField(g, jj), ScalarField(g, jG))
     return new_j, new_state, new_map

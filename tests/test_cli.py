@@ -76,11 +76,17 @@ class TestPlumbing:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShockError"
 
-    def test_jacobi_step_over_cfl_bound_exits_1(self, tmp_path, monkeypatch, capsys):
-        rc = run(["jacobi", "--dt", "1.0"], tmp_path, monkeypatch)
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "StepSizeError"
+    @pytest.mark.parametrize("experiment", ["geodesic", "jacobi", "conjugate"])
+    def test_dt_over_cfl_bound_at_start_exits_2(self, experiment, tmp_path, monkeypatch,
+                                                capsys):
+        rc = run([experiment, "--dt", "1.0"], tmp_path, monkeypatch)
+        assert rc == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["error"] == "validation"
+        assert "CFL bound" in err["message"] and "1.0" in err["message"]
+        assert not list(tmp_path.iterdir())  # stopped before the first step
 
     def test_config_file_and_flag_override(self, tmp_path, monkeypatch):
         conf = tmp_path / "run.conf"

@@ -324,6 +324,17 @@ class TestKernelEquivalence:
                 np.concatenate([[0.0], ring]), np.concatenate([[0.0], g.r])))),
         })
 
+    @pytest.mark.parametrize("g", [CircleGrid(8), CircleGrid(64), CircleGrid(128),
+                                   TorusGrid(16, 24)],
+                             ids=["circle8", "circle64", "circle128", "torus16x24"])
+    def test_stacked_partials_match_single_operand_derivatives(self, g):
+        ops = rng(24).standard_normal((7,) + g.shape)
+        d = g.partials(ops)
+        assert d.shape == (7, g.ncomp) + g.shape
+        for k in range(7):
+            for a in range(g.ncomp):
+                assert np.array_equal(d[k, a], g._d(ops[k], a)), (k, a)
+
     def test_circle_rejects_planar_operators(self):
         f, u, _ = random_fields(CircleGrid(8), 23)
         with pytest.raises(GridMismatchError):
@@ -348,6 +359,16 @@ class TestKernelEquivalence:
         xq = r.uniform(-20 * np.pi, 20 * np.pi, 300)
         expect, scale = dense_interp(vals, xq, deriv)
         assert np.max(np.abs(circle_interp(vals, xq, deriv=deriv) - expect)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_interp_of_columns_matches_each_column(self, deriv):
+        r = rng(25 + deriv)
+        vals = r.standard_normal((64, 3))
+        xq = r.uniform(-10.0, 10.0, 40)
+        got = circle_interp(vals, xq, deriv=deriv)
+        assert got.shape == (40, 3)
+        for c in range(3):
+            assert np.array_equal(got[:, c], circle_interp(vals[:, c].copy(), xq, deriv=deriv))
 
     def test_circle_derivative_and_grad(self):
         g = CircleGrid(64)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from baroflow import burgers, geodesic, jacobi
+from baroflow import burgers, geodesic, grids, jacobi
 from baroflow.errors import DomainError, StepSizeError
-from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField
+from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField, circle_interp
 from baroflow.pressure import polytropic
 
 GAMMA3 = polytropic(1 / 3, 3.0)
@@ -19,6 +19,42 @@ def sine_background(n=128, amp=0.5):
     g = CircleGrid(n)
     return geodesic.barotropic_initializer(
         VectorField(g, (amp * np.sin(g.x))[None]), ScalarField(g, np.ones(n)), GAMMA3), g
+
+
+def stage_case(case):
+    """(state, flow map, model, v0) for the circle with a flow map or the
+    torus shear."""
+    if case.startswith("circle"):
+        state, g = sine_background(int(case[len("circle"):]))
+        return (state, geodesic.identity_flowmap(state.rho), GAMMA3,
+                VectorField(g, np.cos(2 * g.x)[None]))
+    g = TorusGrid(16, 16)
+    model = polytropic(0.5, 2.0)
+    X, Y = g.mesh
+    return (geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model), None, model,
+            VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)])))
+
+
+def separate_rhs(u, rho, q, eta, jac, g, model):
+    """The stage as separate single-operand operators: the geodesic and the
+    Jacobi right-hand sides, each with its own transforms and phase matrix."""
+    phi = model.phi(rho)
+    lam = model.lam(rho)
+    du = -(g.covariant_derivative(u, u) + g.grad(q**2 * phi / lam**2) / rho)
+    dq = -g.div(q * u)
+    drho = -g.div(rho * u)
+    out = (du, drho, dq) + (() if eta is None else (circle_interp(u[0], eta),))
+    if not jac:
+        return out
+    v, sigma, j, _ = jac
+    hp = model.linearization_coefficient(rho)
+    dsig = -(g.div(sigma * u) + g.div(rho * v))
+    dv = -(g.covariant_derivative(u, v) + g.covariant_derivative(v, u) + g.grad(hp * sigma))
+    dj = v - (g.covariant_derivative(u, j) - g.covariant_derivative(j, u))
+    if eta is None:
+        return out + (dv, dsig, dj, np.zeros(g.shape))
+    gval = 2 * phi * sigma / lam**2 + g.directional(j, rho / lam)
+    return out + (dv, dsig, dj, circle_interp(gval, eta))
 
 
 class TestLinearizedStep:
@@ -128,6 +164,58 @@ class TestLinearizedStep:
         jacobi.linearized_step(js, state, fm, model, 0.01)
         # only the fields of the returned states: (v, sigma, j, G) and (u, rho, q)
         assert len(built) <= 7, built
+
+    @pytest.mark.parametrize("case", ["circle64", "circle128", "torus_shear"])
+    def test_fused_stage_matches_separate_formulas(self, case):
+        state, fm, model, v0 = stage_case(case)
+        g = state.grid
+        js = jacobi.initial_jacobi(v0)
+        y_lin = (state.u.values, state.rho.values, state.q.values)
+        y_lin += (() if fm is None else (fm.eta,))
+        y_geo, nb = y_lin, len(y_lin)
+        y_lin += (js.v.values, js.sigma.values, js.j.values, js.G.values)
+
+        def rhs(*y):
+            return separate_rhs(*y[:3], y[3] if nb == 4 else None, y[nb:], g, model)
+
+        st_lin, fm_lin, st_geo, fm_geo = state, fm, state, fm
+        for _ in range(5):
+            y_lin, y_geo = geodesic.rk4(rhs, y_lin, 0.01), geodesic.rk4(rhs, y_geo, 0.01)
+            js, st_lin, fm_lin = jacobi.linearized_step(js, st_lin, fm_lin, model, 0.01)
+            st_geo, fm_geo = geodesic.step_geodesic(st_geo, fm_geo, model, 0.01)
+        got_lin = (st_lin.u, st_lin.rho, st_lin.q) + (() if fm is None else (fm_lin,))
+        got_lin += (js.v, js.sigma, js.j, js.G)
+        got_geo = (st_geo.u, st_geo.rho, st_geo.q) + (() if fm is None else (fm_geo,))
+        for got, want in ((got_lin, y_lin), (got_geo, y_geo)):
+            assert len(got) == len(want)
+            for k, (a, b) in enumerate(zip(got, want)):
+                a = a.eta if isinstance(a, geodesic.FlowMap) else a.values
+                assert np.array_equal(a, b), k
+
+    @pytest.mark.parametrize("step", ["linearized_step", "step_geodesic"])
+    def test_stage_makes_one_transform_and_one_phase_build(self, step, monkeypatch):
+        state, fm, model, v0 = stage_case("circle64")
+        transforms, phase_builds = [], []
+
+        def counting_deriv(values, axis, n, _deriv=grids._spectral_deriv):
+            transforms.append(values.shape)
+            return _deriv(values, axis, n)
+
+        def counting_phases(xq, m, _phases=grids._phases):
+            phase_builds.append(len(xq))
+            return _phases(xq, m)
+
+        monkeypatch.setattr(grids, "_spectral_deriv", counting_deriv)
+        monkeypatch.setattr(grids, "_phases", counting_phases)
+        if step == "linearized_step":
+            jacobi.linearized_step(jacobi.initial_jacobi(v0), state, fm, model, 0.01)
+            n_ops = 10  # u, q^2 phi/lambda^2, qu, rho u, sigma u, rho v, v, h' sigma, j, rho/lambda
+        else:
+            geodesic.step_geodesic(state, fm, model, 0.01)
+            n_ops = 4  # u, q^2 phi/lambda^2, qu, rho u
+        # one stacked transform per RK stage, then the flow-map Jacobian's own
+        assert transforms == [(n_ops, 64)] * 4 + [(64,)]
+        assert phase_builds == [64] * 4
 
     def test_cfl_violation_raises_step_size_error(self):
         state, g = sine_background(64)
