@@ -21,7 +21,6 @@ from .grids import (
     check_same_grid,
     circle_interp,
     circle_interp_antideriv,
-    derivative,
 )
 
 
@@ -85,9 +84,6 @@ class CharacteristicFlow:
     @cached_property
     def shock_time(self) -> float:
         return shock_time(self.alpha0)
-
-    def forward(self, t: float, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) + t * circle_interp(self.alpha0.values, x)
 
     def invert(self, t: float, x) -> np.ndarray:
         """Solve x = chi + t alpha0(chi) for chi (lift on the real line) by
@@ -171,33 +167,3 @@ def conjugate_times(n: int, m_max: int) -> list[float]:
     if n < 1 or m_max < 1:
         raise DomainError("n and m_max must be positive integers")
     return [2 * np.pi * m / n for m in range(1, m_max + 1)]
-
-
-def conjugate_j(n: int, t, x) -> np.ndarray:
-    """Closed-form Jacobi field j(t,x) = sin(nt) cos(n(x-t))/n along the
-    constant geodesic u0 = rho0 = 1 with v0 = cos(nx)."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.sin(n * t) * np.cos(n * (x - t)) / n
-
-
-def conjugate_G(n: int, t, x) -> np.ndarray:
-    """Closed-form function-direction displacement G(t,x) =
-    (4/3n) sin(nx) sin^2(nt/2) along the same geodesic."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return (4.0 / (3 * n)) * np.sin(n * x) * np.sin(n * t / 2) ** 2
-
-
-def pde_residual(u0: ScalarField | VectorField, rho0: ScalarField, t: float,
-                 dt: float = 1e-5) -> float:
-    """Sup norm of u_t + u u_x + rho rho_x at time t (centered difference in
-    time, spectral in space); a consistency check on exact_state."""
-    sp = exact_state(u0, rho0, t + dt)
-    sm = exact_state(u0, rho0, t - dt)
-    s0 = exact_state(u0, rho0, t)
-    g = rho0.grid
-    ut = (sp.u.values[0] - sm.u.values[0]) / (2 * dt)
-    ux = derivative(ScalarField(g, s0.u.values[0])).values
-    rx = derivative(s0.rho).values
-    return float(np.max(np.abs(ut + s0.u.values[0] * ux + s0.rho.values * rx)))

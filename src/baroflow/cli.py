@@ -19,8 +19,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-import mpmath
 import numpy as np
 import scipy
 
@@ -89,20 +89,27 @@ class ExperimentConfig:
                 raise ValidationError(message)
 
     def params(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "output_dir"}
+        """The parameters this experiment reads, by name."""
+        return {k: getattr(self, k) for k in EXPERIMENTS[self.experiment].params}
 
 
 def parse_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc.reason}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -136,7 +143,6 @@ def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
         "rng": "Philox (counter-based; key=seed, counter=trial index)",
         "versions": {
             "baroflow": __version__,
-            "mpmath": mpmath.__version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
             "scipy": scipy.__version__,
@@ -297,14 +303,28 @@ def run_disc_spectrum(cfg: ExperimentConfig):
     return ["n", "k", "lam", "y1", "y2", "y3", "discriminant_margin"], rows, summary
 
 
+class Experiment(NamedTuple):
+    """An experiment's runner and the ExperimentConfig fields it reads: the
+    only flags and config keys it accepts, and the manifest's parameters."""
+
+    run: Callable
+    params: tuple[str, ...]
+
+
+_SINE = ("gamma", "a_coeff", "rho0", "n_grid", "amplitude", "dt", "t_end", "n_samples")
+
 EXPERIMENTS = {
-    "geodesic": run_geodesic,
-    "jacobi": run_jacobi,
-    "burgers-exact": run_burgers_exact,
-    "conjugate": run_conjugate,
-    "curvature-scan": run_curvature_scan,
-    "torus-modes": run_torus_modes,
-    "disc-spectrum": run_disc_spectrum,
+    "geodesic": Experiment(run_geodesic, _SINE),
+    "jacobi": Experiment(run_jacobi, _SINE + ("n_mode",)),
+    "burgers-exact": Experiment(run_burgers_exact,
+                                ("rho0", "n_grid", "amplitude", "t_end", "n_samples")),
+    "conjugate": Experiment(run_conjugate, ("n_grid", "n_mode", "m_max", "dt")),
+    "curvature-scan": Experiment(run_curvature_scan,
+                                 ("gamma", "a_coeff", "n_grid", "trials", "seed")),
+    "torus-modes": Experiment(run_torus_modes, ("omega", "c", "n_grid", "amplitude",
+                                                "t_end", "n_samples", "kind")),
+    "disc-spectrum": Experiment(run_disc_spectrum,
+                                ("omega", "c", "rho0", "n_nodes", "k_max", "n_max")),
 }
 
 
@@ -351,12 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": (int, "64-bit unsigned RNG seed"),
         "kind": (str, "torus perturbation kind: gradient | divfree | mixed"),
     }
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+    for name, experiment in EXPERIMENTS.items():
+        # no abbreviations: --n must not silently become --n-grid where
+        # the experiment has no mode number
+        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--output-dir", dest="output_dir", default=None,
                        help=f"output directory (overridden by ${OUTPUT_DIR_ENV})")
-        for key, (typ, help_text) in flag_specs.items():
+        for key in experiment.params:
+            typ, help_text = flag_specs[key]
             flag = "--" + key.replace("_", "-")
             if key == "n_mode":
                 p.add_argument(flag, "--n", dest=key, type=typ, default=None,
@@ -368,10 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=args.experiment)
+    accepted = EXPERIMENTS[args.experiment].params + ("output_dir",)
     if args.config:
         for key, val in parse_config_file(args.config).items():
-            if key not in cfg.__dict__ or key == "experiment":
-                raise ValidationError(f"{args.config}: unknown key {key!r}")
+            if key not in accepted:
+                raise ValidationError(f"{args.config}: {args.experiment} has no "
+                                      f"parameter {key!r}")
             setattr(cfg, key, _coerce(key, val, getattr(cfg, key)))
     for key in cfg.__dict__:
         flag_val = getattr(args, key, None)
@@ -387,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = config_from_args(args)
-        header, rows, summary = EXPERIMENTS[cfg.experiment](cfg)
+        header, rows, summary = EXPERIMENTS[cfg.experiment].run(cfg)
     except ValidationError as exc:
         return _report_error({"error": "validation", "message": str(exc)}, 2)
     except BaroflowError as exc:

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import mpmath
 import numpy as np
-from scipy import linalg
+from scipy import linalg, special
 
 from . import grids
 from .errors import (
@@ -21,8 +20,8 @@ from .errors import (
     ProjectionResidualError,
     VacuumError,
 )
-from .geodesic import FluidState, rk4
-from .grids import DiscGrid, ScalarField, VectorField, _radial_deriv, _radial_nodes
+from .geodesic import FluidState
+from .grids import DiscGrid, ScalarField, VectorField, _radial_nodes
 
 
 @dataclass(frozen=True)
@@ -150,53 +149,12 @@ def characteristic_roots(lam: float, n: int, omega: float, c: float) -> np.ndarr
 
 
 def bessel_first_root(n: int) -> float:
-    """First positive zero of the order-n Bessel function of the first kind,
-    by bisection on the ascending power series.
-
-    The series is summed in arbitrary precision (the terms near x ~ 70 reach
-    ~1e28 before cancelling, far beyond float64) and truncated once terms
-    drop below 1e-18 relative to the running maximum."""
+    """First positive zero of the order-n Bessel function of the first kind
+    (scipy.special.jn_zeros, after Zhang & Jin, Computation of Special
+    Functions, 1996)."""
     if not 0 <= n <= 64:
         raise DomainError(f"order must be in [0, 64], got {n}")
-
-    with mpmath.workdps(60):
-        def jn(x):
-            x = mpmath.mpf(x)
-            term = (x / 2) ** n / mpmath.factorial(n)
-            total = term
-            biggest = abs(term)
-            m = 0
-            while abs(term) > mpmath.mpf("1e-18") * biggest:
-                term *= -(x / 2) ** 2 / ((m + 1) * (n + m + 1))
-                total += term
-                biggest = max(biggest, abs(term))
-                m += 1
-            return total
-
-        lo = mpmath.mpf(max(n, 1))
-        hi = lo + 10
-        # scan for the first sign change so bisection cannot skip to a later zero
-        step = mpmath.mpf("0.1")
-        x = lo
-        fx = jn(x)
-        while x < hi:
-            x2 = x + step
-            f2 = jn(x2)
-            if fx > 0 and f2 <= 0:
-                lo, hi = x, x2
-                break
-            x, fx = x2, f2
-        else:
-            raise DomainError(f"no sign change found for order {n}")
-        flo = jn(lo)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            fm = jn(mid)
-            if (flo > 0) == (fm > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return float((lo + hi) / 2)
+    return float(special.jn_zeros(n, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +224,9 @@ def mode_matrix(lam: float, n: int, omega: float, c: float) -> np.ndarray:
     F' + 2 omega G - c^2 lam sigma = 0, G' - 2 omega F - i n omega^2 sigma = 0.
 
     The sign of the i n omega^2 coupling follows from taking the curl of the
-    momentum equation with the orientation G = -curl(rho v); it is verified
-    against a direct method-of-lines integration of the primitive linearized
-    equations (see direct_mode_integration)."""
+    momentum equation with the orientation G = -curl(rho v); the tests verify
+    it against a direct method-of-lines integration of the primitive
+    linearized equations (direct_mode_integration in tests/oracles.py)."""
     return np.array([
         [0.0, -1.0, 0.0],
         [c**2 * lam, 0.0, -2 * omega],
@@ -306,31 +264,6 @@ class ModeSystem:
         y0 = np.array([coeffs0.sigma, coeffs0.F, coeffs0.G], dtype=complex)
         yt = vecs @ (np.exp(vals * t) * (inv @ y0))
         return ModeCoefficients(yt[0], yt[1], yt[2])
-
-    def evolve_rk4(self, coeffs0: ModeCoefficients, t: float, dt: float = 1e-3
-                   ) -> ModeCoefficients:
-        M = mode_matrix(self.lam, self.n, self.omega, self.c)
-        y = np.array([coeffs0.sigma, coeffs0.F, coeffs0.G], dtype=complex)
-        steps = max(1, int(np.ceil(t / dt)))
-        h = t / steps
-        for _ in range(steps):
-            (y,) = rk4(lambda y: (M @ y,), (y,), h)
-        return ModeCoefficients(y[0], y[1], y[2])
-
-    def displacement_amplitude(self, coeffs0: ModeCoefficients, t: float) -> float:
-        """|int_0^t sigma(s) ds|-style amplitude proxy for the Jacobi
-        displacement of this mode: the component on a zero frequency grows
-        linearly, every other component stays bounded."""
-        vals, vecs, inv = self._eig
-        y0 = np.array([coeffs0.sigma, coeffs0.F, coeffs0.G], dtype=complex)
-        w = inv @ y0
-        total = 0.0 + 0.0j
-        for val, amp in zip(vals, w):
-            if abs(val) < 1e-12:
-                total += amp * t
-            else:
-                total += amp * (np.exp(val * t) - 1.0) / val
-        return abs(total)
 
 
 # ---------------------------------------------------------------------------
@@ -425,70 +358,3 @@ def synthesize_and_classify(v0: VectorField, background: DiscBackground,
             f"initial data leaves relative residual {residual:.3e} outside the "
             f"truncated eigenbasis (boundary-incompatible or under-resolved)")
     return Classification(bounded, crit, residual, modes)
-
-
-# ---------------------------------------------------------------------------
-# Direct radial integration (cross-check for the mode reduction)
-
-
-def radial_poisson_gradient_mode(background: DiscBackground, pair: EigenPair):
-    """Solve Delta_n f = zeta with f(1) = 0, using the same composite
-    derivative stencil as the grid operators, so that div(grad(f e^{in theta}))
-    evaluated through those operators reproduces zeta exactly on interior
-    nodes.  Returns (f, a, b) radial arrays with rho v0 = a d/dr + b d/dtheta
-    (so v0 = (1/rho) * (a, b) is a pure-gradient perturbation)."""
-    n = pair.n
-    n_nodes = len(pair.r)
-    r = pair.r
-    D = _radial_deriv(np.eye(n_nodes), 1.0 / n_nodes)
-    # Delta_n f = (1/r) d/dr(r df/dr) - n^2 f / r^2 through the grid stencil
-    lap = (np.diag(1.0 / r) @ D @ np.diag(r) @ D
-           - np.diag(n**2 / r**2))
-    f_int = np.linalg.solve(lap[:-1, :-1], pair.zeta[:-1])
-    f = np.concatenate([f_int, [0.0]])
-    a = D @ f
-    b = 1j * n * f / r**2
-    return f, a, b
-
-
-def direct_mode_integration(background: DiscBackground, n: int,
-                            sigma0: np.ndarray, a0: np.ndarray, b0: np.ndarray,
-                            t_end: float, dt: float):
-    """RK4 method-of-lines integration of the linearized equations for one
-    azimuthal mode e^{in theta} (laboratory frame) on the radial grid:
-    sigma_t = -(1/r)(r rho a)' - i n rho b - i n omega sigma,
-    a_t = -i n omega a + 2 r omega b - c^2 sigma',
-    b_t = -i n omega b - 2 omega a / r - i n c^2 sigma / r^2,
-    with sigma pinned to zero at the boundary.  Here (a, b) are the
-    coordinate components of the velocity perturbation."""
-    n_nodes = len(sigma0)
-    h = 1.0 / n_nodes
-    r = _radial_nodes(n_nodes)
-    rho = background.rho(r)
-    om, c = background.omega, background.c
-
-    def flux_deriv(gv):
-        """d/dr of an r-weighted flux that vanishes at the axis; using the
-        known zero at r=0 keeps the stencil stable under the 1/r weight."""
-        out = _radial_deriv(gv, h)
-        out[0] = gv[1] / (2 * h)
-        return out
-
-    # internally evolve the physical azimuthal component V = r b, which stays
-    # regular at the axis
-    def rhs(sig, a, V):
-        dsig = (-flux_deriv(r * rho * a) / r - 1j * n * rho * V / r
-                - 1j * n * om * sig)
-        dsig[-1] = 0.0
-        da = -1j * n * om * a + 2 * om * V - c**2 * _radial_deriv(sig, h)
-        dV = -1j * n * om * V - 2 * om * a - 1j * n * c**2 * sig / r
-        return dsig, da, dV
-
-    y = (np.asarray(sigma0, dtype=complex), np.asarray(a0, dtype=complex),
-         r * np.asarray(b0, dtype=complex))
-    steps = max(1, int(np.ceil(t_end / dt)))
-    hstep = t_end / steps
-    for _ in range(steps):
-        y = rk4(rhs, y, hstep)
-    sig, a, V = y
-    return sig, a, V / r

@@ -15,11 +15,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import grids
 from .errors import DomainError, ShockError, StepSizeError
 from .grids import (
     CircleGrid,
-    DiscGrid,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -74,12 +72,6 @@ class FlowMap:
         """d eta / dx, spectral on the periodic displacement eta - x."""
         g = self.grid
         return 1.0 + g.grad(self.eta - g.x)[0]
-
-    def compatibility_residual(self, rho: ScalarField) -> float:
-        """sup norm of rho(eta) * Jac(eta) - rho0."""
-        rho_at_eta = circle_interp(rho.values, self.eta)
-        return float(np.max(np.abs(rho_at_eta * self.jacobian() - self.rho0.values)))
-
 
 def identity_flowmap(rho0: ScalarField) -> FlowMap:
     return FlowMap(rho0.grid.x.copy(), rho0)
@@ -269,21 +261,6 @@ def integrate_geodesic(state0: FluidState, model: PressureModel, t_end: float,
 
 # ---------------------------------------------------------------------------
 # Steady states
-
-
-def steady_euler_residual(state: FluidState, model: PressureModel) -> tuple[float, float]:
-    """Sup norms of the momentum and continuity residuals of the steady system
-    nabla_u u + (1/rho) grad p(rho) = 0, div(rho u) = 0."""
-    g = state.grid
-    # (1/rho) grad p = h'(rho) grad rho with h' = p'/rho, sharper discretely
-    hp = model.linearization_coefficient(state.rho.values)
-    mom = (grids.covariant_derivative(state.u, state.u).values
-           + hp * grids.grad(state.rho).values)
-    cont = grids.div(VectorField(g, state.rho.values * state.u.values)).values
-    if isinstance(g, DiscGrid):
-        # compare coordinate components in the physical frame
-        mom = mom * np.stack([np.ones_like(g.r), g.r])[:, :, None]
-    return float(np.max(np.abs(mom))), float(np.max(np.abs(cont)))
 
 
 def steady_shear_torus(omega_of_x: np.ndarray, grid: TorusGrid,

@@ -461,8 +461,3 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, mean: float = 0.0)
         field = np.real(np.fft.ifft2(hat)) * grid.nx * grid.ny / (kmax_x * kmax_y * 4)
         return ScalarField(grid, field + mean)
     raise GridMismatchError("random band-limited fields are defined on periodic grids")
-
-
-def random_band_limited_vector(grid: Grid, rng: np.random.Generator) -> VectorField:
-    comps = [random_band_limited(grid, rng).values for _ in range(grid.ncomp)]
-    return VectorField(grid, np.stack(comps))

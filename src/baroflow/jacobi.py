@@ -1,7 +1,6 @@
 """Linearized (Jacobi) equations along a geodesic: Eulerian perturbation
 (v, sigma), Lagrangian displacement j, and the function-direction displacement
-G integrated along particle paths.  Includes an independent geodesic-deviation
-oracle (centered difference of two perturbed geodesics) and conjugate-time
+G integrated along particle paths, growth reports, and conjugate-time
 detection by minimizing the Jacobi norm along the trajectory.
 """
 
@@ -12,14 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .errors import DomainError, ShockError
+from .errors import DomainError
 from .geodesic import FluidState, FlowMap, Trajectory, _advance, _integrate
-from .grids import (
-    ScalarField,
-    VectorField,
-    check_same_grid,
-    circle_interp,
-)
+from .grids import ScalarField, VectorField, check_same_grid
 from .pressure import PressureModel
 
 
@@ -83,36 +77,6 @@ def jacobi_norm_sq(jstate: JacobiState) -> float:
     """L^2 size of the displacement pair (j, G); vanishes at conjugate points."""
     g = jstate.grid
     return g.integrate(g.inner(jstate.j.values, jstate.j.values) + jstate.G.values**2)
-
-
-# ---------------------------------------------------------------------------
-# Geodesic deviation oracle
-
-
-def deviation_oracle(u0: VectorField, rho0: ScalarField, v0: VectorField,
-                     model: PressureModel, s: float, t_end: float, dt: float,
-                     store_every: int = 1):
-    """Centered difference (eta_plus - eta_minus)/(2s) of two geodesics with
-    initial velocities u0 +/- s v0, as an independent proxy for j(eta)."""
-    from .geodesic import barotropic_initializer, integrate_geodesic
-
-    branches = []
-    for sign, name in ((1.0, "plus"), (-1.0, "minus")):
-        u = VectorField(u0.grid, u0.values + sign * s * v0.values)
-        st = barotropic_initializer(u, rho0, model)
-        try:
-            branches.append(integrate_geodesic(st, model, t_end, dt, store_every))
-        except ShockError as exc:
-            raise ShockError(f"perturbed branch '{name}' hit a shock: {exc}") from exc
-    tp, tm = branches
-    times = tp.times
-    devs = [(fp.eta - fm.eta) / (2 * s) for fp, fm in zip(tp.flowmaps, tm.flowmaps)]
-    return times, devs
-
-
-def j_along_flow(jstate: JacobiState, flowmap: FlowMap) -> np.ndarray:
-    """j(t, eta(t,x)) per reference node, for comparison with the oracle."""
-    return circle_interp(jstate.j.values[0], flowmap.eta)
 
 
 # ---------------------------------------------------------------------------

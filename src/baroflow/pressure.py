@@ -125,14 +125,3 @@ def polytropic(A: float, gamma: float) -> PressureModel:
         A=A,
         gamma=gamma,
     )
-
-
-def from_catalog(name: str, c: float = 1.0) -> PressureModel:
-    """Small fixed catalog of lambda choices: 'rho', '3/rho', 'const'."""
-    if name == "rho":
-        return PressureModel(lambda r: r, lambda r: np.ones_like(r), name="lambda=rho")
-    if name == "3/rho":
-        return polytropic(1.0 / 3.0, 3.0)
-    if name == "const":
-        return polytropic(c**2 / 2.0, 2.0)
-    raise DomainError(f"unknown catalog model {name!r}")

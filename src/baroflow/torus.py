@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grids, jacobi
+from . import grids
 from .errors import DomainError
-from .geodesic import steady_shear_torus
-from .grids import ScalarField, TorusGrid, VectorField, hodge_decompose, integrate
-from .pressure import PressureModel, polytropic
+from .grids import TorusGrid, VectorField, hodge_decompose, integrate
+from .pressure import PressureModel
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,6 @@ class TorusModeSolution:
         total = np.sum(np.abs(self.f_hat)) - np.abs(self.f_hat[0, 0])
         return float(total) / (self.c * n_total)
 
-    def z_sup_norm(self) -> float:
-        mag = np.sqrt(grids.inner(self.z, self.z).values)
-        return float(np.max(mag))
-
-
 def synthesize(v0: VectorField, omega: float, c: float) -> TorusModeSolution:
     if not isinstance(v0.grid, TorusGrid):
         raise DomainError("torus mode solutions need a torus field")
@@ -87,38 +81,3 @@ def torus_curvature_coefficient(model: PressureModel) -> float:
     shear section is this times int (div v)^2 dmu."""
     lam1 = float(model.lam(1.0))
     return float((model.dphi(1.0) + model.phi(1.0) ** 2 / lam1) / lam1**2)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    times: list[float]
-    max_rel_gap: float
-    growth_slope: float | None
-
-
-def mode_numeric_crosscheck(v0: VectorField, omega: float, c: float,
-                            t_end: float, dt: float = 0.01,
-                            n_samples: int = 10) -> CrosscheckReport:
-    """Integrate the linearized equations along the shear geodesic and compare
-    j with the closed-form series at sampled times."""
-    g = v0.grid
-    model = polytropic(c**2 / 2, 2.0)
-    state = steady_shear_torus(np.full(g.nx, omega), g, model)
-    sol = synthesize(v0, omega, c)
-    n_steps = int(np.ceil(t_end / dt))
-    store = max(1, n_steps // n_samples)
-    traj = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0),
-                                       model, t_end, dt, store_every=store)
-    gaps, times, norms = [], [], []
-    for t, js in zip(traj.times[1:], traj.jstates[1:]):
-        expect = sol.j_at(t)
-        diff = js.j.values - expect.values
-        num = np.sqrt(integrate(ScalarField(g, np.sum(diff**2, axis=0))))
-        den = np.sqrt(integrate(grids.inner(expect, expect))) + 1e-300
-        gaps.append(num / den)
-        times.append(t)
-        norms.append(np.sqrt(integrate(grids.inner(js.j, js.j))))
-    slope = None
-    if len(times) > 2:
-        slope = float(np.polyfit(times, norms, 1)[0])
-    return CrosscheckReport(times, float(np.max(gaps)) if gaps else 0.0, slope)

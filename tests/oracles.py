@@ -1,0 +1,295 @@
+"""Independent oracles the tests check the library against: closed forms,
+cross-check integrators and residuals that no experiment runs.  Each one
+computes its answer by a route other than the code under test (a centered
+difference of perturbed geodesics, a direct method-of-lines integration, a
+PDE residual), so a test that compares the two checks something.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from baroflow import grids, jacobi
+from baroflow.burgers import CharacteristicFlow, exact_state
+from baroflow.disc import (
+    DiscBackground,
+    EigenPair,
+    ModeCoefficients,
+    ModeSystem,
+    mode_matrix,
+)
+from baroflow.errors import DomainError, ShockError
+from baroflow.geodesic import (
+    FlowMap,
+    FluidState,
+    barotropic_initializer,
+    integrate_geodesic,
+    rk4,
+    steady_shear_torus,
+)
+from baroflow.grids import (
+    DiscGrid,
+    ScalarField,
+    VectorField,
+    _radial_deriv,
+    _radial_nodes,
+    circle_interp,
+    derivative,
+    integrate,
+    random_band_limited,
+)
+from baroflow.jacobi import JacobiState
+from baroflow.pressure import PressureModel, polytropic
+from baroflow.torus import TorusModeSolution, synthesize
+
+# ---------------------------------------------------------------------------
+# Fields and pressure models
+
+
+def random_band_limited_vector(grid, rng: np.random.Generator) -> VectorField:
+    comps = [random_band_limited(grid, rng).values for _ in range(grid.ncomp)]
+    return VectorField(grid, np.stack(comps))
+
+
+def from_catalog(name: str, c: float = 1.0) -> PressureModel:
+    """Small fixed catalog of lambda choices: 'rho', '3/rho', 'const'."""
+    if name == "rho":
+        return PressureModel(lambda r: r, lambda r: np.ones_like(r), name="lambda=rho")
+    if name == "3/rho":
+        return polytropic(1.0 / 3.0, 3.0)
+    if name == "const":
+        return polytropic(c**2 / 2.0, 2.0)
+    raise DomainError(f"unknown catalog model {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# Geodesics
+
+
+def steady_euler_residual(state: FluidState, model: PressureModel) -> tuple[float, float]:
+    """Sup norms of the momentum and continuity residuals of the steady system
+    nabla_u u + (1/rho) grad p(rho) = 0, div(rho u) = 0."""
+    g = state.grid
+    # (1/rho) grad p = h'(rho) grad rho with h' = p'/rho, sharper discretely
+    hp = model.linearization_coefficient(state.rho.values)
+    mom = (grids.covariant_derivative(state.u, state.u).values
+           + hp * grids.grad(state.rho).values)
+    cont = grids.div(VectorField(g, state.rho.values * state.u.values)).values
+    if isinstance(g, DiscGrid):
+        # compare coordinate components in the physical frame
+        mom = mom * np.stack([np.ones_like(g.r), g.r])[:, :, None]
+    return float(np.max(np.abs(mom))), float(np.max(np.abs(cont)))
+
+
+def compatibility_residual(flowmap: FlowMap, rho: ScalarField) -> float:
+    """sup norm of rho(eta) * Jac(eta) - rho0."""
+    rho_at_eta = circle_interp(rho.values, flowmap.eta)
+    return float(np.max(np.abs(rho_at_eta * flowmap.jacobian() - flowmap.rho0.values)))
+
+
+# ---------------------------------------------------------------------------
+# Jacobi fields: geodesic deviation
+
+
+def deviation_oracle(u0: VectorField, rho0: ScalarField, v0: VectorField,
+                     model: PressureModel, s: float, t_end: float, dt: float,
+                     store_every: int = 1):
+    """Centered difference (eta_plus - eta_minus)/(2s) of two geodesics with
+    initial velocities u0 +/- s v0, as an independent proxy for j(eta)."""
+    branches = []
+    for sign, name in ((1.0, "plus"), (-1.0, "minus")):
+        u = VectorField(u0.grid, u0.values + sign * s * v0.values)
+        st = barotropic_initializer(u, rho0, model)
+        try:
+            branches.append(integrate_geodesic(st, model, t_end, dt, store_every))
+        except ShockError as exc:
+            raise ShockError(f"perturbed branch '{name}' hit a shock: {exc}") from exc
+    tp, tm = branches
+    times = tp.times
+    devs = [(fp.eta - fm.eta) / (2 * s) for fp, fm in zip(tp.flowmaps, tm.flowmaps)]
+    return times, devs
+
+
+def j_along_flow(jstate: JacobiState, flowmap: FlowMap) -> np.ndarray:
+    """j(t, eta(t,x)) per reference node, for comparison with the oracle."""
+    return circle_interp(jstate.j.values[0], flowmap.eta)
+
+
+# ---------------------------------------------------------------------------
+# Burgers closed forms
+
+
+def forward(flow: CharacteristicFlow, t: float, x) -> np.ndarray:
+    """The characteristic map xi(t, x) = x + t alpha0(x)."""
+    return np.asarray(x, dtype=float) + t * circle_interp(flow.alpha0.values, x)
+
+
+def conjugate_j(n: int, t, x) -> np.ndarray:
+    """Closed-form Jacobi field j(t,x) = sin(nt) cos(n(x-t))/n along the
+    constant geodesic u0 = rho0 = 1 with v0 = cos(nx)."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return np.sin(n * t) * np.cos(n * (x - t)) / n
+
+
+def conjugate_G(n: int, t, x) -> np.ndarray:
+    """Closed-form function-direction displacement G(t,x) =
+    (4/3n) sin(nx) sin^2(nt/2) along the same geodesic."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return (4.0 / (3 * n)) * np.sin(n * x) * np.sin(n * t / 2) ** 2
+
+
+def pde_residual(u0: ScalarField | VectorField, rho0: ScalarField, t: float,
+                 dt: float = 1e-5) -> float:
+    """Sup norm of u_t + u u_x + rho rho_x at time t (centered difference in
+    time, spectral in space); a consistency check on exact_state."""
+    sp = exact_state(u0, rho0, t + dt)
+    sm = exact_state(u0, rho0, t - dt)
+    s0 = exact_state(u0, rho0, t)
+    g = rho0.grid
+    ut = (sp.u.values[0] - sm.u.values[0]) / (2 * dt)
+    ux = derivative(ScalarField(g, s0.u.values[0])).values
+    rx = derivative(s0.rho).values
+    return float(np.max(np.abs(ut + s0.u.values[0] * ux + s0.rho.values * rx)))
+
+
+# ---------------------------------------------------------------------------
+# Torus shear modes
+
+
+def z_sup_norm(sol: TorusModeSolution) -> float:
+    mag = np.sqrt(grids.inner(sol.z, sol.z).values)
+    return float(np.max(mag))
+
+
+@dataclass(frozen=True)
+class CrosscheckReport:
+    times: list[float]
+    max_rel_gap: float
+    growth_slope: float | None
+
+
+def mode_numeric_crosscheck(v0: VectorField, omega: float, c: float,
+                            t_end: float, dt: float = 0.01,
+                            n_samples: int = 10) -> CrosscheckReport:
+    """Integrate the linearized equations along the shear geodesic and compare
+    j with the closed-form series at sampled times."""
+    g = v0.grid
+    model = polytropic(c**2 / 2, 2.0)
+    state = steady_shear_torus(np.full(g.nx, omega), g, model)
+    sol = synthesize(v0, omega, c)
+    n_steps = int(np.ceil(t_end / dt))
+    store = max(1, n_steps // n_samples)
+    traj = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0),
+                                       model, t_end, dt, store_every=store)
+    gaps, times, norms = [], [], []
+    for t, js in zip(traj.times[1:], traj.jstates[1:]):
+        expect = sol.j_at(t)
+        diff = js.j.values - expect.values
+        num = np.sqrt(integrate(ScalarField(g, np.sum(diff**2, axis=0))))
+        den = np.sqrt(integrate(grids.inner(expect, expect))) + 1e-300
+        gaps.append(num / den)
+        times.append(t)
+        norms.append(np.sqrt(integrate(grids.inner(js.j, js.j))))
+    slope = None
+    if len(times) > 2:
+        slope = float(np.polyfit(times, norms, 1)[0])
+    return CrosscheckReport(times, float(np.max(gaps)) if gaps else 0.0, slope)
+
+
+# ---------------------------------------------------------------------------
+# Rotating disc: mode evolution and a direct radial integration
+
+
+def evolve_rk4(system: ModeSystem, coeffs0: ModeCoefficients, t: float,
+               dt: float = 1e-3) -> ModeCoefficients:
+    M = mode_matrix(system.lam, system.n, system.omega, system.c)
+    y = np.array([coeffs0.sigma, coeffs0.F, coeffs0.G], dtype=complex)
+    steps = max(1, int(np.ceil(t / dt)))
+    h = t / steps
+    for _ in range(steps):
+        (y,) = rk4(lambda y: (M @ y,), (y,), h)
+    return ModeCoefficients(y[0], y[1], y[2])
+
+
+def displacement_amplitude(system: ModeSystem, coeffs0: ModeCoefficients,
+                           t: float) -> float:
+    """|int_0^t sigma(s) ds|-style amplitude proxy for the Jacobi
+    displacement of this mode: the component on a zero frequency grows
+    linearly, every other component stays bounded."""
+    vals, vecs, inv = system._eig
+    y0 = np.array([coeffs0.sigma, coeffs0.F, coeffs0.G], dtype=complex)
+    w = inv @ y0
+    total = 0.0 + 0.0j
+    for val, amp in zip(vals, w):
+        if abs(val) < 1e-12:
+            total += amp * t
+        else:
+            total += amp * (np.exp(val * t) - 1.0) / val
+    return abs(total)
+
+
+def radial_poisson_gradient_mode(background: DiscBackground, pair: EigenPair):
+    """Solve Delta_n f = zeta with f(1) = 0, using the same composite
+    derivative stencil as the grid operators, so that div(grad(f e^{in theta}))
+    evaluated through those operators reproduces zeta exactly on interior
+    nodes.  Returns (f, a, b) radial arrays with rho v0 = a d/dr + b d/dtheta
+    (so v0 = (1/rho) * (a, b) is a pure-gradient perturbation)."""
+    n = pair.n
+    n_nodes = len(pair.r)
+    r = pair.r
+    D = _radial_deriv(np.eye(n_nodes), 1.0 / n_nodes)
+    # Delta_n f = (1/r) d/dr(r df/dr) - n^2 f / r^2 through the grid stencil
+    lap = (np.diag(1.0 / r) @ D @ np.diag(r) @ D
+           - np.diag(n**2 / r**2))
+    f_int = np.linalg.solve(lap[:-1, :-1], pair.zeta[:-1])
+    f = np.concatenate([f_int, [0.0]])
+    a = D @ f
+    b = 1j * n * f / r**2
+    return f, a, b
+
+
+def direct_mode_integration(background: DiscBackground, n: int,
+                            sigma0: np.ndarray, a0: np.ndarray, b0: np.ndarray,
+                            t_end: float, dt: float):
+    """RK4 method-of-lines integration of the linearized equations for one
+    azimuthal mode e^{in theta} (laboratory frame) on the radial grid:
+    sigma_t = -(1/r)(r rho a)' - i n rho b - i n omega sigma,
+    a_t = -i n omega a + 2 r omega b - c^2 sigma',
+    b_t = -i n omega b - 2 omega a / r - i n c^2 sigma / r^2,
+    with sigma pinned to zero at the boundary.  Here (a, b) are the
+    coordinate components of the velocity perturbation."""
+    n_nodes = len(sigma0)
+    h = 1.0 / n_nodes
+    r = _radial_nodes(n_nodes)
+    rho = background.rho(r)
+    om, c = background.omega, background.c
+
+    def flux_deriv(gv):
+        """d/dr of an r-weighted flux that vanishes at the axis; using the
+        known zero at r=0 keeps the stencil stable under the 1/r weight."""
+        out = _radial_deriv(gv, h)
+        out[0] = gv[1] / (2 * h)
+        return out
+
+    # internally evolve the physical azimuthal component V = r b, which stays
+    # regular at the axis
+    def rhs(sig, a, V):
+        dsig = (-flux_deriv(r * rho * a) / r - 1j * n * rho * V / r
+                - 1j * n * om * sig)
+        dsig[-1] = 0.0
+        da = -1j * n * om * a + 2 * om * V - c**2 * _radial_deriv(sig, h)
+        dV = -1j * n * om * V - 2 * om * a - 1j * n * c**2 * sig / r
+        return dsig, da, dV
+
+    y = (np.asarray(sigma0, dtype=complex), np.asarray(a0, dtype=complex),
+         r * np.asarray(b0, dtype=complex))
+    steps = max(1, int(np.ceil(t_end / dt)))
+    hstep = t_end / steps
+    for _ in range(steps):
+        y = rk4(rhs, y, hstep)
+    sig, a, V = y
+    return sig, a, V / r

@@ -4,6 +4,7 @@ import pytest
 from baroflow import burgers
 from baroflow.errors import DomainError, ShockError
 from baroflow.grids import CircleGrid, ScalarField, VectorField, circle_interp
+from oracles import conjugate_G, conjugate_j, forward, pde_residual
 
 G = CircleGrid(128)
 
@@ -99,7 +100,7 @@ class TestInvertFlow:
         flow = burgers.CharacteristicFlow(ScalarField(G, vals))
         t = 0.5 * flow.shock_time
         chi = flow.invert(t, G.x)
-        assert np.max(np.abs(flow.forward(t, chi) - G.x)) < 1e-10
+        assert np.max(np.abs(forward(flow, t, chi) - G.x)) < 1e-10
 
     def test_rejects_post_shock(self):
         flow = burgers.CharacteristicFlow(ScalarField(G, np.sin(G.x)))
@@ -123,7 +124,7 @@ class TestExactState:
         u0 = ScalarField(G, np.sin(G.x))
         rho0 = ScalarField(G, 1.0 + 0.2 * np.cos(G.x))
         for t in (0.2, 0.4, 0.6):
-            assert burgers.pde_residual(u0, rho0, t) < 1e-6
+            assert pde_residual(u0, rho0, t) < 1e-6
 
     def test_shock_error(self):
         u0 = ScalarField(G, np.sin(G.x))
@@ -137,7 +138,7 @@ class TestExactJacobi:
         v0 = ScalarField(G, np.cos(n * G.x))
         for t in (0.4, 1.5, 4.0):
             j = burgers.exact_jacobi(const(1.0), const(1.0), v0, t)
-            expect = burgers.conjugate_j(n, t, G.x)
+            expect = conjugate_j(n, t, G.x)
             assert np.max(np.abs(j.values[0] - expect)) < 1e-12
 
     def test_zero_perturbation(self):
@@ -181,15 +182,15 @@ class TestConjugate:
     def test_G_vanishes_at_conjugate_times(self):
         for n in (1, 2, 5):
             for t in burgers.conjugate_times(n, 3):
-                assert np.max(np.abs(burgers.conjugate_G(n, t, G.x))) < 1e-12
-                assert np.max(np.abs(burgers.conjugate_j(n, t, G.x))) < 1e-12
+                assert np.max(np.abs(conjugate_G(n, t, G.x))) < 1e-12
+                assert np.max(np.abs(conjugate_j(n, t, G.x))) < 1e-12
 
     def test_G_peak_value(self):
         n = 4
-        assert burgers.conjugate_G(n, np.pi / n, np.pi / (2 * n)) == pytest.approx(4 / (3 * n))
+        assert conjugate_G(n, np.pi / n, np.pi / (2 * n)) == pytest.approx(4 / (3 * n))
 
     def test_G_zero_at_t0(self):
-        assert np.max(np.abs(burgers.conjugate_G(3, 0.0, G.x))) == 0.0
+        assert np.max(np.abs(conjugate_G(3, 0.0, G.x))) == 0.0
 
     def test_rejects_bad_mode(self):
         with pytest.raises(DomainError):

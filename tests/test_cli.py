@@ -1,12 +1,37 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from baroflow import cli
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
+
+# the ExperimentConfig fields each experiment reads: its only flags and
+# config keys, and the keys of its manifest's parameters
+_SINE = {"gamma", "a_coeff", "rho0", "n_grid", "amplitude", "dt", "t_end", "n_samples"}
+READS = {
+    "geodesic": _SINE,
+    "jacobi": _SINE | {"n_mode"},
+    "burgers-exact": {"rho0", "n_grid", "amplitude", "t_end", "n_samples"},
+    "conjugate": {"n_grid", "n_mode", "m_max", "dt"},
+    "curvature-scan": {"gamma", "a_coeff", "n_grid", "trials", "seed"},
+    "torus-modes": {"omega", "c", "n_grid", "amplitude", "t_end", "n_samples", "kind"},
+    "disc-spectrum": {"omega", "c", "rho0", "n_nodes", "k_max", "n_max"},
+}
+PARAMETERS = sorted(set().union(*READS.values()))
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def run(argv, tmp_path, monkeypatch, env_dir=None):
@@ -55,8 +80,11 @@ class TestPlumbing:
         (["geodesic"], "n-grid = inf\n", "n_grid"),
         (["curvature-scan"], "trials = 3\ngama = 2\n", "gama"),
         (["curvature-scan"], "trials = 3.7\n", "trials"),
+        (["geodesic", "--config", "no-such-dir/missing.conf"], None, "missing.conf"),
+        (["conjugate"], "gamma = 2\n", "gamma"),
     ], ids=["odd_grid", "inf_flag", "nan_amplitude", "inf_config", "inf_int_config",
-            "unknown_key", "fractional_int_config"])
+            "unknown_key", "fractional_int_config", "missing_config",
+            "config_key_not_read"])
     def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
                                          monkeypatch, capsys):
         if config is not None:
@@ -134,7 +162,6 @@ class TestPlumbing:
         assert man1 == man2
 
     def test_manifest_records_library_versions(self, tmp_path, monkeypatch):
-        import mpmath
         import scipy
 
         rc = run(["curvature-scan", "--trials", "3", "--n-grid", "32"], tmp_path, monkeypatch)
@@ -143,8 +170,37 @@ class TestPlumbing:
         versions = manifest["versions"]
         assert versions["numpy"] == np.__version__
         assert versions["scipy"] == scipy.__version__
-        assert versions["mpmath"] == mpmath.__version__
-        assert set(versions) == {"baroflow", "mpmath", "numpy", "python", "scipy"}
+        assert set(versions) == {"baroflow", "numpy", "python", "scipy"}
+
+    @pytest.mark.parametrize("argv", [["conjugate", "--gamma", "2"],
+                                      ["disc-spectrum", "--dt", "5"],
+                                      ["curvature-scan", "--n", "64"]],
+                             ids=["conjugate_gamma", "disc_dt", "no_abbreviation"])
+    def test_flag_the_experiment_does_not_read_exits_2(self, argv, tmp_path,
+                                                       monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, tmp_path, monkeypatch)
+        assert exc.value.code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["error"] == "usage"
+        assert argv[1] in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment", sorted(READS))
+    def test_only_read_parameters_have_flags(self, experiment, capsys):
+        parser = cli.build_parser()
+        accepted = set()
+        for key in PARAMETERS:
+            try:
+                parser.parse_args([experiment, flag(key), "1"])
+                accepted.add(key)
+            except SystemExit:
+                pass
+        capsys.readouterr()
+        assert accepted == READS[experiment]
+        assert set(cli.EXPERIMENTS[experiment].params) == READS[experiment]
 
 
 class TestExperiments:
@@ -190,6 +246,23 @@ class TestExperiments:
         assert manifest["summary"]["all_bounds_hold"] is True
         assert manifest["summary"]["min_discriminant_margin"] > 0
 
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--n-grid", "16", "--t-end", "0.1", "--dt", "0.05"],
+        ["jacobi", "--n-grid", "16", "--t-end", "0.1", "--dt", "0.05"],
+        ["burgers-exact", "--n-grid", "16", "--t-end", "0.2", "--n-samples", "2"],
+        ["conjugate", "--n-grid", "16", "--dt", "0.05", "--m-max", "1"],
+        ["curvature-scan", "--n-grid", "16", "--trials", "2"],
+        ["torus-modes", "--n-grid", "16", "--n-samples", "2"],
+        ["disc-spectrum", "--n-max", "1", "--k-max", "1", "--n-nodes", "32"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_parameters_are_the_ones_read(self, argv, tmp_path, monkeypatch):
+        rc = run(argv, tmp_path, monkeypatch)
+        assert rc == 0
+        _, manifest = read_outputs(tmp_path, argv[0])
+        assert set(manifest["parameters"]) == READS[argv[0]]
+        for name, value in zip(argv[1::2], argv[2::2]):
+            assert manifest["parameters"][name[2:].replace("-", "_")] == float(value)
+
     def test_burgers_exact_columns(self, tmp_path, monkeypatch):
         rc = run(["burgers-exact", "--t-end", "0.8", "--n-samples", "3",
                   "--n-grid", "32"], tmp_path, monkeypatch)
@@ -223,3 +296,78 @@ def test_preset_loads_and_validates(preset):
     got = {key: getattr(cfg, key) for key in expect}
     assert got == expect
     assert all(type(got[key]) is type(expect[key]) for key in expect)
+
+
+# Property test over CLI inputs.  Every parameter an experiment reads gets a
+# good value, chosen so that each run stays cheap (small grids, few steps and
+# trials), and then up to two entries are drawn from the bad values:
+# fractional integers, nan/inf, odd or tiny grids and garbage.  Keys that the
+# experiment does not read, keys that name no parameter, malformed config
+# lines and a missing config file are drawn too.
+GOOD = {
+    "gamma": ["3", "2", "1.4"], "a_coeff": ["0.5", "0.25"], "omega": ["1", "0.5", "0"],
+    "c": ["1", "0.5"], "rho0": ["1", "2"], "n_grid": ["16", "8", "10"],
+    "n_nodes": ["32", "16"], "n_mode": ["2", "1"], "m_max": ["1"], "k_max": ["2", "1"],
+    "n_max": ["2", "0"], "amplitude": ["0.5", "0", "5"], "trials": ["3", "1"],
+    "dt": ["0.05"], "t_end": ["0.2", "0.5"], "n_samples": ["3", "1"],
+    "seed": ["7", "0"], "kind": ["divfree", "gradient", "mixed"],
+}
+BAD = {
+    "gamma": ["1", "nan", "x"], "a_coeff": ["0", "-inf"], "omega": ["nan"],
+    "c": ["0", "inf"], "rho0": ["0", "-1"], "n_grid": ["9", "6", "0", "12.5", "inf"],
+    "n_nodes": ["15", "24.5"], "n_mode": ["0", "-1", "1.5"], "m_max": ["0", "1.5"],
+    "k_max": ["0"], "n_max": ["-1"], "amplitude": ["nan"], "trials": ["0", "2.5"],
+    "dt": ["0", "-0.1", "5", "nan"], "t_end": ["0", "inf"], "n_samples": ["0", "1.5"],
+    "seed": ["-1", "18446744073709551616", "3.5"], "kind": ["spiral"],
+}
+JUNK_KEYS = ["gama", "n_grids", "experiment"]
+JUNK_LINES = ["gamma 2", "# a comment", "= 3"]
+
+
+@st.composite
+def cli_inputs(draw):
+    """(experiment, flags, config lines, config kind: none, file or missing)."""
+    experiment = draw(st.sampled_from(sorted(READS)))
+    items = [(key, draw(st.sampled_from(GOOD[key]))) for key in sorted(READS[experiment])]
+    for key in draw(st.lists(st.sampled_from(PARAMETERS + JUNK_KEYS), max_size=2)):
+        items.append((key, draw(st.sampled_from(GOOD.get(key, ["2"]) + BAD.get(key, [])))))
+    config = draw(st.sampled_from(["none", "none", "file", "file", "missing"]))
+    flags, lines = [], []
+    for key, value in items:
+        if config == "file" and draw(st.booleans()):
+            lines.append(f"{key.replace('_', '-')} = {value}")
+        else:
+            name = "--n" if key == "n_mode" and draw(st.booleans()) else flag(key)
+            flags += [name, value]
+    if config == "file":
+        lines += draw(st.lists(st.sampled_from(JUNK_LINES), max_size=1))
+    return experiment, flags, lines, config
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cli_inputs())
+def test_any_input_exits_0_1_or_2_without_traceback(inputs):
+    experiment, flags, lines, config = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [experiment] + flags + ["--output-dir", tmp]
+        if config == "file":
+            path = Path(tmp) / "run.conf"
+            path.write_text("\n".join(lines) + "\n")
+            argv += ["--config", str(path)]
+        elif config == "missing":
+            argv += ["--config", str(Path(tmp) / "missing.conf")]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), \
+                redirect_stderr(err):
+            os.environ.pop(cli.OUTPUT_DIR_ENV, None)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        err_lines = err.getvalue().splitlines()
+        assert len(err_lines) == 1
+        assert isinstance(json.loads(err_lines[0]), dict)

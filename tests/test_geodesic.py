@@ -5,7 +5,8 @@ from baroflow import burgers, geodesic, jacobi
 from baroflow.disc import DiscBackground
 from baroflow.errors import ShockError, StepSizeError, VacuumError
 from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
-from baroflow.pressure import from_catalog, polytropic
+from baroflow.pressure import polytropic
+from oracles import compatibility_residual, steady_euler_residual
 
 GAMMA3 = polytropic(1 / 3, 3.0)
 
@@ -152,7 +153,7 @@ class TestFlowMapAndTransport:
                                            store_every=40)
         assert len(traj.times) >= 10
         for st, fm in zip(traj.states, traj.flowmaps):
-            assert fm.compatibility_residual(st.rho) < 1e-6
+            assert compatibility_residual(fm, st.rho) < 1e-6
 
     def test_q_rho_transport(self):
         state, g = circle_state(n=128)
@@ -182,14 +183,14 @@ class TestSteadyShearTorus:
         g = TorusGrid(32, 32)
         m = polytropic(0.5, 2.0)
         st = geodesic.steady_shear_torus(np.full(32, 0.7), g, m)
-        mom, cont = geodesic.steady_euler_residual(st, m)
+        mom, cont = steady_euler_residual(st, m)
         assert mom < 1e-14 and cont < 1e-14
 
     def test_sine_profile_residuals(self):
         g = TorusGrid(32, 32)
         m = polytropic(0.5, 2.0)
         st = geodesic.steady_shear_torus(np.sin(g.x), g, m)
-        mom, cont = geodesic.steady_euler_residual(st, m)
+        mom, cont = steady_euler_residual(st, m)
         assert mom < 1e-10 and cont < 1e-10
 
     def test_persistence_under_integration(self):
@@ -227,7 +228,7 @@ class TestRigidRotationDisc:
         om, c = 0.8, 1.3
         m = polytropic(c**2 / 2, 2.0)
         st = DiscBackground(om, c, 2.0).state(g)
-        mom, cont = geodesic.steady_euler_residual(st, m)
+        mom, cont = steady_euler_residual(st, m)
         assert mom < 1e-10 and cont < 1e-10
 
     def test_vacuum_error(self):

@@ -23,9 +23,9 @@ from baroflow.grids import (
     VectorField,
     circle_interp,
     random_band_limited,
-    random_band_limited_vector,
 )
-from baroflow.pressure import from_catalog, polytropic
+from baroflow.pressure import polytropic
+from oracles import from_catalog, random_band_limited_vector
 
 
 def rng(seed=0):

@@ -23,9 +23,9 @@ from baroflow.grids import (
     inner,
     integrate,
     random_band_limited,
-    random_band_limited_vector,
     sgrad,
 )
+from oracles import random_band_limited_vector
 
 
 def rng(seed=0):
