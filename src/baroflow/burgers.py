@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
+import scipy
 
 from .errors import DomainError, ShockError
 from .geodesic import FluidState
@@ -59,7 +59,7 @@ def _max_negative_slope(alpha0: ScalarField) -> float:
     slope = -circle_interp(vals, fine, deriv=1)
     k = int(np.argmax(slope))
     lo, hi = fine[k] - 2 * np.pi / (8 * g.n), fine[k] + 2 * np.pi / (8 * g.n)
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         lambda x: float(circle_interp(vals, x, deriv=1)[0]),
         bounds=(lo, hi), method="bounded", options={"xatol": 1e-13},
     )

@@ -75,7 +75,11 @@ class ExperimentConfig:
             (self.n_nodes >= 16, f"n-nodes must be at least 16, got {self.n_nodes}"),
             (self.m_max >= 1, f"m-max must be at least 1, got {self.m_max}"),
             (self.k_max >= 1, f"k-max must be at least 1, got {self.k_max}"),
+            (self.k_max <= self.n_nodes - 1,
+             f"k-max must not exceed n-nodes - 1 = {self.n_nodes - 1}, got {self.k_max}"),
             (self.n_max >= 0, f"n-max must be nonnegative, got {self.n_max}"),
+            (self.n_max <= disc.BESSEL_MAX_ORDER,
+             f"n-max must be at most {disc.BESSEL_MAX_ORDER}, got {self.n_max}"),
             (self.trials >= 1, f"trials must be at least 1, got {self.trials}"),
             (self.dt > 0, f"dt must be positive, got {self.dt}"),
             (self.t_end > 0, f"t-end must be positive, got {self.t_end}"),

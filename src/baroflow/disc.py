@@ -84,13 +84,16 @@ def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
     tridiagonal eigenproblem, so the computed spectrum is real by
     construction.  Regularity at the origin: zero flux through r=0 for n=0
     (the profile is even), homogeneous Dirichlet proxy for |n| >= 1
-    (zeta ~ r^{|n|})."""
+    (zeta ~ r^{|n|}).  The n_nodes - 1 interior nodes carry at most that
+    many eigenpairs."""
     if n_nodes < 16:
         raise DomainError("radial resolution too coarse")
     h = 1.0 / n_nodes
     r = _radial_nodes(n_nodes)
     ri = r[:-1]  # interior nodes, Dirichlet at r=1
     m = len(ri)
+    if k_max > m:
+        raise DomainError(f"k_max must not exceed the {m} interior nodes, got {k_max}")
     r_half_lo = ri - h / 2
     r_half_hi = ri + h / 2
     flux_lo = r_half_lo * background.rho(r_half_lo) / h**2
@@ -102,7 +105,6 @@ def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
     # similarity by diag(sqrt(r)) symmetrizes the weight
     diag_t = diag / ri
     off_t = off / np.sqrt(ri[:-1] * ri[1:])
-    k_max = min(k_max, m)
     vals, vecs = linalg.eigh_tridiagonal(diag_t, off_t,
                                          select="i", select_range=(0, k_max - 1))
     pairs = []
@@ -148,12 +150,15 @@ def characteristic_roots(lam: float, n: int, omega: float, c: float) -> np.ndarr
 # Bessel roots
 
 
+BESSEL_MAX_ORDER = 64
+
+
 def bessel_first_root(n: int) -> float:
     """First positive zero of the order-n Bessel function of the first kind
     (scipy.special.jn_zeros, after Zhang & Jin, Computation of Special
-    Functions, 1996)."""
-    if not 0 <= n <= 64:
-        raise DomainError(f"order must be in [0, 64], got {n}")
+    Functions, 1996), for n in [0, BESSEL_MAX_ORDER]."""
+    if not 0 <= n <= BESSEL_MAX_ORDER:
+        raise DomainError(f"order must be in [0, {BESSEL_MAX_ORDER}], got {n}")
     return float(special.jn_zeros(n, 1)[0])
 
 

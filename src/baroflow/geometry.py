@@ -44,13 +44,18 @@ def _check_density(rho: ScalarField):
         raise DomainError("density must be positive pointwise")
 
 
+def _metric_density(g, lam, rho, f, h, u, v) -> np.ndarray:
+    """lambda(rho) f h + rho <u, v> on raw arrays: the integrand of <<U, V>>."""
+    return lam * f * h + rho * g.inner(u, v)
+
+
 def metric_inner(U: TangentVector, V: TangentVector, rho: ScalarField, model: PressureModel) -> float:
     """<<U, V>> = int [lambda(rho) f g + rho <u, v>] dmu."""
-    check_same_grid(U.f, V.f, rho)
+    g = check_same_grid(U.f, V.f, rho)
     _check_density(rho)
     lam = model.lam(rho.values)
-    dens = lam * U.f.values * V.f.values + rho.values * grids.inner(U.u, V.u).values
-    return integrate(ScalarField(rho.grid, dens))
+    dens = _metric_density(g, lam, rho.values, U.f.values, V.f.values, U.u.values, V.u.values)
+    return integrate(ScalarField(g, dens))
 
 
 def christoffel(U: TangentVector, V: TangentVector, rho: ScalarField, model: PressureModel) -> TangentVector:
@@ -81,16 +86,15 @@ def christoffel_weak(U: TangentVector, V: TangentVector, W: TangentVector,
     return integrate(ScalarField(g, dens))
 
 
+def _q(g, u: np.ndarray, v: np.ndarray, div_u: np.ndarray, div_v: np.ndarray) -> np.ndarray:
+    """Q(u, v) on raw arrays, given div u and div v."""
+    return g.div(g.covariant_derivative(u, v)) - g.directional(u, div_v) - div_u * div_v
+
+
 def q_operator(u: VectorField, v: VectorField) -> ScalarField:
     """Q(u,v) = div(nabla_u v) - u(div v) - (div u)(div v)."""
     g = check_same_grid(u, v)
-    div_v = grids.div(v)
-    out = (
-        grids.div(grids.covariant_derivative(u, v)).values
-        - grids.directional(u, div_v).values
-        - grids.div(u).values * div_v.values
-    )
-    return ScalarField(g, out)
+    return ScalarField(g, _q(g, u.values, v.values, g.div(u.values), g.div(v.values)))
 
 
 def density_functional_derivative(alpha: ScalarField, phi_fn, rho: ScalarField,
@@ -120,26 +124,29 @@ def sectional_curvature(U: TangentVector, V: TangentVector, rho: ScalarField,
     phi = model.phi(rv)
     lam = model.lam(rv)
     dphi = model.dphi(rv)
+    u, v = U.u.values, V.u.values
     f, gg = U.f.values, V.f.values
-    div_u = grids.div(U.u).values
-    div_v = grids.div(V.u).values
+    div_u = g.div(u)
+    div_v = g.div(v)
 
     term_R = 0.0
     coef = rv * dphi + phi**2 / lam
-    term_div = integrate(ScalarField(g, coef * (f * div_v - gg * div_u) ** 2))
+    term_div = g.integrate(coef * (f * div_v - gg * div_u) ** 2)
 
-    quu = q_operator(U.u, U.u).values
-    qvv = q_operator(V.u, V.u).values
-    quv = q_operator(U.u, V.u).values
-    term_Q = integrate(ScalarField(g, phi * (f**2 * qvv + gg**2 * quu - 2 * f * gg * quv)))
+    quu = _q(g, u, u, div_u, div_u)
+    qvv = _q(g, v, v, div_v, div_v)
+    quv = _q(g, u, v, div_u, div_v)
+    term_Q = g.integrate(phi * (f**2 * qvv + gg**2 * quu - 2 * f * gg * quv))
 
-    cross = VectorField(g, f * grids.grad(V.f).values - gg * grids.grad(U.f).values)
-    term_grad = integrate(ScalarField(g, phi**2 / rv * grids.inner(cross, cross).values))
+    cross = f * g.grad(gg) - gg * g.grad(f)
+    term_grad = g.integrate(phi**2 / rv * g.inner(cross, cross))
 
     total = term_R + term_div + term_Q + term_grad
-    uu = metric_inner(U, U, rho, model)
-    vv = metric_inner(V, V, rho, model)
-    uv = metric_inner(U, V, rho, model)
+    uu = g.integrate(_metric_density(g, lam, rv, f, f, u, u))
+    vv = g.integrate(_metric_density(g, lam, rv, gg, gg, v, v))
+    uv = g.integrate(_metric_density(g, lam, rv, f, gg, u, v))
+    if not np.isfinite((total, uu, vv, uv)).all():
+        raise DomainError("curvature integrand has non-finite entries")
     gram = uu * vv - uv**2
     normalized = total / gram if abs(gram) > 1e-14 * max(uu * vv, 1.0) else float("nan")
     return CurvatureReport(term_R, term_div, term_Q, term_grad, total, normalized)

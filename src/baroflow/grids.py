@@ -436,15 +436,26 @@ def circle_interp_antideriv(values: np.ndarray, xq) -> np.ndarray:
 # Random band-limited fields (modes |k| <= n/4, seeded)
 
 
-def _band_limited_1d(n: int, rng: np.random.Generator, mean: float) -> np.ndarray:
-    # strictly below n/4 so that bilinear products stay below the Nyquist mode
-    # and their spectral derivatives are exact
+@lru_cache(maxsize=None)
+def _band_modes(n: int) -> np.ndarray:
+    """Read-only (cos kx, sin kx) rows on the n-point circle grid, shaped
+    (K, 2, n) for the modes k = 1..K, K = n/4 - 1: strictly below n/4, so that
+    bilinear products stay below the Nyquist mode and their spectral
+    derivatives are exact."""
     x = 2 * np.pi * np.arange(n) / n
-    out = np.full(n, mean)
-    for k in range(1, n // 4):
-        a, b = rng.standard_normal(2)
-        out += a * np.cos(k * x) + b * np.sin(k * x)
-    return out
+    table = np.array([(np.cos(k * x), np.sin(k * x)) for k in range(1, n // 4)])
+    table.flags.writeable = False
+    return table
+
+
+def _band_limited_1d(n: int, rng: np.random.Generator, mean: float) -> np.ndarray:
+    """mean + sum_k a_k cos kx + b_k sin kx, the (a_k, b_k) drawn in mode
+    order.  A sum over the leading axis adds whole rows in order, so the
+    terms accumulate onto the mean in mode order, as a loop over k would."""
+    table = _band_modes(n)
+    ab = rng.standard_normal((len(table), 2))
+    terms = ab[:, :1] * table[:, 0] + ab[:, 1:] * table[:, 1]
+    return np.vstack([np.full(n, mean), terms]).sum(axis=0)
 
 
 def random_band_limited(grid: Grid, rng: np.random.Generator, mean: float = 0.0) -> ScalarField:

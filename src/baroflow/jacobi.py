@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+import scipy
 
 from .errors import DomainError
 from .geodesic import FluidState, FlowMap, Trajectory, _advance, _integrate
@@ -136,7 +136,7 @@ def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
     for k in range(1, len(t) - 1):
         if norms2[k] <= norms2[k - 1] and norms2[k] < norms2[k + 1] \
                 and norms2[k] < (rel_tol**2) * scale2:
-            res = optimize.minimize_scalar(
+            res = scipy.optimize.minimize_scalar(
                 lambda time: norm2_at(time, k - 1),
                 bounds=(t[k - 1], t[k + 1]), method="bounded",
                 options={"xatol": 1e-10},

@@ -7,6 +7,7 @@ boundedness holds exactly when the initial perturbation is a gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,10 @@ class TorusModeSolution:
     omega: float
     c: float
 
+    @cached_property
+    def _z_hat(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.fft.fft2(self.z.values[0]), np.fft.fft2(self.z.values[1])
+
     def j_at(self, t: float) -> VectorField:
         """j(t) = sum_k (a_k sin(c|k|t)/(c|k|)) grad phi_k(x, y - omega t)
         + t z(x, y - omega t)."""
@@ -39,8 +44,9 @@ class TorusModeSolution:
         coef = self.f_hat * osc * shift
         jx = np.real(np.fft.ifft2(1j * kx * coef))
         jy = np.real(np.fft.ifft2(1j * ky * coef))
-        zx = np.real(np.fft.ifft2(np.fft.fft2(self.z.values[0]) * shift))
-        zy = np.real(np.fft.ifft2(np.fft.fft2(self.z.values[1]) * shift))
+        zx_hat, zy_hat = self._z_hat
+        zx = np.real(np.fft.ifft2(zx_hat * shift))
+        zy = np.real(np.fft.ifft2(zy_hat * shift))
         return VectorField(g, np.stack([jx + t * zx, jy + t * zy]))
 
     def series_bound(self) -> float:

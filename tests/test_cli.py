@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -82,9 +84,13 @@ class TestPlumbing:
         (["curvature-scan"], "trials = 3.7\n", "trials"),
         (["geodesic", "--config", "no-such-dir/missing.conf"], None, "missing.conf"),
         (["conjugate"], "gamma = 2\n", "gamma"),
+        (["disc-spectrum", "--k-max", "500", "--n-nodes", "16"], None, "k-max"),
+        (["disc-spectrum", "--n-nodes", "16"], "k-max = 16\n", "k-max"),
+        (["disc-spectrum", "--n-max", "65"], None, "n-max"),
     ], ids=["odd_grid", "inf_flag", "nan_amplitude", "inf_config", "inf_int_config",
             "unknown_key", "fractional_int_config", "missing_config",
-            "config_key_not_read"])
+            "config_key_not_read", "k_max_above_nodes", "k_max_above_nodes_config",
+            "n_max_above_bessel_range"])
     def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
                                          monkeypatch, capsys):
         if config is not None:
@@ -160,6 +166,15 @@ class TestPlumbing:
         man1.pop("wall_time_s")
         man2.pop("wall_time_s")
         assert man1 == man2
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the shock-time and conjugate-time refinements need it
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, baroflow.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
     def test_manifest_records_library_versions(self, tmp_path, monkeypatch):
         import scipy
@@ -263,6 +278,15 @@ class TestExperiments:
         for name, value in zip(argv[1::2], argv[2::2]):
             assert manifest["parameters"][name[2:].replace("-", "_")] == float(value)
 
+    def test_disc_spectrum_k_max_at_node_limit(self, tmp_path, monkeypatch):
+        rc = run(["disc-spectrum", "--n-max", "1", "--k-max", "15", "--n-nodes", "16"],
+                 tmp_path, monkeypatch)
+        assert rc == 0
+        csv_text, _ = read_outputs(tmp_path, "disc-spectrum")
+        rows = [r.split(",") for r in csv_text.decode().strip().splitlines()[1:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == \
+            [(n, k) for n in (0, 1) for k in range(1, 16)]
+
     def test_burgers_exact_columns(self, tmp_path, monkeypatch):
         rc = run(["burgers-exact", "--t-end", "0.8", "--n-samples", "3",
                   "--n-grid", "32"], tmp_path, monkeypatch)
@@ -316,7 +340,8 @@ BAD = {
     "gamma": ["1", "nan", "x"], "a_coeff": ["0", "-inf"], "omega": ["nan"],
     "c": ["0", "inf"], "rho0": ["0", "-1"], "n_grid": ["9", "6", "0", "12.5", "inf"],
     "n_nodes": ["15", "24.5"], "n_mode": ["0", "-1", "1.5"], "m_max": ["0", "1.5"],
-    "k_max": ["0"], "n_max": ["-1"], "amplitude": ["nan"], "trials": ["0", "2.5"],
+    "k_max": ["0", "40"], "n_max": ["-1", "65"], "amplitude": ["nan"],
+    "trials": ["0", "2.5"],
     "dt": ["0", "-0.1", "5", "nan"], "t_end": ["0", "inf"], "n_samples": ["0", "1.5"],
     "seed": ["-1", "18446744073709551616", "3.5"], "kind": ["spiral"],
 }

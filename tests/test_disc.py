@@ -63,6 +63,15 @@ class TestSturmLiouville:
             assert p.zeta[-1] == 0.0
             assert np.sum(p.zeta**2 * p.r) * h == pytest.approx(1.0, rel=1e-12)
 
+    def test_k_max_is_bounded_by_the_interior_nodes(self):
+        # n_nodes = 16 leaves 15 interior nodes, so 15 eigenpairs at most
+        assert [p.k for p in disc.sturm_liouville_eigs(BG, 1, 15, n_nodes=16)] == \
+            list(range(1, 16))
+        with pytest.raises(DomainError, match="15 interior nodes"):
+            disc.sturm_liouville_eigs(BG, 1, 16, n_nodes=16)
+        with pytest.raises(DomainError):
+            disc.sturm_liouville_eigs(BG, 0, 500, n_nodes=16)
+
     def test_spectrum_depends_on_abs_n(self):
         lp = disc.sturm_liouville_eigs(BG, 2, 2, n_nodes=200)
         lm = disc.sturm_liouville_eigs(BG, -2, 2, n_nodes=200)

@@ -241,6 +241,89 @@ class TestSectionalCurvature:
         rep = sectional_curvature(U, V, rho, polytropic(1.0, 2.0))
         assert abs(rep.total) < 1e-10
 
+    def test_non_finite_integrand_is_a_domain_error(self):
+        # lambda and phi underflow to 0 at rho = 1e6 for gamma = 60: 0/0
+        g = CircleGrid(16)
+        U = tv(g, np.sin(g.x)[None], np.cos(g.x))
+        rho = ScalarField(g, np.full(g.n, 1e6))
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            sectional_curvature(U, U, rho, polytropic(1.0, 60.0))
+
+
+def q_formula(u, v):
+    """Q(u, v) through the validated field operators."""
+    div_v = grids.div(v)
+    return (grids.div(grids.covariant_derivative(u, v)).values
+            - grids.directional(u, div_v).values
+            - grids.div(u).values * div_v.values)
+
+
+def curvature_formula(U, V, rho, model):
+    """The four integrals through the field operators, normalized by the Gram
+    determinant of the metric."""
+    g, rv = rho.grid, rho.values
+    phi, lam, dphi = model.phi(rv), model.lam(rv), model.dphi(rv)
+    f, gg = U.f.values, V.f.values
+    div_u, div_v = grids.div(U.u).values, grids.div(V.u).values
+    coef = rv * dphi + phi**2 / lam
+    term_div = grids.integrate(ScalarField(g, coef * (f * div_v - gg * div_u) ** 2))
+    quu, qvv, quv = q_formula(U.u, U.u), q_formula(V.u, V.u), q_formula(U.u, V.u)
+    term_Q = grids.integrate(ScalarField(
+        g, phi * (f**2 * qvv + gg**2 * quu - 2 * f * gg * quv)))
+    cross = VectorField(g, f * grids.grad(V.f).values - gg * grids.grad(U.f).values)
+    term_grad = grids.integrate(ScalarField(
+        g, phi**2 / rv * grids.inner(cross, cross).values))
+    total = 0.0 + term_div + term_Q + term_grad
+
+    def metric(A, B):
+        dens = lam * A.f.values * B.f.values + rv * grids.inner(A.u, B.u).values
+        return grids.integrate(ScalarField(g, dens))
+
+    uu, vv, uv = metric(U, U), metric(V, V), metric(U, V)
+    gram = uu * vv - uv**2
+    normalized = total / gram if abs(gram) > 1e-14 * max(uu * vv, 1.0) else float("nan")
+    return 0.0, term_div, term_Q, term_grad, total, normalized
+
+
+def random_section(g, r):
+    """Random (U, V, rho) on any grid: normal coordinates, rho in [0.5, 1.5]."""
+    def field(ncomp=None):
+        return r.standard_normal(g.shape if ncomp is None else (ncomp,) + g.shape)
+
+    U = tv(g, field(g.ncomp), field())
+    V = tv(g, field(g.ncomp), field())
+    return U, V, ScalarField(g, 1.0 + r.uniform(-0.5, 0.5, g.shape))
+
+
+class TestRawArrayCurvature:
+    """sectional_curvature and q_operator on raw arrays reproduce the
+    field-operator formulas bit for bit."""
+
+    SECTIONS = {
+        "circle_scan": lambda: random_section_1d(CircleGrid(64), rng(40)),
+        "circle": lambda: random_section(CircleGrid(32), rng(41)),
+        "torus": lambda: random_section(TorusGrid(16, 24), rng(42)),
+        "disc": lambda: random_section(DiscGrid(16, 24), rng(43)),
+    }
+
+    @pytest.mark.parametrize("model", [polytropic(1.0, 2.0), polytropic(1 / 3, 3.0)],
+                             ids=["gamma2", "gamma3"])
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_sectional_curvature_matches_formula(self, section, model):
+        U, V, rho = self.SECTIONS[section]()
+        rep = sectional_curvature(U, V, rho, model)
+        got = (rep.term_R, rep.term_div, rep.term_Q, rep.term_grad, rep.total,
+               rep.normalized)
+        want = curvature_formula(U, V, rho, model)
+        assert np.isfinite(want).all()
+        assert got == want
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_q_operator_matches_formula(self, section):
+        U, V, _ = self.SECTIONS[section]()
+        for a, b in ((U.u, U.u), (V.u, V.u), (U.u, V.u), (V.u, U.u)):
+            assert np.array_equal(q_operator(a, b).values, q_formula(a, b))
+
 
 class TestCurvatureScan:
     def test_gamma2_nonnegative(self):

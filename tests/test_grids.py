@@ -335,6 +335,28 @@ class TestKernelEquivalence:
             for a in range(g.ncomp):
                 assert np.array_equal(d[k, a], g._d(ops[k], a)), (k, a)
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 128, 256])
+    def test_circle_random_band_limited_matches_mode_loop(self, n):
+        def mode_loop(rng, mean):
+            x = 2 * np.pi * np.arange(n) / n
+            out = np.full(n, mean)
+            for k in range(1, n // 4):
+                a, b = rng.standard_normal(2)
+                out += a * np.cos(k * x) + b * np.sin(k * x)
+            return out
+
+        g, got_rng, want_rng = CircleGrid(n), rng(30 + n), rng(30 + n)
+        for mean in (0.0, 1.5, -0.25):  # three consecutive draws
+            got = random_band_limited(g, got_rng, mean).values
+            assert np.array_equal(got, mode_loop(want_rng, mean)), mean
+
+    def test_circle_band_table_is_cached_and_read_only(self):
+        table = grids._band_modes(64)
+        assert table.shape == (15, 2, 64)
+        assert grids._band_modes(64) is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+
     def test_circle_rejects_planar_operators(self):
         f, u, _ = random_fields(CircleGrid(8), 23)
         with pytest.raises(GridMismatchError):

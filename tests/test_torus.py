@@ -80,6 +80,31 @@ class TestTorusJacobi:
         assert slope == pytest.approx(z_sup_norm(sol), rel=0.01)
 
 
+def j_at_formula(sol, t):
+    """j(t) with every transform redone, fft2 of z included."""
+    kx, ky = G.wavenumbers
+    kmag = np.sqrt(kx**2 + ky**2)
+    ksafe = np.where(kmag == 0, 1.0, kmag)
+    osc = np.where(kmag == 0, 0.0, np.sin(sol.c * ksafe * t) / (sol.c * ksafe))
+    shift = np.exp(-1j * ky * sol.omega * t)
+    coef = sol.f_hat * osc * shift
+    jx = np.real(np.fft.ifft2(1j * kx * coef))
+    jy = np.real(np.fft.ifft2(1j * ky * coef))
+    zx = np.real(np.fft.ifft2(np.fft.fft2(sol.z.values[0]) * shift))
+    zy = np.real(np.fft.ifft2(np.fft.fft2(sol.z.values[1]) * shift))
+    return np.stack([jx + t * zx, jy + t * zy])
+
+
+@pytest.mark.parametrize("kind", ["gradient", "divfree", "mixed"])
+def test_j_at_matches_formula_bitwise(kind):
+    gradient = grad_field(np.sin(2 * X) + np.cos(3 * Y)).values
+    divfree = np.stack([-np.sin(Y), np.zeros(G.shape)])
+    v0 = {"gradient": gradient, "divfree": divfree, "mixed": gradient + 0.5 * divfree}[kind]
+    sol = torus.synthesize(VectorField(G, v0), omega=0.7, c=1.3)
+    for t in np.linspace(-3.0, 60.0, 10):
+        assert np.array_equal(sol.j_at(float(t)).values, j_at_formula(sol, float(t))), t
+
+
 class TestClassify:
     def test_gradient_is_bounded(self):
         v0 = grad_field(np.sin(2 * X) + np.cos(3 * Y))
