@@ -7,7 +7,7 @@ constant geodesic are all available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy
@@ -18,6 +18,8 @@ from .grids import (
     CircleGrid,
     ScalarField,
     VectorField,
+    _interp_coeffs,
+    _phases,
     check_same_grid,
     circle_interp,
     circle_interp_antideriv,
@@ -50,85 +52,110 @@ def riemann_invariants(u0: ScalarField | VectorField, rho0: ScalarField) -> Riem
                        ScalarField(g, uvals - rho0.values))
 
 
-def _max_negative_slope(alpha0: ScalarField) -> float:
-    """max_x of -alpha0'(x) over the continuum (trig interpolant), refined
-    from the grid maximum by bounded scalar minimization."""
-    vals = alpha0.values
-    g = alpha0.grid
-    fine = np.linspace(0.0, 2 * np.pi, 8 * g.n, endpoint=False)
-    slope = -circle_interp(vals, fine, deriv=1)
-    k = int(np.argmax(slope))
-    lo, hi = fine[k] - 2 * np.pi / (8 * g.n), fine[k] + 2 * np.pi / (8 * g.n)
-    res = scipy.optimize.minimize_scalar(
-        lambda x: float(circle_interp(vals, x, deriv=1)[0]),
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-13},
-    )
-    return max(float(slope[k]), -float(res.fun))
+@lru_cache(maxsize=None)
+def _fine_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 8n-point grid on [0, 2 pi) and its phases e^{ikx},
+    k = 0..n/2, as circle_interp builds them for n samples."""
+    fine = np.linspace(0.0, 2 * np.pi, 8 * n, endpoint=False)
+    phases = _phases(fine, n // 2 + 1)
+    fine.flags.writeable = phases.flags.writeable = False
+    return fine, phases
 
 
 def shock_time(alpha0: ScalarField) -> float:
     """T* = 1/max(-alpha0'), or +inf if alpha0 is nondecreasing."""
-    m = _max_negative_slope(alpha0)
-    if m <= 1e-13:
-        return float("inf")
-    return 1.0 / m
+    return CharacteristicFlow(alpha0).shock_time
 
 
 @dataclass(frozen=True)
 class CharacteristicFlow:
     """The Burgers characteristic flow xi(t,x) = x + t alpha0(x) and its
-    spatial inverse chi, valid for t below the shock time."""
+    spatial inverse chi, valid for t below the shock time.  The trigonometric
+    interpolant of alpha0 and its derivative are summed from coefficients
+    formed once per flow, as circle_interp forms them, so every value is
+    bitwise the circle_interp one."""
 
     alpha0: ScalarField
 
     @cached_property
+    def _coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        vals = self.alpha0.values
+        return _interp_coeffs(vals), _interp_coeffs(vals, 1)
+
+    @cached_property
     def shock_time(self) -> float:
-        return shock_time(self.alpha0)
+        """1/max_x(-alpha0'(x)) over the continuum: the fine-grid maximum,
+        refined by bounded scalar minimization; +inf if alpha0 is
+        nondecreasing."""
+        da = self._coeffs[1]
+        n = self.alpha0.grid.n
+        fine, phases = _fine_grid(n)
+        slope = -np.real(phases @ da)
+        k = int(np.argmax(slope))
+        lo, hi = fine[k] - 2 * np.pi / (8 * n), fine[k] + 2 * np.pi / (8 * n)
+        res = scipy.optimize.minimize_scalar(
+            lambda x: float(np.real(_phases(np.array([x], dtype=float), len(da)) @ da)[0]),
+            bounds=(lo, hi), method="bounded", options={"xatol": 1e-13},
+        )
+        m = max(float(slope[k]), -float(res.fun))
+        if m <= 1e-13:
+            return float("inf")
+        return 1.0 / m
 
     def invert(self, t: float, x) -> np.ndarray:
         """Solve x = chi + t alpha0(chi) for chi (lift on the real line) by
-        safeguarded Newton iteration, bisection fallback."""
+        safeguarded Newton iteration, bisection fallback.  Each iterate's
+        value and slope come from one phase build; a step that lands on a
+        bracket end (a converged point whose step rounds to zero) is kept."""
         if t >= self.shock_time:
             raise ShockError(f"t={t} is at or past the shock time {self.shock_time}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self.alpha0.values
+        a, da = self._coeffs
         # range of the interpolant (which can overshoot the grid samples),
         # padded so that xi increasing guarantees the root is bracketed
-        fine = np.linspace(0.0, 2 * np.pi, 8 * len(vals), endpoint=False)
-        afine = circle_interp(vals, fine)
+        afine = np.real(_fine_grid(self.alpha0.grid.n)[1] @ a)
         spread = float(np.max(afine) - np.min(afine))
         pad = 1e-2 * spread + 1e-9
         amin, amax = float(np.min(afine)) - pad, float(np.max(afine)) + pad
         lo = x - t * amax
         hi = x - t * amin
-        chi = x - t * circle_interp(vals, x)  # one fixed-point sweep as the seed
+        # one fixed-point sweep as the seed
+        chi = x - t * np.real(_phases(x.ravel(), len(a)) @ a)
         chi = np.clip(chi, lo, hi)
         for _ in range(100):
-            f = chi + t * circle_interp(vals, chi) - x
+            phases = _phases(chi.ravel(), len(a))
+            f = chi + t * np.real(phases @ a) - x
             lo = np.where(f < 0, chi, lo)
             hi = np.where(f > 0, chi, hi)
             if np.max(np.abs(f)) < 1e-13:
                 break
-            fp = 1.0 + t * circle_interp(vals, chi, deriv=1)
+            fp = 1.0 + t * np.real(phases @ da)
             step = np.where(fp > 1e-10, f / np.where(fp > 1e-10, fp, 1.0), 0.0)
             nxt = chi - step
-            bad = (nxt <= lo) | (nxt >= hi) | (fp <= 1e-10)
+            bad = (nxt < lo) | (nxt > hi) | (fp <= 1e-10)
             chi = np.where(bad, 0.5 * (lo + hi), nxt)
         return chi
 
 
-def exact_state(u0: ScalarField | VectorField, rho0: ScalarField, t: float) -> FluidState:
-    """Pre-shock solution by tracing both Riemann invariants back along their
-    characteristics; returns the barotropic state (q = rho)."""
+def _trace_back(u0: ScalarField | VectorField, rho0: ScalarField,
+                t: float) -> tuple[RiemannData, np.ndarray, np.ndarray]:
+    """The Riemann invariants and the feet chi_+, chi_- at time 0 of the
+    characteristics through the grid nodes at time t."""
     inv = riemann_invariants(u0, rho0)
-    g = inv.grid
     flow_p = CharacteristicFlow(inv.alpha_plus)
     flow_m = CharacteristicFlow(inv.alpha_minus)
     tstar = min(flow_p.shock_time, flow_m.shock_time)
     if t >= tstar:
         raise ShockError(f"t={t} is at or past the shock time {tstar}")
-    chi_p = flow_p.invert(t, g.x)
-    chi_m = flow_m.invert(t, g.x)
+    x = inv.grid.x
+    return inv, flow_p.invert(t, x), flow_m.invert(t, x)
+
+
+def exact_state(u0: ScalarField | VectorField, rho0: ScalarField, t: float) -> FluidState:
+    """Pre-shock solution by tracing both Riemann invariants back along their
+    characteristics; returns the barotropic state (q = rho)."""
+    inv, chi_p, chi_m = _trace_back(u0, rho0, t)
+    g = inv.grid
     ap = circle_interp(inv.alpha_plus.values, chi_p)
     am = circle_interp(inv.alpha_minus.values, chi_m)
     u = ScalarField(g, 0.5 * (ap + am))
@@ -145,15 +172,8 @@ def exact_jacobi(u0: ScalarField | VectorField, rho0: ScalarField,
     interpolant of v0, with the inverse characteristics lifted to the real
     line so the endpoints are well defined for any t."""
     vvals = v0.values[0] if isinstance(v0, VectorField) else v0.values
-    inv = riemann_invariants(u0, rho0)
+    inv, chi_p, chi_m = _trace_back(u0, rho0, t)
     g = inv.grid
-    flow_p = CharacteristicFlow(inv.alpha_plus)
-    flow_m = CharacteristicFlow(inv.alpha_minus)
-    tstar = min(flow_p.shock_time, flow_m.shock_time)
-    if t >= tstar:
-        raise ShockError(f"t={t} is at or past the shock time {tstar}")
-    chi_p = flow_p.invert(t, g.x)
-    chi_m = flow_m.invert(t, g.x)
     rho = 0.5 * (circle_interp(inv.alpha_plus.values, chi_p)
                  - circle_interp(inv.alpha_minus.values, chi_m))
     V = circle_interp_antideriv(vvals, np.concatenate([chi_m, chi_p]))

@@ -31,6 +31,12 @@ from .pressure import polytropic
 
 OUTPUT_DIR_ENV = "BAROFLOW_OUTPUT_DIR"
 
+# Largest magnitude of each integer that sizes an array or a loop, and of the
+# mode number (which must convert to a float): far above every README and
+# preset value, so that a huge value is rejected before anything is allocated.
+INT_BOUNDS = {"n_grid": 2048, "n_nodes": 100_000, "n_mode": 1000, "m_max": 100,
+              "trials": 100_000, "n_samples": 10_000}
+
 
 class ValidationError(Exception):
     """Invalid experiment parameters; carries the violated bound."""
@@ -88,6 +94,10 @@ class ExperimentConfig:
             (self.kind in ("gradient", "divfree", "mixed"),
              f"kind must be gradient, divfree, or mixed, got {self.kind!r}"),
         ]
+        checks += [(abs(getattr(self, key)) <= bound,
+                    f"{key.replace('_', '-')} must be at most {bound} in magnitude, "
+                    f"got {getattr(self, key)}")
+                   for key, bound in INT_BOUNDS.items()]
         for ok, message in checks:
             if not ok:
                 raise ValidationError(message)

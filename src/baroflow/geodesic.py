@@ -153,12 +153,12 @@ def _rhs(u: np.ndarray, rho: np.ndarray, q: np.ndarray, eta, jac: tuple, grid, m
     jacobi.linearized_step.  Every derivative operand is differentiated in one
     stacked transform, and u and g are interpolated at eta from one phase
     matrix."""
-    phi = model.phi(rho)  # first: its density check is the stage guard
-    lam = model.lam(rho)
+    lam = model.lam(rho)  # first: its density check is the one stage guard
+    phi = model._phi(rho, lam)
     ops = [u, (q**2 * phi / lam**2)[None], q * u, rho * u]
     if jac:
         v, sigma, j, _ = jac
-        hp = model.linearization_coefficient(rho)
+        hp = model._h_prime(rho)
         ops += [sigma * u, rho * v, v, (hp * sigma)[None], j, (rho / lam)[None]]
     ends = list(accumulate(len(op) for op in ops))
     d = grid.partials(np.concatenate(ops))

@@ -406,14 +406,21 @@ def _phases(xq: np.ndarray, m: int) -> np.ndarray:
     return np.cumprod(out, axis=1, out=out)
 
 
-def circle_interp(values: np.ndarray, xq, deriv: int = 0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of grid samples (or its
-    derivative) at arbitrary points.  Samples of shape (n, k) are k functions
-    evaluated from one phase matrix; the result is then (len(xq), k)."""
+def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """The coefficients that circle_interp sums against the phases: those of
+    the interpolant, or of its deriv-th derivative."""
     a = _trig_coeffs(values)
     if deriv:
         a = (a.T * (1j * np.arange(len(a))) ** deriv).T
         a[-1] = 0.0  # Nyquist mode has no odd derivative
+    return a
+
+
+def circle_interp(values: np.ndarray, xq, deriv: int = 0) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of grid samples (or its
+    derivative) at arbitrary points.  Samples of shape (n, k) are k functions
+    evaluated from one phase matrix; the result is then (len(xq), k)."""
+    a = _interp_coeffs(values, deriv)
     xq = np.asarray(xq, dtype=float).ravel()
     phases = _phases(xq, len(a))
     if a.ndim == 1:
@@ -458,17 +465,10 @@ def _band_limited_1d(n: int, rng: np.random.Generator, mean: float) -> np.ndarra
     return np.vstack([np.full(n, mean), terms]).sum(axis=0)
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator, mean: float = 0.0) -> ScalarField:
-    if isinstance(grid, CircleGrid):
-        return ScalarField(grid, _band_limited_1d(grid.n, rng, mean))
-    if isinstance(grid, TorusGrid):
-        kmax_x, kmax_y = grid.nx // 4 - 1, grid.ny // 4 - 1
-        hat = np.zeros((grid.nx, grid.ny), dtype=complex)
-        for kx in range(-kmax_x, kmax_x + 1):
-            for ky in range(-kmax_y, kmax_y + 1):
-                if kx == 0 and ky == 0:
-                    continue
-                hat[kx, ky] = rng.standard_normal() + 1j * rng.standard_normal()
-        field = np.real(np.fft.ifft2(hat)) * grid.nx * grid.ny / (kmax_x * kmax_y * 4)
-        return ScalarField(grid, field + mean)
-    raise GridMismatchError("random band-limited fields are defined on periodic grids")
+def random_band_limited(grid: CircleGrid, rng: np.random.Generator,
+                        mean: float = 0.0) -> ScalarField:
+    """A seeded random field on the circle: mean plus the modes
+    1 <= k < n/4."""
+    if not isinstance(grid, CircleGrid):
+        raise GridMismatchError("random band-limited fields are drawn on the circle")
+    return ScalarField(grid, _band_limited_1d(grid.n, rng, mean))

@@ -64,7 +64,11 @@ class PressureModel:
 
     def phi(self, rho):
         rho = _check_rho(rho)
-        return 0.5 * (self.lam_fn(rho) - rho * self.dlam_fn(rho))
+        return self._phi(rho, self.lam_fn(rho))
+
+    def _phi(self, rho, lam):
+        """phi from rho and lam = lambda(rho), without the density check."""
+        return 0.5 * (lam - rho * self.dlam_fn(rho))
 
     def dphi(self, rho):
         rho = _check_rho(rho)
@@ -98,7 +102,10 @@ class PressureModel:
 
     def linearization_coefficient(self, rho):
         """h'(rho) = p'(rho)/rho, the coefficient of the linearized equations."""
-        rho = _check_rho(rho)
+        return self._h_prime(_check_rho(rho))
+
+    def _h_prime(self, rho):
+        """linearization_coefficient without the density check."""
         if self.is_polytropic:
             return self.A * self.gamma * rho ** (self.gamma - 2.0)
         h = 1e-6 * rho
@@ -108,7 +115,7 @@ class PressureModel:
     def sound_speed(self, rho):
         """sqrt(p'(rho)); used for CFL bounds."""
         rho = _check_rho(rho)
-        return np.sqrt(np.maximum(rho * self.linearization_coefficient(rho), 0.0))
+        return np.sqrt(np.maximum(rho * self._h_prime(rho), 0.0))
 
 
 def polytropic(A: float, gamma: float) -> PressureModel:

@@ -32,13 +32,13 @@ from baroflow.geodesic import (
 from baroflow.grids import (
     DiscGrid,
     ScalarField,
+    TorusGrid,
     VectorField,
     _radial_deriv,
     _radial_nodes,
     circle_interp,
     derivative,
     integrate,
-    random_band_limited,
 )
 from baroflow.jacobi import JacobiState
 from baroflow.pressure import PressureModel, polytropic
@@ -46,6 +46,23 @@ from baroflow.torus import TorusModeSolution, synthesize
 
 # ---------------------------------------------------------------------------
 # Fields and pressure models
+
+
+def random_band_limited(grid, rng: np.random.Generator, mean: float = 0.0) -> ScalarField:
+    """grids.random_band_limited on the circle; on the torus, modes
+    |kx| < nx/4, |ky| < ny/4 with complex normal coefficients drawn as
+    scalars in (kx, ky) order."""
+    if not isinstance(grid, TorusGrid):
+        return grids.random_band_limited(grid, rng, mean)
+    kmax_x, kmax_y = grid.nx // 4 - 1, grid.ny // 4 - 1
+    hat = np.zeros((grid.nx, grid.ny), dtype=complex)
+    for kx in range(-kmax_x, kmax_x + 1):
+        for ky in range(-kmax_y, kmax_y + 1):
+            if kx == 0 and ky == 0:
+                continue
+            hat[kx, ky] = rng.standard_normal() + 1j * rng.standard_normal()
+    field = np.real(np.fft.ifft2(hat)) * grid.nx * grid.ny / (kmax_x * kmax_y * 4)
+    return ScalarField(grid, field + mean)
 
 
 def random_band_limited_vector(grid, rng: np.random.Generator) -> VectorField:

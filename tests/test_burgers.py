@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
-from baroflow import burgers
+from baroflow import burgers, grids
 from baroflow.errors import DomainError, ShockError
 from baroflow.grids import CircleGrid, ScalarField, VectorField, circle_interp
 from oracles import conjugate_G, conjugate_j, forward, pde_residual
@@ -11,6 +12,76 @@ G = CircleGrid(128)
 
 def const(val):
     return ScalarField(G, np.full(G.n, float(val)))
+
+
+def ensemble_invariants(key, count, n=64):
+    """Riemann invariants of `count` seeded band-limited data at n, with
+    rho0 = 1, built as the benchmark's ensemble builds u0."""
+    g = CircleGrid(n)
+    out = []
+    for counter in range(count):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        u0 = np.zeros(n)
+        for k in range(1, 5):
+            a, b, _, _ = rng.standard_normal(4)
+            u0 += 0.3 * (a * np.cos(k * g.x) + b * np.sin(k * g.x)) / k
+        inv = burgers.riemann_invariants(ScalarField(g, u0), ScalarField(g, np.ones(n)))
+        out += [inv.alpha_plus, inv.alpha_minus]
+    return out
+
+
+def reference_shock_time(alpha0):
+    """The shock time as separate circle_interp calls on the fine grid and
+    at each minimizer point."""
+    vals, n = alpha0.values, alpha0.grid.n
+    fine = np.linspace(0.0, 2 * np.pi, 8 * n, endpoint=False)
+    slope = -circle_interp(vals, fine, deriv=1)
+    k = int(np.argmax(slope))
+    lo, hi = fine[k] - 2 * np.pi / (8 * n), fine[k] + 2 * np.pi / (8 * n)
+    res = scipy.optimize.minimize_scalar(
+        lambda x: float(circle_interp(vals, x, deriv=1)[0]),
+        bounds=(lo, hi), method="bounded", options={"xatol": 1e-13},
+    )
+    m = max(float(slope[k]), -float(res.fun))
+    return float("inf") if m <= 1e-13 else 1.0 / m
+
+
+def reference_invert(alpha0, t, x):
+    """The inversion with a value and a slope circle_interp call per Newton
+    iterate, and a safeguard that also bisects a step landing on the
+    bracket."""
+    vals = alpha0.values
+    fine = np.linspace(0.0, 2 * np.pi, 8 * len(vals), endpoint=False)
+    afine = circle_interp(vals, fine)
+    pad = 1e-2 * float(np.max(afine) - np.min(afine)) + 1e-9
+    lo = x - t * (float(np.max(afine)) + pad)
+    hi = x - t * (float(np.min(afine)) - pad)
+    chi = np.clip(x - t * circle_interp(vals, x), lo, hi)
+    for _ in range(100):
+        f = chi + t * circle_interp(vals, chi) - x
+        lo = np.where(f < 0, chi, lo)
+        hi = np.where(f > 0, chi, hi)
+        if np.max(np.abs(f)) < 1e-13:
+            break
+        fp = 1.0 + t * circle_interp(vals, chi, deriv=1)
+        step = np.where(fp > 1e-10, f / np.where(fp > 1e-10, fp, 1.0), 0.0)
+        nxt = chi - step
+        bad = (nxt <= lo) | (nxt >= hi) | (fp <= 1e-10)
+        chi = np.where(bad, 0.5 * (lo + hi), nxt)
+    return chi
+
+
+def count_phase_builds(monkeypatch):
+    """Record the points of every grids._phases build, wherever it is bound."""
+    builds = []
+
+    def counting_phases(xq, m, _phases=grids._phases):
+        builds.append(np.array(xq))
+        return _phases(xq, m)
+
+    monkeypatch.setattr(grids, "_phases", counting_phases)
+    monkeypatch.setattr(burgers, "_phases", counting_phases)
+    return builds
 
 
 class TestRiemannInvariants:
@@ -78,6 +149,61 @@ class TestShockTime:
                 hi = mid
         # the bisection oracle samples finitely, so allow its resolution
         assert tstar == pytest.approx(0.5 * (lo + hi), abs=1e-6)
+
+
+class TestClosedFormKernels:
+    """The flow sums its interpolants from coefficients formed once, and its
+    fine-grid phases come from a table cached per n."""
+
+    def test_shock_time_matches_separate_interpolations_bitwise(self):
+        data = ensemble_invariants(101, 20) + ensemble_invariants(7, 5, n=128)
+        for alpha0 in data:
+            want = reference_shock_time(alpha0)
+            assert burgers.shock_time(alpha0) == want
+            assert burgers.CharacteristicFlow(alpha0).shock_time == want
+
+    def test_fine_grid_is_cached_and_read_only(self):
+        fine, phases = burgers._fine_grid(64)
+        assert phases.shape == (512, 33)
+        assert burgers._fine_grid(64)[1] is phases
+        with pytest.raises(ValueError):
+            phases[0, 0] = 1.0
+        assert np.array_equal(fine, np.linspace(0.0, 2 * np.pi, 512, endpoint=False))
+        assert np.array_equal(phases, grids._phases(fine, 33))
+
+    def test_invert_builds_one_phase_matrix_per_iterate(self, monkeypatch):
+        builds = count_phase_builds(monkeypatch)
+        for alpha0 in ensemble_invariants(101, 5):
+            flow = burgers.CharacteristicFlow(alpha0)
+            t = 0.9 * flow.shock_time
+            builds.clear()
+            flow.invert(t, alpha0.grid.x)
+            # the seed sweep at x, then one build per Newton iterate: value and
+            # slope share it, and the fine grid comes from the cache
+            assert len(builds) >= 2
+            assert np.array_equal(builds[0], alpha0.grid.x)
+            assert all(len(b) == alpha0.grid.n for b in builds)
+            assert not any(np.array_equal(a, b) for a, b in zip(builds, builds[1:]))
+
+    def test_invert_converges_in_few_iterations(self, monkeypatch):
+        builds = count_phase_builds(monkeypatch)
+        for alpha0 in ensemble_invariants(101, 20):
+            flow = burgers.CharacteristicFlow(alpha0)
+            t, x = 0.9 * flow.shock_time, alpha0.grid.x
+            builds.clear()
+            chi = flow.invert(t, x)
+            assert len(builds) - 1 <= 10
+            residual = chi + t * circle_interp(alpha0.values, chi) - x
+            assert np.max(np.abs(residual)) < 1e-13
+
+    def test_invert_agrees_with_reference_inversion(self):
+        for alpha0 in ensemble_invariants(101, 10) + ensemble_invariants(7, 3, n=128):
+            flow = burgers.CharacteristicFlow(alpha0)
+            x = alpha0.grid.x
+            for frac in (0.2, 0.5, 0.9):
+                t = frac * flow.shock_time
+                want = reference_invert(alpha0, t, x)
+                assert np.max(np.abs(flow.invert(t, x) - want)) < 1e-12
 
 
 class TestInvertFlow:

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from baroflow import cli
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "presets"
+HUGE = "1" + "0" * 400  # a 401-digit integer
 
 # the ExperimentConfig fields each experiment reads: its only flags and
 # config keys, and the keys of its manifest's parameters
@@ -87,10 +89,15 @@ class TestPlumbing:
         (["disc-spectrum", "--k-max", "500", "--n-nodes", "16"], None, "k-max"),
         (["disc-spectrum", "--n-nodes", "16"], "k-max = 16\n", "k-max"),
         (["disc-spectrum", "--n-max", "65"], None, "n-max"),
+        (["geodesic"], "n-grid = 1e400\n", "n-grid"),
+        (["curvature-scan", "--trials", HUGE], None, "trials"),
+        (["jacobi"], "n-mode = 1e400\n", "n-mode"),
+        (["conjugate", "--m-max", HUGE], None, "m-max"),
     ], ids=["odd_grid", "inf_flag", "nan_amplitude", "inf_config", "inf_int_config",
             "unknown_key", "fractional_int_config", "missing_config",
             "config_key_not_read", "k_max_above_nodes", "k_max_above_nodes_config",
-            "n_max_above_bessel_range"])
+            "n_max_above_bessel_range", "huge_grid_config", "huge_trials_flag",
+            "huge_mode_config", "huge_m_max_flag"])
     def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
                                          monkeypatch, capsys):
         if config is not None:
@@ -322,6 +329,27 @@ def test_preset_loads_and_validates(preset):
     assert all(type(got[key]) is type(expect[key]) for key in expect)
 
 
+@pytest.mark.parametrize("key", sorted(cli.INT_BOUNDS))
+def test_integer_bounds_are_inclusive(key):
+    bound = cli.INT_BOUNDS[key]
+    cli.ExperimentConfig("geodesic", **{key: bound}).validate()
+    # bound + 2 keeps n-grid even, so only its bound can reject it
+    with pytest.raises(cli.ValidationError, match=f"{key.replace('_', '-')} must be at most"):
+        cli.ExperimentConfig("geodesic", **{key: bound + 2}).validate()
+
+
+def test_readme_commands_validate(monkeypatch):
+    """Every `baroflow ...` line in the README passes validation, so each
+    integer bound lies above the values it shows."""
+    monkeypatch.chdir(ROOT)
+    lines = [line.split("#", 1)[0].split()[1:]
+             for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("baroflow ")]
+    assert len(lines) >= 10
+    for argv in lines:
+        cli.config_from_args(cli.build_parser().parse_args(argv))
+
+
 # Property test over CLI inputs.  Every parameter an experiment reads gets a
 # good value, chosen so that each run stays cheap (small grids, few steps and
 # trials), and then up to two entries are drawn from the bad values:
@@ -338,11 +366,14 @@ GOOD = {
 }
 BAD = {
     "gamma": ["1", "nan", "x"], "a_coeff": ["0", "-inf"], "omega": ["nan"],
-    "c": ["0", "inf"], "rho0": ["0", "-1"], "n_grid": ["9", "6", "0", "12.5", "inf"],
-    "n_nodes": ["15", "24.5"], "n_mode": ["0", "-1", "1.5"], "m_max": ["0", "1.5"],
+    "c": ["0", "inf"], "rho0": ["0", "-1"],
+    "n_grid": ["9", "6", "0", "12.5", "inf", "1e400", HUGE],
+    "n_nodes": ["15", "24.5", "1e400", HUGE],
+    "n_mode": ["0", "-1", "1.5", "1e400", HUGE], "m_max": ["0", "1.5", "1e400", HUGE],
     "k_max": ["0", "40"], "n_max": ["-1", "65"], "amplitude": ["nan"],
-    "trials": ["0", "2.5"],
-    "dt": ["0", "-0.1", "5", "nan"], "t_end": ["0", "inf"], "n_samples": ["0", "1.5"],
+    "trials": ["0", "2.5", "1e400", HUGE],
+    "dt": ["0", "-0.1", "5", "nan"], "t_end": ["0", "inf"],
+    "n_samples": ["0", "1.5", "1e400", HUGE],
     "seed": ["-1", "18446744073709551616", "3.5"], "kind": ["spiral"],
 }
 JUNK_KEYS = ["gama", "n_grids", "experiment"]

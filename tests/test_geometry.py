@@ -22,10 +22,9 @@ from baroflow.grids import (
     TorusGrid,
     VectorField,
     circle_interp,
-    random_band_limited,
 )
 from baroflow.pressure import polytropic
-from oracles import from_catalog, random_band_limited_vector
+from oracles import from_catalog, random_band_limited, random_band_limited_vector
 
 
 def rng(seed=0):

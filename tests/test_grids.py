@@ -22,10 +22,9 @@ from baroflow.grids import (
     hodge_decompose,
     inner,
     integrate,
-    random_band_limited,
     sgrad,
 )
-from oracles import random_band_limited_vector
+from oracles import random_band_limited, random_band_limited_vector
 
 
 def rng(seed=0):
@@ -347,7 +346,7 @@ class TestKernelEquivalence:
 
         g, got_rng, want_rng = CircleGrid(n), rng(30 + n), rng(30 + n)
         for mean in (0.0, 1.5, -0.25):  # three consecutive draws
-            got = random_band_limited(g, got_rng, mean).values
+            got = grids.random_band_limited(g, got_rng, mean).values
             assert np.array_equal(got, mode_loop(want_rng, mean)), mean
 
     def test_circle_band_table_is_cached_and_read_only(self):
@@ -356,6 +355,11 @@ class TestKernelEquivalence:
         assert grids._band_modes(64) is table
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("grid", [TorusGrid(16, 16), DiscGrid(16, 16)])
+    def test_random_band_limited_is_drawn_on_the_circle_only(self, grid):
+        with pytest.raises(GridMismatchError):
+            grids.random_band_limited(grid, rng(0))
 
     def test_circle_rejects_planar_operators(self):
         f, u, _ = random_fields(CircleGrid(8), 23)

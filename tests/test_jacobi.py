@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baroflow import burgers, geodesic, grids, jacobi
+from baroflow import burgers, geodesic, grids, jacobi, pressure
 from baroflow.errors import DomainError, StepSizeError
 from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField, circle_interp
 from baroflow.pressure import polytropic
@@ -217,6 +217,23 @@ class TestLinearizedStep:
         # one stacked transform per RK stage, then the flow-map Jacobian's own
         assert transforms == [(n_ops, 64)] * 4 + [(64,)]
         assert phase_builds == [64] * 4
+
+    @pytest.mark.parametrize("step", ["linearized_step", "step_geodesic"])
+    def test_stage_makes_one_density_check(self, step, monkeypatch):
+        state, fm, model, v0 = stage_case("circle64")
+        checked = []
+
+        def counting_check(rho, _check=pressure._check_rho):
+            checked.append(np.shape(rho))
+            return _check(rho)
+
+        monkeypatch.setattr(pressure, "_check_rho", counting_check)
+        if step == "linearized_step":
+            jacobi.linearized_step(jacobi.initial_jacobi(v0), state, fm, model, 0.01)
+        else:
+            geodesic.step_geodesic(state, fm, model, 0.01)
+        # the CFL bound's sound speed, then one check per RK stage
+        assert checked == [(64,)] * 5
 
     def test_cfl_violation_raises_step_size_error(self):
         state, g = sine_background(64)
