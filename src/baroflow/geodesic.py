@@ -130,14 +130,11 @@ def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
     return CFL_SAFETY * dx / float(np.max(speed + cs))
 
 
-def _along(w: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    """w(h) = sum_a w_a d_a h, from the partials dh[a] = d_a h."""
-    return reduce(operator.add, (w[a] * dh[a] for a in range(len(w))))
-
-
 def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """nabla_w v (flat), from the partials dv[c, a] = d_a v_c."""
-    return np.array([_along(w, dvc) for dvc in dv])
+    """nabla_w v (flat), from the partials dv[c, a] = d_a v_c: one product per
+    axis over every component at once.  A stack of scalars h (dv[k, a] =
+    d_a h_k) gives each w(h_k)."""
+    return reduce(operator.add, (w[a] * dv[:, a] for a in range(len(w))))
 
 
 def _div(dv: np.ndarray) -> np.ndarray:
@@ -145,80 +142,96 @@ def _div(dv: np.ndarray) -> np.ndarray:
     return reduce(operator.add, (dv[a, a] for a in range(len(dv))))
 
 
-def _rhs(u: np.ndarray, rho: np.ndarray, q: np.ndarray, eta, jac: tuple, grid, model):
-    """The RK stage on raw arrays: the derivative of (u, rho, q[, eta]) and,
-    if jac = (v, sigma, j, G) is given, of the Jacobi state at the same stage,
-    with u_t = -nabla_u u - (1/rho) grad(q^2 phi/lambda^2), q_t = -div(qu),
-    rho_t = -div(rho u), eta_t = u(eta) and the equations of
-    jacobi.linearized_step.  Every derivative operand is differentiated in one
-    stacked transform, and u and g are interpolated at eta from one phase
-    matrix."""
+def _parts(y: np.ndarray, ncomp: int, flow: bool, jac: bool):
+    """Views of the parts of a stacked state y: u, rho, q, eta (None without a
+    flow map) and the Jacobi (v, sigma, j, G) (empty without).  u, v and j
+    take one row per component, every other part one row, in that order."""
+    b = ncomp + 2 + flow
+    jrows = (y[b:b + ncomp], y[b + ncomp], y[b + ncomp + 1:b + 2 * ncomp + 1],
+             y[b + 2 * ncomp + 1]) if jac else ()
+    return y[:ncomp], y[ncomp], y[ncomp + 1], y[ncomp + 2] if flow else None, jrows
+
+
+def _rhs(y: np.ndarray, grid, model, flow: bool, jac: bool) -> np.ndarray:
+    """The RK stage on the stacked state y (see _parts): the derivative of
+    (u, rho, q[, eta]) and, if jac, of the Jacobi state at the same stage, as
+    one array shaped like y, with u_t = -nabla_u u - (1/rho) grad(q^2
+    phi/lambda^2), q_t = -div(qu), rho_t = -div(rho u), eta_t = u(eta) and
+    the equations of jacobi.linearized_step.  Every derivative operand is
+    differentiated in one stacked transform, and u and g are interpolated at
+    eta from one phase matrix."""
+    out = np.empty_like(y)
+    u, rho, q, eta, jrows = _parts(y, grid.ncomp, flow, jac)
+    du, drho, dq, deta, djrows = _parts(out, grid.ncomp, flow, jac)
     lam = model.lam(rho)  # first: its density check is the one stage guard
     phi = model._phi(rho, lam)
     ops = [u, (q**2 * phi / lam**2)[None], q * u, rho * u]
     if jac:
-        v, sigma, j, _ = jac
+        (v, sigma, j, _), (dv, dsigma, dj, dG) = jrows, djrows
         hp = model._h_prime(rho)
         ops += [sigma * u, rho * v, v, (hp * sigma)[None], j, (rho / lam)[None]]
     ends = list(accumulate(len(op) for op in ops))
     d = grid.partials(np.concatenate(ops))
     du_, dpress, dqu, drhou, *djac = (d[i:k] for i, k in zip([0] + ends, ends))
-    out = (-(_nabla(u, du_) + dpress[0] / rho), -_div(drhou), -_div(dqu))
+    du[...] = -(_nabla(u, du_) + dpress[0] / rho)
+    drho[...] = -_div(drhou)
+    dq[...] = -_div(dqu)
     if not jac:
-        return out if eta is None else out + (circle_interp(u[0], eta),)
+        if flow:
+            deta[...] = circle_interp(u[0], eta)
+        return out
     dsigmau, drhov, dv_, dhps, dj_, drl = djac
-    dsigma = -(_div(dsigmau) + _div(drhov))
-    dv = -(_nabla(u, dv_) + _nabla(v, du_) + dhps[0])
+    dsigma[...] = -(_div(dsigmau) + _div(drhov))
+    dv[...] = -(_nabla(u, dv_) + _nabla(v, du_) + dhps[0])
     # [u, j] = nabla_u j - nabla_j u (flat M)
-    dj = v - (_nabla(u, dj_) - _nabla(j, du_))
-    if eta is None:
-        return out + (dv, dsigma, dj, np.zeros(grid.shape))
+    dj[...] = v - (_nabla(u, dj_) - _nabla(j, du_))
+    if not flow:
+        dG[...] = 0.0
+        return out
     # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along eta
-    gval = 2 * phi * sigma / lam**2 + _along(j, drl[0])
-    deta, dG = circle_interp(np.stack([u[0], gval], axis=1), eta).T
-    return out + (deta, dv, dsigma, dj, dG)
+    gval = 2 * phi * sigma / lam**2 + _nabla(j, drl)[0]
+    deta[...], dG[...] = circle_interp(np.stack([u[0], gval], axis=1), eta).T
+    return out
 
 
-def rk4(rhs, y: tuple, dt: float) -> tuple:
-    """One classical RK4 step of y' = rhs(*y) over a tuple of arrays."""
-    k1 = rhs(*y)
-    k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
-    return tuple(a + (s1 + 2 * s2 + 2 * s3 + s4) * (dt / 6.0)
-                 for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+def rk4(rhs, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y) over one array."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6.0)
 
 
 def _advance(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
              dt: float, jac: tuple = ()):
     """Guarded RK4 step of the background (u, rho, q[, eta]) together with the
-    Jacobi arrays jac = (v, sigma, j, G), if given."""
+    Jacobi arrays jac = (v, sigma, j, G), if given, stepped as one stacked
+    array.  The new state, flow map and Jacobi arrays are views of it."""
     g = state.grid
     bound = cfl_dt_max(state, model)
     if dt > bound:
         raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}")
-    bg = (state.u.values, state.rho.values, state.q.values)
-    if flowmap is not None:
-        bg += (flowmap.eta,)
-    nb = len(bg)
-
-    def rhs(*y):
-        return _rhs(y[0], y[1], y[2], y[3] if nb == 4 else None, y[nb:], g, model)
-
+    flow = flowmap is not None
+    rows = [state.u.values, state.rho.values[None], state.q.values[None]]
+    rows += [flowmap.eta[None]] if flow else []
+    if jac:
+        v, sigma, j, G = jac
+        rows += [v, sigma[None], j, G[None]]
     try:
-        y = rk4(rhs, bg + jac, dt)
-        new_state = FluidState(VectorField(g, y[0]), ScalarField(g, y[1]),
-                               ScalarField(g, y[2]))
+        y = rk4(lambda y: _rhs(y, g, model, flow, bool(jac)), np.concatenate(rows), dt)
+        u, rho, q, eta, new_jac = _parts(y, g.ncomp, flow, bool(jac))
+        new_state = FluidState(VectorField(g, u), ScalarField(g, rho), ScalarField(g, q))
     except DomainError as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening
         raise ShockError(f"solution left the smooth regime: {exc}") from exc
     new_map = None
-    if flowmap is not None:
-        new_map = FlowMap(y[3], flowmap.rho0)
+    if flow:
+        new_map = FlowMap(eta, flowmap.rho0)
         if float(np.min(new_map.jacobian())) <= SHOCK_JACOBIAN_FLOOR:
             raise ShockError("flow map lost monotonicity (shock reached)")
-    return new_state, new_map, y[nb:]
+    return new_state, new_map, new_jac
 
 
 def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureModel,

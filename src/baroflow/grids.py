@@ -391,19 +391,32 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
 def _trig_coeffs(values: np.ndarray) -> np.ndarray:
     """Coefficients a_k, k = 0..n/2, of the trigonometric interpolant
     Re sum_k a_k e^{ikx} of grid samples along axis 0 (rfft / n, interior
-    modes doubled)."""
+    modes doubled).  The last bin is the Nyquist bin only for even n, so odd
+    sample counts are rejected."""
+    if len(values) % 2:
+        raise DomainError(f"trigonometric interpolation needs an even sample count, "
+                          f"got {len(values)}")
     a = np.fft.rfft(values, axis=0) / len(values)
     a[1:-1] *= 2.0
     return a
 
 
 def _phases(xq: np.ndarray, m: int) -> np.ndarray:
-    """e^{ikx} for k = 0..m-1 at each point of xq, one row per point, as a
-    cumulative product of e^{ix}: one complex exp per point, not per mode."""
-    out = np.empty((len(xq), m), dtype=complex)
-    out[:, 0] = 1.0
-    out[:, 1:] = np.exp(1j * xq)[:, None]
-    return np.cumprod(out, axis=1, out=out)
+    """e^{ikx} for k = 0..m-1 (m >= 2) at each point of xq, one row per
+    point.  Built mode-major by doubling: rows [s, 2s) are rows [0, s) times
+    e^{isx}, one contiguous block product per power of two.  The factor
+    e^{isx} is row s/2 squared into an array of its own: with a row of the
+    table as the factor, numpy takes another complex-multiply loop for one
+    point than for many, and a point would not get the same bits alone as in
+    a batch.  Returns the (len(xq), m) transpose view."""
+    out = np.empty((m, len(xq)), dtype=complex)
+    out[0] = 1.0
+    np.exp(1j * xq, out=out[1])
+    s = 2
+    while s < m:
+        np.multiply(out[:min(s, m - s)], out[s // 2] * out[s // 2], out=out[s:2 * s])
+        s *= 2
+    return out.T
 
 
 def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:

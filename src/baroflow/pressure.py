@@ -21,9 +21,10 @@ RHO_MAX = 1e6
 
 def _check_rho(rho):
     rho = np.asarray(rho, dtype=float)
-    if (rho <= 0).any():
-        raise DomainError("density must be positive")
-    if (rho < RHO_MIN).any() or (rho > RHO_MAX).any():
+    # one range test that NaN fails; the message says which side was left
+    if not ((rho >= RHO_MIN) & (rho <= RHO_MAX)).all():
+        if (rho <= 0).any():
+            raise DomainError("density must be positive")
         raise DomainError(f"density outside working range [{RHO_MIN}, {RHO_MAX}]")
     return rho
 

@@ -26,7 +26,6 @@ from baroflow.geodesic import (
     FluidState,
     barotropic_initializer,
     integrate_geodesic,
-    rk4,
     steady_shear_torus,
 )
 from baroflow.grids import (
@@ -43,6 +42,22 @@ from baroflow.grids import (
 from baroflow.jacobi import JacobiState
 from baroflow.pressure import PressureModel, polytropic
 from baroflow.torus import TorusModeSolution, synthesize
+
+# ---------------------------------------------------------------------------
+# Time stepping
+
+
+def tuple_rk4(rhs, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of y' = rhs(*y) over a tuple of arrays, each
+    combined on its own: the reference for the library's stacked-array
+    geodesic.rk4."""
+    k1 = rhs(*y)
+    k2 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(*(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + (s1 + 2 * s2 + 2 * s3 + s4) * (dt / 6.0)
+                 for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+
 
 # ---------------------------------------------------------------------------
 # Fields and pressure models
@@ -228,7 +243,7 @@ def evolve_rk4(system: ModeSystem, coeffs0: ModeCoefficients, t: float,
     steps = max(1, int(np.ceil(t / dt)))
     h = t / steps
     for _ in range(steps):
-        (y,) = rk4(lambda y: (M @ y,), (y,), h)
+        (y,) = tuple_rk4(lambda y: (M @ y,), (y,), h)
     return ModeCoefficients(y[0], y[1], y[2])
 
 
@@ -307,6 +322,6 @@ def direct_mode_integration(background: DiscBackground, n: int,
     steps = max(1, int(np.ceil(t_end / dt)))
     hstep = t_end / steps
     for _ in range(steps):
-        y = rk4(rhs, y, hstep)
+        y = tuple_rk4(rhs, y, hstep)
     sig, a, V = y
     return sig, a, V / r

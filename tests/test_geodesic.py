@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baroflow import burgers, geodesic, jacobi
+from baroflow import burgers, geodesic, grids, jacobi
 from baroflow.disc import DiscBackground
 from baroflow.errors import ShockError, StepSizeError, VacuumError
 from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
@@ -115,6 +115,28 @@ class TestStepGeodesic:
             else:
                 jstate = jacobi.initial_jacobi(VectorField(g, np.cos(g.x)[None]))
                 jacobi.linearized_step(jstate, state, fm, GAMMA3, dt)
+
+    @pytest.mark.parametrize("step", ["step_geodesic", "linearized_step"])
+    def test_nan_stage_ends_the_step_as_a_shock(self, step, monkeypatch):
+        # the first stage's derivatives come back NaN, so the second stage's
+        # density is NaN: the stage's density check must stop it there
+        state, g = circle_state(n=32)
+        fm = geodesic.identity_flowmap(state.rho)
+        calls = []
+
+        def nan_partials(self, ops, _partials=grids.PeriodicGrid.partials):
+            calls.append(len(ops))
+            d = _partials(self, ops)
+            return np.full_like(d, np.nan) if len(calls) == 1 else d
+
+        monkeypatch.setattr(grids.PeriodicGrid, "partials", nan_partials)
+        with pytest.raises(ShockError, match="working range"):
+            if step == "step_geodesic":
+                geodesic.step_geodesic(state, fm, GAMMA3, 0.01)
+            else:
+                jstate = jacobi.initial_jacobi(VectorField(g, np.cos(g.x)[None]))
+                jacobi.linearized_step(jstate, state, fm, GAMMA3, 0.01)
+        assert len(calls) == 1
 
     def test_programming_error_is_not_reported_as_a_shock(self, monkeypatch):
         state, g = circle_state(n=64)

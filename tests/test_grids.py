@@ -378,13 +378,32 @@ class TestKernelEquivalence:
             kx[0, 0] = 1.0
 
     @pytest.mark.parametrize("deriv", [0, 1, 2])
-    @pytest.mark.parametrize("n", [8, 64, 128, 1024])
+    @pytest.mark.parametrize("n", [8, 64, 128, 1024, 2048])
     def test_interp_matches_dense_phases(self, n, deriv):
         r = rng(n + deriv)
         vals = r.standard_normal(n)
         xq = r.uniform(-20 * np.pi, 20 * np.pi, 300)
         expect, scale = dense_interp(vals, xq, deriv)
         assert np.max(np.abs(circle_interp(vals, xq, deriv=deriv) - expect)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 9, 33, 65, 1025])
+    def test_phases_of_a_point_are_the_same_alone_and_in_a_batch(self, m):
+        xq = rng(40 + m).uniform(-20 * np.pi, 20 * np.pi, 257)
+        batch = grids._phases(xq, m)
+        assert batch.shape == (257, m)
+        for i in range(len(xq)):
+            assert np.array_equal(grids._phases(xq[i:i + 1], m)[0], batch[i]), i
+        assert np.array_equal(grids._phases(xq[5:9], m), batch[5:9])
+
+    @pytest.mark.parametrize("n", [9, 15, 63])
+    def test_odd_sample_counts_are_rejected(self, n):
+        vals = np.cos(4 * 2 * np.pi * np.arange(n) / n)
+        for call in (lambda: circle_interp(vals, [0.5]),
+                     lambda: circle_interp(vals, [0.5], deriv=1),
+                     lambda: circle_interp(np.stack([vals, vals], axis=1), [0.5]),
+                     lambda: circle_interp_antideriv(vals, [0.5])):
+            with pytest.raises(DomainError, match="even sample count"):
+                call()
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_interp_of_columns_matches_each_column(self, deriv):

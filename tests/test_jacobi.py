@@ -5,7 +5,7 @@ from baroflow import burgers, geodesic, grids, jacobi, pressure
 from baroflow.errors import DomainError, StepSizeError
 from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField, circle_interp
 from baroflow.pressure import polytropic
-from oracles import conjugate_G, conjugate_j, deviation_oracle, j_along_flow
+from oracles import conjugate_G, conjugate_j, deviation_oracle, j_along_flow, tuple_rk4
 
 GAMMA3 = polytropic(1 / 3, 3.0)
 
@@ -181,7 +181,7 @@ class TestLinearizedStep:
 
         st_lin, fm_lin, st_geo, fm_geo = state, fm, state, fm
         for _ in range(5):
-            y_lin, y_geo = geodesic.rk4(rhs, y_lin, 0.01), geodesic.rk4(rhs, y_geo, 0.01)
+            y_lin, y_geo = tuple_rk4(rhs, y_lin, 0.01), tuple_rk4(rhs, y_geo, 0.01)
             js, st_lin, fm_lin = jacobi.linearized_step(js, st_lin, fm_lin, model, 0.01)
             st_geo, fm_geo = geodesic.step_geodesic(st_geo, fm_geo, model, 0.01)
         got_lin = (st_lin.u, st_lin.rho, st_lin.q) + (() if fm is None else (fm_lin,))

@@ -29,6 +29,26 @@ class TestPhi:
             from_catalog("rho").phi(-1.0)
 
 
+class TestDensityGuard:
+    @pytest.mark.parametrize("method", ["lam", "phi", "pressure", "sound_speed"])
+    @pytest.mark.parametrize("rho", [np.nan, [1.0, np.nan], [np.nan, 0.5]])
+    def test_nan_density_is_rejected(self, method, rho):
+        with pytest.raises(DomainError, match="working range"):
+            getattr(polytropic(1 / 3, 3.0), method)(rho)
+
+    @pytest.mark.parametrize("rho, message", [
+        ([1.0, 0.0], "must be positive"), ([1.0, -2.0, np.nan], "must be positive"),
+        ([1.0, 1e-7], "working range"), ([1.0, 1e7], "working range"),
+    ])
+    def test_messages_name_the_violation(self, rho, message):
+        with pytest.raises(DomainError, match=message):
+            polytropic(1 / 3, 3.0).lam(rho)
+
+    def test_range_ends_are_accepted(self):
+        m = polytropic(1 / 3, 3.0)
+        assert np.all(np.isfinite(m.lam([1e-6, 1e6])))
+
+
 class TestPressure:
     def test_gamma3(self):
         m = from_catalog("3/rho")
