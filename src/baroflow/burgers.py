@@ -64,7 +64,20 @@ def _fine_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def shock_time(alpha0: ScalarField) -> float:
     """T* = 1/max(-alpha0'), or +inf if alpha0 is nondecreasing."""
-    return CharacteristicFlow(alpha0).shock_time
+    return _flow(alpha0).shock_time
+
+
+def _flow(alpha0: ScalarField) -> CharacteristicFlow:
+    """The flow of alpha0, built once per datum, so that the closed forms on
+    one datum share its shock time and range bracket.  The cache is keyed by
+    the bytes of alpha0 (a caller that changes its array gets a new flow),
+    and each flow holds a read-only copy of them."""
+    return _cached_flow(alpha0.grid, alpha0.values.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _cached_flow(grid: CircleGrid, data: bytes) -> CharacteristicFlow:
+    return CharacteristicFlow(ScalarField(grid, np.frombuffer(data)))
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,16 @@ class CharacteristicFlow:
             return float("inf")
         return 1.0 / m
 
+    @cached_property
+    def _range(self) -> tuple[float, float]:
+        """The range of the interpolant (which can overshoot the grid
+        samples) on the fine grid, padded so that xi increasing guarantees
+        invert's root is bracketed."""
+        afine = np.real(_fine_grid(self.alpha0.grid.n)[1] @ self._coeffs[0])
+        spread = float(np.max(afine) - np.min(afine))
+        pad = 1e-2 * spread + 1e-9
+        return float(np.min(afine)) - pad, float(np.max(afine)) + pad
+
     def invert(self, t: float, x) -> np.ndarray:
         """Solve x = chi + t alpha0(chi) for chi (lift on the real line) by
         safeguarded Newton iteration, bisection fallback.  Each iterate's
@@ -111,12 +134,7 @@ class CharacteristicFlow:
             raise ShockError(f"t={t} is at or past the shock time {self.shock_time}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a, da = self._coeffs
-        # range of the interpolant (which can overshoot the grid samples),
-        # padded so that xi increasing guarantees the root is bracketed
-        afine = np.real(_fine_grid(self.alpha0.grid.n)[1] @ a)
-        spread = float(np.max(afine) - np.min(afine))
-        pad = 1e-2 * spread + 1e-9
-        amin, amax = float(np.min(afine)) - pad, float(np.max(afine)) + pad
+        amin, amax = self._range
         lo = x - t * amax
         hi = x - t * amin
         # one fixed-point sweep as the seed
@@ -142,8 +160,7 @@ def _trace_back(u0: ScalarField | VectorField, rho0: ScalarField,
     """The Riemann invariants and the feet chi_+, chi_- at time 0 of the
     characteristics through the grid nodes at time t."""
     inv = riemann_invariants(u0, rho0)
-    flow_p = CharacteristicFlow(inv.alpha_plus)
-    flow_m = CharacteristicFlow(inv.alpha_minus)
+    flow_p, flow_m = _flow(inv.alpha_plus), _flow(inv.alpha_minus)
     tstar = min(flow_p.shock_time, flow_m.shock_time)
     if t >= tstar:
         raise ShockError(f"t={t} is at or past the shock time {tstar}")

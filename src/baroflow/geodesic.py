@@ -1,5 +1,6 @@
 """Time integration of the compressible geodesic system (barotropic Euler with
-the auxiliary variable q), plus the flow map, steady states, and energy.
+the auxiliary variable q), plus the flow map, the Jacobi state stepped
+along with it, and energy.
 
 Method of lines: spectral space derivatives, classical RK4 in time.  The flow
 map is carried on the circle as a lift on the real line and advanced by
@@ -8,6 +9,8 @@ evaluating the trigonometric interpolant of u at the particle positions.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
@@ -19,7 +22,6 @@ from .errors import DomainError, ShockError, StepSizeError
 from .grids import (
     CircleGrid,
     ScalarField,
-    TorusGrid,
     VectorField,
     check_same_grid,
     circle_interp,
@@ -70,8 +72,30 @@ class FlowMap:
 
     def jacobian(self) -> np.ndarray:
         """d eta / dx, spectral on the periodic displacement eta - x."""
-        g = self.grid
-        return 1.0 + g.grad(self.eta - g.x)[0]
+        return _jacobian(self.grid, self.eta)
+
+
+def _jacobian(grid: CircleGrid, eta: np.ndarray) -> np.ndarray:
+    return 1.0 + grid._d(eta - grid.x, 0)
+
+
+@dataclass(frozen=True)
+class JacobiState:
+    """Linearized state: Eulerian perturbation (v, sigma), Lagrangian
+    displacement j, and the function-direction displacement G."""
+
+    v: VectorField
+    sigma: ScalarField
+    j: VectorField
+    G: ScalarField
+
+    def __post_init__(self):
+        check_same_grid(self.v, self.sigma, self.j, self.G)
+
+    @property
+    def grid(self):
+        return self.sigma.grid
+
 
 def identity_flowmap(rho0: ScalarField) -> FlowMap:
     return FlowMap(rho0.grid.x.copy(), rho0)
@@ -87,7 +111,7 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     states: list[FluidState] = field(default_factory=list)
     flowmaps: list[FlowMap | None] = field(default_factory=list)
-    jstates: list = field(default_factory=list)
+    jstates: list[JacobiState | None] = field(default_factory=list)
 
     def append(self, t, state, flowmap, jstate=None):
         if self.times and t <= self.times[-1]:
@@ -121,13 +145,15 @@ def energy(state: FluidState, model: PressureModel) -> float:
     return 0.5 * g.integrate(dens)
 
 
+def _cfl_bound(grid, u: np.ndarray, rho: np.ndarray, model: PressureModel) -> float:
+    speed = np.sqrt(grid.inner(u, u))
+    cs = model.sound_speed(rho)
+    return CFL_SAFETY * grid.cfl_spacing / float(np.max(speed + cs))
+
+
 def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
     """Largest admissible step 0.5 * dx / max(|u| + wavespeed)."""
-    g = state.grid
-    dx = g.cfl_spacing
-    speed = np.sqrt(g.inner(state.u.values, state.u.values))
-    cs = model.sound_speed(state.rho.values)
-    return CFL_SAFETY * dx / float(np.max(speed + cs))
+    return _cfl_bound(state.grid, state.u.values, state.rho.values, model)
 
 
 def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -203,35 +229,68 @@ def rk4(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6.0)
 
 
-def _advance(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
-             dt: float, jac: tuple = ()):
-    """Guarded RK4 step of the background (u, rho, q[, eta]) together with the
-    Jacobi arrays jac = (v, sigma, j, G), if given, stepped as one stacked
-    array.  The new state, flow map and Jacobi arrays are views of it."""
-    g = state.grid
-    bound = cfl_dt_max(state, model)
+def _pack(state: FluidState, flowmap: FlowMap | None,
+          jstate: JacobiState | None = None) -> np.ndarray:
+    """The stacked state of _parts, as a new array."""
+    rows = [state.u.values, state.rho.values[None], state.q.values[None]]
+    rows += [flowmap.eta[None]] if flowmap is not None else []
+    if jstate is not None:
+        rows += [jstate.v.values, jstate.sigma.values[None], jstate.j.values,
+                 jstate.G.values[None]]
+    return np.concatenate(rows)
+
+
+def _unpack(y: np.ndarray, grid, rho0: ScalarField | None, jac: bool):
+    """The state, flow map (with initial density rho0; None for none) and
+    Jacobi state (None without) of a stacked state y, as views of it.  The
+    fields validate their values in that order."""
+    u, rho, q, eta, jrows = _parts(y, grid.ncomp, rho0 is not None, jac)
+    state = FluidState(VectorField(grid, u), ScalarField(grid, rho), ScalarField(grid, q))
+    flowmap = None if rho0 is None else FlowMap(eta, rho0)
+    jstate = None
+    if jac:
+        v, sigma, j, G = jrows
+        jstate = JacobiState(VectorField(grid, v), ScalarField(grid, sigma),
+                             VectorField(grid, j), ScalarField(grid, G))
+    return state, flowmap, jstate
+
+
+def _step(y: np.ndarray, grid, model: PressureModel, dt: float,
+          rho0: ScalarField | None, jac: bool) -> np.ndarray:
+    """One guarded RK4 step of a stacked state y (see _parts; a flow map row
+    iff rho0 is given, Jacobi rows iff jac), as a new array.  The guards, in
+    order: the CFL bound (StepSizeError); a stage density out of range, or a
+    state after the step that is not finite with positive density
+    (ShockError); the flow-map Jacobian floor (ShockError); Jacobi rows that
+    are not finite (DomainError).  A failed check builds the fields of y, so
+    the error names the fault as the field's own validation does."""
+    b = grid.ncomp
+    bound = _cfl_bound(grid, y[:b], y[b], model)
     if dt > bound:
         raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}")
-    flow = flowmap is not None
-    rows = [state.u.values, state.rho.values[None], state.q.values[None]]
-    rows += [flowmap.eta[None]] if flow else []
-    if jac:
-        v, sigma, j, G = jac
-        rows += [v, sigma[None], j, G[None]]
+    flow = rho0 is not None
     try:
-        y = rk4(lambda y: _rhs(y, g, model, flow, bool(jac)), np.concatenate(rows), dt)
-        u, rho, q, eta, new_jac = _parts(y, g.ncomp, flow, bool(jac))
-        new_state = FluidState(VectorField(g, u), ScalarField(g, rho), ScalarField(g, q))
+        y = rk4(lambda y: _rhs(y, grid, model, flow, jac), y, dt)
+        if not (np.isfinite(y[:b + 2]).all() and (y[b] > 0).all()):
+            _unpack(y, grid, None, False)
     except DomainError as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening
         raise ShockError(f"solution left the smooth regime: {exc}") from exc
-    new_map = None
-    if flow:
-        new_map = FlowMap(eta, flowmap.rho0)
-        if float(np.min(new_map.jacobian())) <= SHOCK_JACOBIAN_FLOOR:
-            raise ShockError("flow map lost monotonicity (shock reached)")
-    return new_state, new_map, new_jac
+    if flow and float(np.min(_jacobian(grid, y[b + 2]))) <= SHOCK_JACOBIAN_FLOOR:
+        raise ShockError("flow map lost monotonicity (shock reached)")
+    if jac and not np.isfinite(y[b + 2 + flow:]).all():
+        _unpack(y, grid, rho0, jac)
+    return y
+
+
+def _advance(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
+             dt: float, jstate: JacobiState | None = None):
+    """The one-step API: pack, one guarded step, and the new state, flow map
+    and Jacobi state as views of the stepped array."""
+    rho0 = None if flowmap is None else flowmap.rho0
+    y = _step(_pack(state, flowmap, jstate), state.grid, model, dt, rho0, jstate is not None)
+    return _unpack(y, state.grid, rho0, jstate is not None)
 
 
 def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
@@ -243,24 +302,36 @@ def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureMod
 
 
 def _integrate(state0: FluidState, model: PressureModel, t_end: float, dt: float,
-               store_every: int, step, jstate0=None, flowmap=...) -> Trajectory:
-    """The run loop of every integrator: fixed steps
-    step(jstate, state, flowmap, model, h) -> (jstate, state, flowmap) to
+               store_every: int, jstate0: JacobiState | None = None,
+               flowmap=...) -> Trajectory:
+    """The run loop of every integrator: fixed guarded steps (see _step) to
     t_end, the last one shortened to land on t_end exactly, storing the start,
-    every store_every-th step and the last.  A given flow map (None for none)
-    is carried on; by default circle runs start one at the identity."""
+    every store_every-th step and the last.  The stacked state is packed once
+    and carried from step to step; fields are built for stored samples only.
+    The Jacobi state, if given, is stepped along.  A given flow map (None for
+    none) is carried on; by default circle runs start one at the identity."""
+    if not 0 <= t_end < math.inf:
+        raise DomainError(f"t_end must be finite and nonnegative, got {t_end}")
+    if not (0 < dt < math.inf and t_end / dt < math.inf):
+        raise DomainError(f"dt must be finite and positive, with t_end / dt finite, "
+                          f"got dt={dt}")
+    if not (isinstance(store_every, numbers.Integral) and store_every >= 1):
+        raise DomainError(f"store_every must be a positive integer, got {store_every}")
     if flowmap is ...:
         flowmap = identity_flowmap(state0.rho) if isinstance(state0.grid, CircleGrid) else None
+    g, jac = state0.grid, jstate0 is not None
+    rho0 = None if flowmap is None else flowmap.rho0
     traj = Trajectory(model)
     traj.append(0.0, state0, flowmap, jstate0)
+    y = _pack(state0, flowmap, jstate0)
     n_steps = int(np.ceil(t_end / dt - 1e-12))
-    jstate, state, t = jstate0, state0, 0.0
+    t = 0.0
     for k in range(n_steps):
         h = min(dt, t_end - t)
-        jstate, state, flowmap = step(jstate, state, flowmap, model, h)
+        y = _step(y, g, model, h, rho0, jac)
         t += h
         if (k + 1) % store_every == 0 or k == n_steps - 1:
-            traj.append(t, state, flowmap, jstate)
+            traj.append(t, *_unpack(y, g, rho0, jac))
     return traj
 
 
@@ -268,20 +339,4 @@ def integrate_geodesic(state0: FluidState, model: PressureModel, t_end: float,
                        dt: float, store_every: int = 1) -> Trajectory:
     """Integrate to t_end with fixed steps (last step shortened to land on
     t_end exactly).  The flow map is carried on circle grids."""
-    return _integrate(state0, model, t_end, dt, store_every,
-                      lambda _, s, fm, m, h: (None, *step_geodesic(s, fm, m, h)))
-
-
-# ---------------------------------------------------------------------------
-# Steady states
-
-
-def steady_shear_torus(omega_of_x: np.ndarray, grid: TorusGrid,
-                       model: PressureModel) -> FluidState:
-    """Shear flow u = omega(x) d/dy with rho = q = 1; steady for any profile."""
-    om = np.asarray(omega_of_x, dtype=float)
-    if om.shape != (grid.nx,):
-        raise DomainError("omega profile must be sampled on the x nodes")
-    u = VectorField(grid, np.stack([np.zeros(grid.shape), np.broadcast_to(om[:, None], grid.shape)]))
-    ones = ScalarField(grid, np.ones(grid.shape))
-    return FluidState(u, ones, ones)
+    return _integrate(state0, model, t_end, dt, store_every)

@@ -77,8 +77,10 @@ class PeriodicGrid:
         """Every first partial of a stack of operands (leading axis), with one
         real-FFT pair per grid axis: out[k, a] = d_a ops[k], bit for bit the
         single-operand derivative."""
-        return np.stack([_spectral_deriv(ops, 1 + a, n) for a, n in enumerate(self.shape)],
-                        axis=1)
+        out = np.empty((len(ops), len(self.shape)) + ops.shape[1:])
+        for a, n in enumerate(self.shape):
+            out[:, a] = _spectral_deriv(ops, 1 + a, n)
+        return out
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         return np.array([self._d(f, a) for a in range(self.ncomp)])
@@ -439,7 +441,10 @@ def circle_interp(values: np.ndarray, xq, deriv: int = 0) -> np.ndarray:
     if a.ndim == 1:
         return np.real(phases @ a)
     # one matvec per function: an (m, k) matmat is not bitwise equal to them
-    return np.stack([np.real(phases @ col) for col in a.T], axis=1)
+    out = np.empty((a.shape[1], len(xq)))
+    for row, col in zip(out, a.T):
+        row[...] = (phases @ col).real
+    return out.T
 
 
 def circle_interp_antideriv(values: np.ndarray, xq) -> np.ndarray:

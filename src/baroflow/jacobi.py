@@ -12,27 +12,9 @@ import numpy as np
 import scipy
 
 from .errors import DomainError
-from .geodesic import FluidState, FlowMap, Trajectory, _advance, _integrate
+from .geodesic import FluidState, FlowMap, JacobiState, Trajectory, _advance, _integrate
 from .grids import ScalarField, VectorField, check_same_grid
 from .pressure import PressureModel
-
-
-@dataclass(frozen=True)
-class JacobiState:
-    """Linearized state: Eulerian perturbation (v, sigma), Lagrangian
-    displacement j, and the function-direction displacement G."""
-
-    v: VectorField
-    sigma: ScalarField
-    j: VectorField
-    G: ScalarField
-
-    def __post_init__(self):
-        check_same_grid(self.v, self.sigma, self.j, self.G)
-
-    @property
-    def grid(self):
-        return self.sigma.grid
 
 
 def initial_jacobi(v0: VectorField) -> JacobiState:
@@ -49,12 +31,8 @@ def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | N
     """One RK4 step of the background and the linearized system as one ODE:
     sigma_t = -div(sigma u) - div(rho v); v_t = -nabla_u v - nabla_v u
     - grad(h'(rho) sigma); j_t = v - [u, j]; G_t = g(eta)."""
-    g = jstate.grid
     check_same_grid(jstate.sigma, state.rho)
-    jac = (jstate.v.values, jstate.sigma.values, jstate.j.values, jstate.G.values)
-    new_state, new_map, (jv, js, jj, jG) = _advance(state, flowmap, model, dt, jac)
-    new_j = JacobiState(VectorField(g, jv), ScalarField(g, js),
-                        VectorField(g, jj), ScalarField(g, jG))
+    new_state, new_map, new_j = _advance(state, flowmap, model, dt, jstate)
     return new_j, new_state, new_map
 
 
@@ -63,7 +41,8 @@ def integrate_linearized(state0: FluidState, jstate0: JacobiState,
                          store_every: int = 1) -> Trajectory:
     """integrate_geodesic with the Jacobi field carried along: the same steps,
     stored samples and flow map."""
-    return _integrate(state0, model, t_end, dt, store_every, linearized_step, jstate0)
+    check_same_grid(jstate0.sigma, state0.rho)
+    return _integrate(state0, model, t_end, dt, store_every, jstate0)
 
 
 def constraint_residual(jstate: JacobiState, state: FluidState) -> float:
@@ -129,7 +108,7 @@ def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
             return jacobi_norm_sq(traj.jstates[k])
         nsub = max(1, int(np.ceil(remain / dt)))
         run = _integrate(traj.states[k], model, remain, remain / nsub, nsub,
-                         linearized_step, traj.jstates[k], traj.flowmaps[k])
+                         traj.jstates[k], traj.flowmaps[k])
         return jacobi_norm_sq(run.jstates[-1])
 
     zeros = []

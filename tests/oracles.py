@@ -21,13 +21,7 @@ from baroflow.disc import (
     mode_matrix,
 )
 from baroflow.errors import DomainError, ShockError
-from baroflow.geodesic import (
-    FlowMap,
-    FluidState,
-    barotropic_initializer,
-    integrate_geodesic,
-    steady_shear_torus,
-)
+from baroflow.geodesic import FlowMap, FluidState, barotropic_initializer, integrate_geodesic
 from baroflow.grids import (
     DiscGrid,
     ScalarField,
@@ -98,6 +92,17 @@ def from_catalog(name: str, c: float = 1.0) -> PressureModel:
 
 # ---------------------------------------------------------------------------
 # Geodesics
+
+
+def steady_shear_torus(omega_of_x: np.ndarray, grid: TorusGrid,
+                       model: PressureModel) -> FluidState:
+    """Shear flow u = omega(x) d/dy with rho = q = 1; steady for any profile."""
+    om = np.asarray(omega_of_x, dtype=float)
+    if om.shape != (grid.nx,):
+        raise DomainError("omega profile must be sampled on the x nodes")
+    u = VectorField(grid, np.stack([np.zeros(grid.shape), np.broadcast_to(om[:, None], grid.shape)]))
+    ones = ScalarField(grid, np.ones(grid.shape))
+    return FluidState(u, ones, ones)
 
 
 def steady_euler_residual(state: FluidState, model: PressureModel) -> tuple[float, float]:

@@ -321,3 +321,72 @@ class TestConjugate:
     def test_rejects_bad_mode(self):
         with pytest.raises(DomainError):
             burgers.conjugate_times(0, 3)
+
+
+class TestFlowCache:
+    """shock_time, exact_state and exact_jacobi share one CharacteristicFlow
+    per datum from a small cache keyed by the grid and the bytes of alpha0."""
+
+    def datum(self, counter, n=64):
+        g = CircleGrid(n)
+        rng = np.random.Generator(np.random.Philox(key=29, counter=counter))
+        u0 = sum(0.3 * (a * np.cos(k * g.x) + b * np.sin(k * g.x)) / k
+                 for k, (a, b) in enumerate(rng.standard_normal((4, 2)), 1))
+        return ScalarField(g, u0), ScalarField(g, np.ones(n)), ScalarField(g, np.cos(2 * g.x))
+
+    def test_one_refinement_per_invariant_across_times(self, monkeypatch):
+        calls = []
+
+        def counting(*args, _minimize=scipy.optimize.minimize_scalar, **kwargs):
+            calls.append(1)
+            return _minimize(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", counting)
+        burgers._cached_flow.cache_clear()
+        u0, rho0, v0 = self.datum(0)
+        inv = burgers.riemann_invariants(u0, rho0)
+        tstar = min(burgers.shock_time(inv.alpha_plus), burgers.shock_time(inv.alpha_minus))
+        for t in np.linspace(0.2, 0.9, 4) * tstar:
+            burgers.exact_jacobi(u0, rho0, v0, float(t))
+            burgers.exact_state(u0, rho0, float(t))
+        assert len(calls) == 2
+
+    def test_cached_results_match_fresh_flows_bitwise(self):
+        for counter in range(6):
+            u0, rho0, v0 = self.datum(counter)
+            inv = burgers.riemann_invariants(u0, rho0)
+            tstar = min(burgers.shock_time(inv.alpha_plus), burgers.shock_time(inv.alpha_minus))
+            for alpha0 in (inv.alpha_plus, inv.alpha_minus):
+                cached, fresh = burgers._flow(alpha0), burgers.CharacteristicFlow(alpha0)
+                assert cached is not fresh and cached is burgers._flow(alpha0)
+                assert cached.shock_time == fresh.shock_time
+                for frac in (0.3, 0.9):
+                    x = alpha0.grid.x
+                    assert np.array_equal(cached.invert(frac * tstar, x),
+                                          fresh.invert(frac * tstar, x))
+            t = 0.8 * tstar
+            warm = burgers.exact_jacobi(u0, rho0, v0, t).values
+            burgers._cached_flow.cache_clear()
+            assert np.array_equal(burgers.exact_jacobi(u0, rho0, v0, t).values, warm)
+
+    def test_flow_holds_a_read_only_copy(self):
+        alpha0 = ensemble_invariants(31, 1)[0]
+        original = alpha0.values.copy()
+        flow = burgers._flow(alpha0)
+        before = flow.shock_time
+        assert not flow.alpha0.values.flags.writeable
+        assert not np.shares_memory(flow.alpha0.values, alpha0.values)
+        alpha0.values[:] = 1.5 * alpha0.values
+        changed = burgers._flow(alpha0)
+        assert changed is not flow
+        assert changed.shock_time == burgers.CharacteristicFlow(alpha0).shock_time
+        assert changed.shock_time != before
+        assert flow.shock_time == before
+        assert np.array_equal(flow.alpha0.values, original)
+
+    def test_cache_is_bounded(self):
+        size = burgers._cached_flow.cache_info().maxsize
+        assert size is not None
+        for alpha0 in ensemble_invariants(37, size):
+            burgers.shock_time(alpha0)
+        assert burgers._cached_flow.cache_info().currsize == size

@@ -3,10 +3,10 @@ import pytest
 
 from baroflow import burgers, geodesic, grids, jacobi
 from baroflow.disc import DiscBackground
-from baroflow.errors import ShockError, StepSizeError, VacuumError
+from baroflow.errors import BaroflowError, DomainError, ShockError, StepSizeError, VacuumError
 from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
 from baroflow.pressure import polytropic
-from oracles import compatibility_residual, steady_euler_residual
+from oracles import compatibility_residual, steady_euler_residual, steady_shear_torus
 
 GAMMA3 = polytropic(1 / 3, 3.0)
 
@@ -200,25 +200,241 @@ class TestFlowMapAndTransport:
             assert np.max(np.abs(s_at_eta - s0.values)) < 5e-5
 
 
+def run_case(case):
+    """(state, model, v0) of a run-loop case: the sine circle (a flow map is
+    carried) or the torus shear."""
+    if case == "circle":
+        state, g = circle_state(n=32, amp=0.5)
+        return state, GAMMA3, VectorField(g, np.cos(2 * g.x)[None])
+    g = TorusGrid(16, 16)
+    model = polytropic(0.5, 2.0)
+    X, Y = g.mesh
+    return (steady_shear_torus(0.3 * np.sin(g.x), g, model), model,
+            VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)])))
+
+
+def stepped_run(state, model, t_end, dt, store_every, jstate=None):
+    """The run loop's schedule by the one-step API: fixed steps, the last one
+    shortened to land on t_end, the start, every store_every-th step and the
+    last stored."""
+    fm = geodesic.identity_flowmap(state.rho) if isinstance(state.grid, CircleGrid) else None
+    times, samples = [0.0], [(state, fm, jstate)]
+    n_steps = int(np.ceil(t_end / dt - 1e-12))
+    t = 0.0
+    for k in range(n_steps):
+        h = min(dt, t_end - t)
+        if jstate is None:
+            state, fm = geodesic.step_geodesic(state, fm, model, h)
+        else:
+            jstate, state, fm = jacobi.linearized_step(jstate, state, fm, model, h)
+        t += h
+        if (k + 1) % store_every == 0 or k == n_steps - 1:
+            times.append(t)
+            samples.append((state, fm, jstate))
+    return times, samples
+
+
+def sample_arrays(state, fm, js):
+    out = [state.u.values, state.rho.values, state.q.values]
+    out += [] if fm is None else [fm.eta]
+    return out + ([] if js is None else [js.v.values, js.sigma.values, js.j.values, js.G.values])
+
+
+def run(linearized, state, model, t_end, dt, store_every=1, v0=None):
+    if linearized:
+        return jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
+                                           t_end, dt, store_every)
+    return geodesic.integrate_geodesic(state, model, t_end, dt, store_every)
+
+
+class TestRunLoop:
+    """The run loop carries one stacked array; it must give bit for bit what
+    a loop of the public one-step calls gives."""
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("store_every", [1, 7])
+    @pytest.mark.parametrize("case", ["circle", "torus"])
+    def test_matches_one_step_loop_bitwise(self, case, store_every, linearized):
+        state, model, v0 = run_case(case)
+        t_end, dt = 0.2037, 0.01  # 21 steps, the last one 0.0037
+        traj = run(linearized, state, model, t_end, dt, store_every, v0)
+        times, samples = stepped_run(state, model, t_end, dt, store_every,
+                                     jacobi.initial_jacobi(v0) if linearized else None)
+        assert traj.times == times
+        assert times[-1] == pytest.approx(t_end, abs=1e-15)
+        # steps 7, 14 and 21: the shortened last step is also a stride step
+        assert len(traj.states) == len(samples) == (22 if store_every == 1 else 4)
+        for k, (st, fm, js) in enumerate(samples):
+            got = sample_arrays(traj.states[k], traj.flowmaps[k], traj.jstates[k])
+            want = sample_arrays(st, fm, js)
+            assert len(got) == len(want) == 3 + (case == "circle") + 4 * linearized
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), k
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_unstored_steps_build_no_fields(self, linearized, monkeypatch):
+        state, model, v0 = run_case("circle")
+        js0 = jacobi.initial_jacobi(v0)
+        built = []
+        for cls in (ScalarField, VectorField):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        if linearized:
+            traj = jacobi.integrate_linearized(state, js0, model, 0.09, 0.01, store_every=100)
+        else:
+            traj = geodesic.integrate_geodesic(state, model, 0.09, 0.01, store_every=100)
+        # nine steps, and only the last one stored: (u, rho, q) [+ (v, sigma, j, G)]
+        assert len(traj.times) == 2
+        assert len(built) == (7 if linearized else 3), built
+
+
+def guard_outcome(fn, monkeypatch):
+    """(steps begun, error type, message) of a call that must fail."""
+    steps = []
+
+    def counting_rk4(*args, _rk4=geodesic.rk4):
+        steps.append(1)
+        return _rk4(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(geodesic, "rk4", counting_rk4)
+        with pytest.raises(BaroflowError) as exc:
+            fn()
+    return len(steps), type(exc.value), str(exc.value)
+
+
+class TestRunLoopGuards:
+    """Each guard fires at the same step, with the same error, through the
+    run loop as through the one-step API."""
+
+    def both(self, monkeypatch, state, model, t_end, dt, linearized, v0, setup=lambda m: None):
+        out = []
+        # the run loop stores no sample before the failure, so the guard and
+        # not a stored sample's field validation must stop it
+        for fn in (lambda: run(linearized, state, model, t_end, dt, 1000, v0),
+                   lambda: stepped_run(state, model, t_end, dt, 1,
+                                       jacobi.initial_jacobi(v0) if linearized else None)):
+            with monkeypatch.context() as m:
+                setup(m)
+                out.append(guard_outcome(fn, monkeypatch))
+        assert out[0] == out[1]
+        assert out[0][0] > 1  # not on the first step
+        return out[0]
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_cfl(self, linearized, monkeypatch):
+        # a gas released from rest speeds up, so the CFL bound shrinks
+        g = CircleGrid(32)
+        model = polytropic(0.5, 2.0)
+        state = geodesic.barotropic_initializer(
+            VectorField(g, np.zeros((1, 32))), ScalarField(g, 1 + 0.5 * np.cos(g.x)), model)
+        dt = 0.98 * geodesic.cfl_dt_max(state, model)
+        v0 = VectorField(g, np.cos(g.x)[None])
+        steps, err, msg = self.both(monkeypatch, state, model, 1.0, dt, linearized, v0)
+        assert err is StepSizeError and "CFL bound" in msg
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_nan_stage(self, linearized, monkeypatch):
+        state, model, v0 = run_case("circle")
+
+        def setup(m):
+            calls = []
+
+            def nan_partials(self, ops, _partials=grids.PeriodicGrid.partials):
+                calls.append(1)
+                d = _partials(self, ops)
+                # the first stage of the fifth step
+                return np.full_like(d, np.nan) if len(calls) == 17 else d
+
+            m.setattr(grids.PeriodicGrid, "partials", nan_partials)
+
+        steps, err, msg = self.both(monkeypatch, state, model, 0.2, 0.01, linearized, v0, setup)
+        assert steps == 5
+        assert err is ShockError and "working range" in msg
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_jacobian_floor(self, linearized, monkeypatch):
+        state, g = circle_state(n=32, amp=1.0)
+        v0 = VectorField(g, np.cos(g.x)[None])
+
+        def setup(m):
+            # a high floor, reached while the flow is well resolved
+            m.setattr(geodesic, "SHOCK_JACOBIAN_FLOOR", 0.5)
+
+        steps, err, msg = self.both(monkeypatch, state, GAMMA3, 1.0, 0.01, linearized, v0, setup)
+        assert err is ShockError and msg == "flow map lost monotonicity (shock reached)"
+
+    @pytest.mark.parametrize("case", ["circle", "torus"])
+    def test_non_finite_jacobi_rows(self, case, monkeypatch):
+        state, model, v0 = run_case(case)
+        nbg = 3 * state.grid.ncomp + 1  # the background's operands come first
+
+        def setup(m):
+            calls = []
+
+            def nan_jacobi_partials(self, ops, _partials=grids.PeriodicGrid.partials):
+                calls.append(1)
+                d = _partials(self, ops)
+                if len(calls) == 13 and len(ops) > nbg:  # the fourth step
+                    d[nbg:] = np.nan
+                return d
+
+            m.setattr(grids.PeriodicGrid, "partials", nan_jacobi_partials)
+
+        steps, err, msg = self.both(monkeypatch, state, model, 0.2, 0.01, True, v0, setup)
+        assert steps == 4
+        assert err is DomainError and msg == "vector field has non-finite entries"
+
+
+class TestRunInputs:
+    """The integrators reject a bad run length, step or storage stride."""
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("t_end, dt, store_every, match", [
+        (0.1, 0.0, 1, "dt must be finite and positive"),
+        (0.1, -0.01, 1, "dt must be finite and positive"),
+        (0.1, np.nan, 1, "dt must be finite and positive"),
+        (0.1, np.inf, 1, "dt must be finite and positive"),
+        (1.0, 5e-324, 1, "t_end / dt finite"),
+        (np.nan, 0.01, 1, "t_end must be finite and nonnegative"),
+        (np.inf, 0.01, 1, "t_end must be finite and nonnegative"),
+        (-0.1, 0.01, 1, "t_end must be finite and nonnegative"),
+        (0.1, 0.01, 0, "store_every must be a positive integer"),
+        (0.1, 0.01, -3, "store_every must be a positive integer"),
+        (0.1, 0.01, 2.5, "store_every must be a positive integer"),
+    ])
+    def test_rejects_bad_input(self, linearized, t_end, dt, store_every, match):
+        state, model, v0 = run_case("circle")
+        with pytest.raises(DomainError, match=match):
+            run(linearized, state, model, t_end, dt, store_every, v0)
+
+    def test_zero_length_run_is_the_start(self):
+        state, model, v0 = run_case("circle")
+        traj = geodesic.integrate_geodesic(state, model, 0.0, 0.01)
+        assert traj.times == [0.0] and traj.states == [state]
+
+
 class TestSteadyShearTorus:
     def test_constant_profile_residual_zero(self):
         g = TorusGrid(32, 32)
         m = polytropic(0.5, 2.0)
-        st = geodesic.steady_shear_torus(np.full(32, 0.7), g, m)
+        st = steady_shear_torus(np.full(32, 0.7), g, m)
         mom, cont = steady_euler_residual(st, m)
         assert mom < 1e-14 and cont < 1e-14
 
     def test_sine_profile_residuals(self):
         g = TorusGrid(32, 32)
         m = polytropic(0.5, 2.0)
-        st = geodesic.steady_shear_torus(np.sin(g.x), g, m)
+        st = steady_shear_torus(np.sin(g.x), g, m)
         mom, cont = steady_euler_residual(st, m)
         assert mom < 1e-10 and cont < 1e-10
 
     def test_persistence_under_integration(self):
         g = TorusGrid(32, 32)
         m = polytropic(0.5, 2.0)
-        st = geodesic.steady_shear_torus(np.sin(g.x), g, m)
+        st = steady_shear_torus(np.sin(g.x), g, m)
         traj = geodesic.integrate_geodesic(st, m, t_end=1.0, dt=0.01)
         drift = np.max(np.abs(traj.states[-1].u.values - st.u.values))
         assert drift < 1e-7

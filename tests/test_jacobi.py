@@ -5,7 +5,14 @@ from baroflow import burgers, geodesic, grids, jacobi, pressure
 from baroflow.errors import DomainError, StepSizeError
 from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField, circle_interp
 from baroflow.pressure import polytropic
-from oracles import conjugate_G, conjugate_j, deviation_oracle, j_along_flow, tuple_rk4
+from oracles import (
+    conjugate_G,
+    conjugate_j,
+    deviation_oracle,
+    j_along_flow,
+    steady_shear_torus,
+    tuple_rk4,
+)
 
 GAMMA3 = polytropic(1 / 3, 3.0)
 
@@ -32,7 +39,7 @@ def stage_case(case):
     g = TorusGrid(16, 16)
     model = polytropic(0.5, 2.0)
     X, Y = g.mesh
-    return (geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model), None, model,
+    return (steady_shear_torus(0.3 * np.sin(g.x), g, model), None, model,
             VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)])))
 
 
@@ -125,7 +132,7 @@ class TestLinearizedStep:
         else:
             g = TorusGrid(16, 16)
             model = polytropic(0.5, 2.0)
-            state = geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model)
+            state = steady_shear_torus(0.3 * np.sin(g.x), g, model)
             fm = None
             X, Y = g.mesh
             v0 = VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)]))
@@ -151,7 +158,7 @@ class TestLinearizedStep:
         else:
             g = TorusGrid(16, 16)
             model = polytropic(0.5, 2.0)
-            state = geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model)
+            state = steady_shear_torus(0.3 * np.sin(g.x), g, model)
             fm = None
             X, Y = g.mesh
             v0 = VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)]))
@@ -251,7 +258,7 @@ class TestSharedRunLoop:
             return state, GAMMA3, VectorField(g, np.cos(2 * g.x)[None])
         g = TorusGrid(16, 16)
         model = polytropic(0.5, 2.0)
-        state = geodesic.steady_shear_torus(0.3 * np.sin(g.x), g, model)
+        state = steady_shear_torus(0.3 * np.sin(g.x), g, model)
         X, Y = g.mesh
         return state, model, VectorField(g, np.stack([np.cos(X + Y), np.sin(2 * Y)]))
 
