@@ -98,6 +98,14 @@ class ExperimentConfig:
                     f"{key.replace('_', '-')} must be at most {bound} in magnitude, "
                     f"got {getattr(self, key)}")
                    for key, bound in INT_BOUNDS.items()]
+        # v0 = cos(n x) must lie below the Nyquist mode, which has no
+        # derivative; a conjugate time needs n >= 1
+        nyquist = self.n_grid // 2
+        if self.experiment in ("conjugate", "jacobi"):
+            low = 1 if self.experiment == "conjugate" else 1 - nyquist
+            checks.append((low <= self.n_mode < nyquist,
+                           f"n-mode must be from {low} to {nyquist - 1}, below the Nyquist "
+                           f"mode n-grid / 2 = {nyquist}, got {self.n_mode}"))
         for ok, message in checks:
             if not ok:
                 raise ValidationError(message)
@@ -151,6 +159,10 @@ def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    # JSON has no NaN or infinity: a summary value that does not exist (no
+    # conjugate time detected, no shock) is written as null
+    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in summary.items()}
     manifest = {
         "experiment": cfg.experiment,
         "parameters": cfg.params(),
@@ -166,7 +178,7 @@ def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
     }
     json_path = os.path.join(out_dir, f"{cfg.experiment}_manifest.json")
     with open(json_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return csv_path, json_path
 

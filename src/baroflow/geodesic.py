@@ -301,37 +301,51 @@ def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureMod
     return new_state, new_map
 
 
-def _integrate(state0: FluidState, model: PressureModel, t_end: float, dt: float,
-               store_every: int, jstate0: JacobiState | None = None,
-               flowmap=...) -> Trajectory:
-    """The run loop of every integrator: fixed guarded steps (see _step) to
-    t_end, the last one shortened to land on t_end exactly, storing the start,
-    every store_every-th step and the last.  The stacked state is packed once
-    and carried from step to step; fields are built for stored samples only.
-    The Jacobi state, if given, is stepped along.  A given flow map (None for
-    none) is carried on; by default circle runs start one at the identity."""
+def _default_flowmap(state0: FluidState) -> FlowMap | None:
+    """The flow map a run starts with: the identity on the circle, none
+    elsewhere."""
+    return identity_flowmap(state0.rho) if isinstance(state0.grid, CircleGrid) else None
+
+
+def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float,
+           rho0: ScalarField | None, jac: bool):
+    """The one step loop: fixed guarded steps (see _step) of the stacked state
+    y to t_end, the last one shortened to land on t_end exactly, yielding
+    (t, y) after each step.  It builds no fields; the caller reads the rows."""
     if not 0 <= t_end < math.inf:
         raise DomainError(f"t_end must be finite and nonnegative, got {t_end}")
     if not (0 < dt < math.inf and t_end / dt < math.inf):
         raise DomainError(f"dt must be finite and positive, with t_end / dt finite, "
                           f"got dt={dt}")
+    t = 0.0
+    for _ in range(int(np.ceil(t_end / dt - 1e-12))):
+        h = min(dt, t_end - t)
+        y = _step(y, grid, model, h, rho0, jac)
+        t += h
+        yield t, y
+
+
+def _integrate(state0: FluidState, model: PressureModel, t_end: float, dt: float,
+               store_every: int, jstate0: JacobiState | None = None) -> Trajectory:
+    """The run loop of every integrator: the steps of _steps, storing the
+    start, every store_every-th step and the last.  The stacked state is
+    packed once and carried from step to step; fields are built for stored
+    samples only.  The Jacobi state, if given, is stepped along, and circle
+    runs carry a flow map from the identity."""
     if not (isinstance(store_every, numbers.Integral) and store_every >= 1):
         raise DomainError(f"store_every must be a positive integer, got {store_every}")
-    if flowmap is ...:
-        flowmap = identity_flowmap(state0.rho) if isinstance(state0.grid, CircleGrid) else None
+    flowmap = _default_flowmap(state0)
     g, jac = state0.grid, jstate0 is not None
     rho0 = None if flowmap is None else flowmap.rho0
     traj = Trajectory(model)
     traj.append(0.0, state0, flowmap, jstate0)
-    y = _pack(state0, flowmap, jstate0)
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    t = 0.0
-    for k in range(n_steps):
-        h = min(dt, t_end - t)
-        y = _step(y, g, model, h, rho0, jac)
-        t += h
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
+    k = 0
+    for k, (t, y) in enumerate(_steps(_pack(state0, flowmap, jstate0), g, model,
+                                      t_end, dt, rho0, jac), 1):
+        if k % store_every == 0:
             traj.append(t, *_unpack(y, g, rho0, jac))
+    if k % store_every:
+        traj.append(t, *_unpack(y, g, rho0, jac))
     return traj
 
 

@@ -12,7 +12,18 @@ import numpy as np
 import scipy
 
 from .errors import DomainError
-from .geodesic import FluidState, FlowMap, JacobiState, Trajectory, _advance, _integrate
+from .geodesic import (
+    FluidState,
+    FlowMap,
+    JacobiState,
+    Trajectory,
+    _advance,
+    _default_flowmap,
+    _integrate,
+    _pack,
+    _parts,
+    _steps,
+)
 from .grids import ScalarField, VectorField, check_same_grid
 from .pressure import PressureModel
 
@@ -52,12 +63,6 @@ def constraint_residual(jstate: JacobiState, state: FluidState) -> float:
     return float(np.max(np.abs(jstate.sigma.values + flux)))
 
 
-def jacobi_norm_sq(jstate: JacobiState) -> float:
-    """L^2 size of the displacement pair (j, G); vanishes at conjugate points."""
-    g = jstate.grid
-    return g.integrate(g.inner(jstate.j.values, jstate.j.values) + jstate.G.values**2)
-
-
 # ---------------------------------------------------------------------------
 # Growth report
 
@@ -88,36 +93,56 @@ def growth_report(times, jstates, v0: VectorField) -> GrowthReport:
 # Conjugate-time detection
 
 
+def _norm_sq(y: np.ndarray, grid, flow: bool) -> float:
+    """||(j, G)||^2 = int |j|^2 + G^2 of a stacked state y with Jacobi rows
+    (see geodesic._parts); it vanishes at conjugate points."""
+    _, _, j, G = _parts(y, grid.ncomp, flow, True)[4]
+    return grid.integrate(grid.inner(j, j) + G**2)
+
+
 def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureModel,
                            t_max: float, dt: float, rel_tol: float = 0.05) -> list[float]:
-    """Times where the Jacobi norm ||(j, G)|| vanishes, found by bracketing
-    local minima of the stored norm series and refining each by bounded
-    minimization with re-integration from the nearest checkpoint."""
-    traj = integrate_linearized(state0, initial_jacobi(v0), model, t_max, dt)
-    t = np.asarray(traj.times)
-    norms2 = np.array([jacobi_norm_sq(js) for js in traj.jstates])
-    scale2 = float(np.max(norms2))
+    """Times where the Jacobi norm ||(j, G)|| vanishes: each local minimum
+    of the per-step norm below rel_tol times the largest, refined by bounded
+    minimization with re-integration from the step before it.  The norm is
+    read off each stepped array, and the array of step k-1 is kept only when
+    step k is a candidate minimum (norm no larger than at k-1, smaller than
+    at k+1), so no trajectory is stored."""
+    jstate0 = initial_jacobi(v0)
+    check_same_grid(jstate0.sigma, state0.rho)
+    g, flowmap = state0.grid, _default_flowmap(state0)
+    flow = flowmap is not None
+    rho0 = flowmap.rho0 if flow else None
+    y = _pack(state0, flowmap, jstate0)
+    times, norms2, candidates = [0.0], [_norm_sq(y, g, flow)], []
+    before, last = None, y  # the arrays of the two steps before this one
+    for t, y in _steps(y, g, model, t_max, dt, rho0, True):
+        times.append(t)
+        norms2.append(_norm_sq(y, g, flow))
+        if before is not None and norms2[-3] >= norms2[-2] < norms2[-1]:
+            candidates.append((len(times) - 2, before))
+        before, last = last, y
+    scale2 = max(norms2)
     if scale2 == 0.0:
         return []
 
-    def norm2_at(time, k):
+    def norm2_at(time, k, y):
         """Squared norm at an off-grid time (smooth near a zero crossing),
-        re-integrating from checkpoint k."""
-        remain = time - traj.times[k]
+        re-integrating from the array y of step k."""
+        remain = time - times[k]
         if remain <= 0:
-            return jacobi_norm_sq(traj.jstates[k])
+            return _norm_sq(y, g, flow)
         nsub = max(1, int(np.ceil(remain / dt)))
-        run = _integrate(traj.states[k], model, remain, remain / nsub, nsub,
-                         traj.jstates[k], traj.flowmaps[k])
-        return jacobi_norm_sq(run.jstates[-1])
+        for _, y in _steps(y, g, model, remain, remain / nsub, rho0, True):
+            pass
+        return _norm_sq(y, g, flow)
 
     zeros = []
-    for k in range(1, len(t) - 1):
-        if norms2[k] <= norms2[k - 1] and norms2[k] < norms2[k + 1] \
-                and norms2[k] < (rel_tol**2) * scale2:
+    for k, y in candidates:
+        if norms2[k] < (rel_tol**2) * scale2:
             res = scipy.optimize.minimize_scalar(
-                lambda time: norm2_at(time, k - 1),
-                bounds=(t[k - 1], t[k + 1]), method="bounded",
+                lambda time: norm2_at(time, k - 1, y),
+                bounds=(times[k - 1], times[k + 1]), method="bounded",
                 options={"xatol": 1e-10},
             )
             zeros.append(float(res.x))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from baroflow import grids, jacobi
 from baroflow.burgers import CharacteristicFlow, exact_state
@@ -152,6 +153,53 @@ def deviation_oracle(u0: VectorField, rho0: ScalarField, v0: VectorField,
 def j_along_flow(jstate: JacobiState, flowmap: FlowMap) -> np.ndarray:
     """j(t, eta(t,x)) per reference node, for comparison with the oracle."""
     return circle_interp(jstate.j.values[0], flowmap.eta)
+
+
+def jacobi_norm_sq(jstate: JacobiState) -> float:
+    """L^2 size of the displacement pair (j, G); vanishes at conjugate points."""
+    g = jstate.grid
+    return g.integrate(g.inner(jstate.j.values, jstate.j.values) + jstate.G.values**2)
+
+
+def stored_conjugate_times(state0: FluidState, v0: VectorField, model: PressureModel,
+                           t_max: float, dt: float, rel_tol: float = 0.05) -> list[float]:
+    """Conjugate times from a stored trajectory: every step of
+    integrate_linearized kept, the norm series read off the stored Jacobi
+    states, and each refinement re-run from the stored sample before the
+    minimum by a loop of linearized_step on the run loop's schedule.  The
+    reference for jacobi.detect_conjugate_times, which keeps no trajectory."""
+    traj = jacobi.integrate_linearized(state0, jacobi.initial_jacobi(v0), model, t_max, dt)
+    t = np.asarray(traj.times)
+    norms2 = np.array([jacobi_norm_sq(js) for js in traj.jstates])
+    scale2 = float(np.max(norms2))
+    if scale2 == 0.0:
+        return []
+
+    def norm2_at(time, k):
+        remain = time - traj.times[k]
+        if remain <= 0:
+            return jacobi_norm_sq(traj.jstates[k])
+        nsub = max(1, int(np.ceil(remain / dt)))
+        h = remain / nsub
+        js, st, fm = traj.jstates[k], traj.states[k], traj.flowmaps[k]
+        s = 0.0
+        for _ in range(int(np.ceil(remain / h - 1e-12))):
+            step = min(h, remain - s)
+            js, st, fm = jacobi.linearized_step(js, st, fm, model, step)
+            s += step
+        return jacobi_norm_sq(js)
+
+    zeros = []
+    for k in range(1, len(t) - 1):
+        if norms2[k] <= norms2[k - 1] and norms2[k] < norms2[k + 1] \
+                and norms2[k] < (rel_tol**2) * scale2:
+            res = scipy.optimize.minimize_scalar(
+                lambda time: norm2_at(time, k - 1),
+                bounds=(t[k - 1], t[k + 1]), method="bounded",
+                options={"xatol": 1e-10},
+            )
+            zeros.append(float(res.x))
+    return zeros
 
 
 # ---------------------------------------------------------------------------

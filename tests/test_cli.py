@@ -13,7 +13,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from baroflow import cli
+from baroflow import cli, jacobi
+from oracles import stored_conjugate_times
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -46,9 +47,16 @@ def run(argv, tmp_path, monkeypatch, env_dir=None):
     return cli.main(argv + ["--output-dir", str(tmp_path)])
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_outputs(directory, name):
+    """The CSV bytes and the manifest, parsed as strict JSON (no NaN or
+    Infinity), so every manifest a test reads is checked to be JSON."""
     csv_text = (directory / f"{name}.csv").read_bytes()
-    manifest = json.loads((directory / f"{name}_manifest.json").read_text())
+    manifest = json.loads((directory / f"{name}_manifest.json").read_text(),
+                          parse_constant=refuse_constant)
     return csv_text, manifest
 
 
@@ -93,11 +101,19 @@ class TestPlumbing:
         (["curvature-scan", "--trials", HUGE], None, "trials"),
         (["jacobi"], "n-mode = 1e400\n", "n-mode"),
         (["conjugate", "--m-max", HUGE], None, "m-max"),
+        (["conjugate", "--n", "4", "--m-max", "2", "--n-grid", "8", "--dt", "0.1"], None,
+         "n-mode"),
+        (["conjugate", "--n", "0"], None, "n-mode"),
+        (["conjugate", "--n", "-2"], None, "n-mode"),
+        (["jacobi", "--n", "-4", "--n-grid", "8", "--dt", "0.05"], None, "n-mode"),
+        (["jacobi", "--n-grid", "8", "--dt", "0.05"], "n-mode = 4\n", "n-mode"),
     ], ids=["odd_grid", "inf_flag", "nan_amplitude", "inf_config", "inf_int_config",
             "unknown_key", "fractional_int_config", "missing_config",
             "config_key_not_read", "k_max_above_nodes", "k_max_above_nodes_config",
             "n_max_above_bessel_range", "huge_grid_config", "huge_trials_flag",
-            "huge_mode_config", "huge_m_max_flag"])
+            "huge_mode_config", "huge_m_max_flag", "conjugate_nyquist_mode",
+            "conjugate_zero_mode", "conjugate_negative_mode", "jacobi_nyquist_mode",
+            "jacobi_nyquist_mode_config"])
     def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
                                          monkeypatch, capsys):
         if config is not None:
@@ -285,6 +301,30 @@ class TestExperiments:
         for name, value in zip(argv[1::2], argv[2::2]):
             assert manifest["parameters"][name[2:].replace("-", "_")] == float(value)
 
+    def test_missing_conjugate_time_is_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.jacobi, "detect_conjugate_times", lambda *a, **k: [])
+        assert run(["conjugate", "--n-grid", "16", "--dt", "0.05", "--m-max", "2"],
+                   tmp_path, monkeypatch) == 0
+        _, manifest = read_outputs(tmp_path, "conjugate")
+        assert manifest["summary"] == {"max_gap": None, "n_detected": 0}
+
+    def test_burgers_without_shock_is_null(self, tmp_path, monkeypatch):
+        assert run(["burgers-exact", "--n-grid", "16", "--amplitude", "0",
+                    "--n-samples", "2"], tmp_path, monkeypatch) == 0
+        _, manifest = read_outputs(tmp_path, "burgers-exact")
+        assert manifest["summary"]["shock_time"] is None
+
+    def test_conjugate_readme_csv_matches_stored_trajectory_oracle(self, tmp_path,
+                                                                 monkeypatch):
+        csvs = []
+        for detector in (jacobi.detect_conjugate_times, stored_conjugate_times):
+            monkeypatch.setattr(cli.jacobi, "detect_conjugate_times", detector)
+            out = tmp_path / detector.__name__
+            assert run(["conjugate", "--n", "2", "--m-max", "3"], out, monkeypatch) == 0
+            csvs.append(read_outputs(out, "conjugate")[0])
+        assert len(csvs[0].splitlines()) == 4
+        assert csvs[0] == csvs[1]
+
     def test_disc_spectrum_k_max_at_node_limit(self, tmp_path, monkeypatch):
         rc = run(["disc-spectrum", "--n-max", "1", "--k-max", "15", "--n-nodes", "16"],
                  tmp_path, monkeypatch)
@@ -327,6 +367,18 @@ def test_preset_loads_and_validates(preset):
     got = {key: getattr(cfg, key) for key in expect}
     assert got == expect
     assert all(type(got[key]) is type(expect[key]) for key in expect)
+
+
+@pytest.mark.parametrize("experiment, valid", [("conjugate", range(1, 4)),
+                                               ("jacobi", range(-3, 4))])
+def test_mode_bounds_are_the_modes_below_nyquist(experiment, valid):
+    for n_mode in range(-5, 6):
+        cfg = cli.ExperimentConfig(experiment, n_grid=8, n_mode=n_mode)
+        if n_mode in valid:
+            cfg.validate()
+        else:
+            with pytest.raises(cli.ValidationError, match="n-mode must"):
+                cfg.validate()
 
 
 @pytest.mark.parametrize("key", sorted(cli.INT_BOUNDS))

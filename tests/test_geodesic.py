@@ -252,7 +252,7 @@ class TestRunLoop:
     a loop of the public one-step calls gives."""
 
     @pytest.mark.parametrize("linearized", [False, True])
-    @pytest.mark.parametrize("store_every", [1, 7])
+    @pytest.mark.parametrize("store_every", [1, 5, 7])
     @pytest.mark.parametrize("case", ["circle", "torus"])
     def test_matches_one_step_loop_bitwise(self, case, store_every, linearized):
         state, model, v0 = run_case(case)
@@ -262,8 +262,9 @@ class TestRunLoop:
                                      jacobi.initial_jacobi(v0) if linearized else None)
         assert traj.times == times
         assert times[-1] == pytest.approx(t_end, abs=1e-15)
-        # steps 7, 14 and 21: the shortened last step is also a stride step
-        assert len(traj.states) == len(samples) == (22 if store_every == 1 else 4)
+        # stride 7: steps 7, 14 and 21, the shortened last step being a stride
+        # step; stride 5: steps 5 to 20 and the last, stored apart
+        assert len(traj.states) == len(samples) == {1: 22, 5: 6, 7: 4}[store_every]
         for k, (st, fm, js) in enumerate(samples):
             got = sample_arrays(traj.states[k], traj.flowmaps[k], traj.jstates[k])
             want = sample_arrays(st, fm, js)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.optimize  # noqa: F401  loaded here, so its import is no detector's memory
 
 from baroflow import burgers, geodesic, grids, jacobi, pressure
 from baroflow.errors import DomainError, StepSizeError
@@ -11,6 +14,7 @@ from oracles import (
     deviation_oracle,
     j_along_flow,
     steady_shear_torus,
+    stored_conjugate_times,
     tuple_rk4,
 )
 
@@ -392,3 +396,29 @@ class TestConjugateDetection:
         assert len(zeros) >= 2
         for z, e in zip(zeros[:2], expect):
             assert abs(z - e) < 1e-6
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("n_mode", [1, 2, 3])
+    def test_streamed_detector_matches_stored_trajectory_bitwise(self, n_mode, n):
+        state, g = constant_background(n)
+        v0 = VectorField(g, np.cos(n_mode * g.x)[None])
+        t_max, dt = 2 * np.pi / n_mode + 0.5, 0.02
+        got = jacobi.detect_conjugate_times(state, v0, GAMMA3, t_max, dt)
+        want = stored_conjugate_times(state, v0, GAMMA3, t_max, dt)
+        assert len(got) == 1
+        assert [z.hex() for z in got] == [z.hex() for z in want]
+
+    def test_readme_run_keeps_no_trajectory(self):
+        # conjugate --n 2 --m-max 3: n = 128, dt = 0.01, to 3 pi + 0.5; with
+        # every step stored, this run peaked at 10.5 MB
+        state, g = constant_background(128)
+        v0 = VectorField(g, np.cos(2 * g.x)[None])
+        tracemalloc.start()
+        try:
+            zeros = jacobi.detect_conjugate_times(state, v0, GAMMA3,
+                                                  t_max=3 * np.pi + 0.5, dt=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(zeros) == 3
+        assert peak < 2e6
