@@ -283,6 +283,7 @@ def run_curvature_scan(cfg: ExperimentConfig):
     summary = {"min_total": report.min_total,
                "argmin": report.argmin,
                "n_negative": int(sum(tr.total < 0 for tr in report.trials)),
+               "coef_min": report.coef_min,
                "gamma": cfg.gamma}
     return ["trial", "total", "term_div", "term_Q", "term_grad"], rows, summary
 

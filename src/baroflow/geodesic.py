@@ -26,7 +26,7 @@ from .grids import (
     check_same_grid,
     circle_interp,
 )
-from .pressure import PressureModel
+from .pressure import RHO_MAX, RHO_MIN, PressureModel, _check_rho
 
 SHOCK_JACOBIAN_FLOOR = 1e-3
 CFL_SAFETY = 0.5
@@ -260,10 +260,11 @@ def _step(y: np.ndarray, grid, model: PressureModel, dt: float,
     """One guarded RK4 step of a stacked state y (see _parts; a flow map row
     iff rho0 is given, Jacobi rows iff jac), as a new array.  The guards, in
     order: the CFL bound (StepSizeError); a stage density out of range, or a
-    state after the step that is not finite with positive density
-    (ShockError); the flow-map Jacobian floor (ShockError); Jacobi rows that
-    are not finite (DomainError).  A failed check builds the fields of y, so
-    the error names the fault as the field's own validation does."""
+    state after the step that is not finite or whose density left the working
+    range [RHO_MIN, RHO_MAX] (ShockError); the flow-map Jacobian floor
+    (ShockError); Jacobi rows that are not finite (DomainError).  A failed
+    check builds the fields of y, so the error names the fault as the
+    field's own validation does."""
     b = grid.ncomp
     bound = _cfl_bound(grid, y[:b], y[b], model)
     if dt > bound:
@@ -271,8 +272,10 @@ def _step(y: np.ndarray, grid, model: PressureModel, dt: float,
     flow = rho0 is not None
     try:
         y = rk4(lambda y: _rhs(y, grid, model, flow, jac), y, dt)
-        if not (np.isfinite(y[:b + 2]).all() and (y[b] > 0).all()):
+        rho = y[b]
+        if not (np.isfinite(y[:b + 2]).all() and RHO_MIN <= rho.min() and rho.max() <= RHO_MAX):
             _unpack(y, grid, None, False)
+            _check_rho(rho)
     except DomainError as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening

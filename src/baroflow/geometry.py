@@ -39,8 +39,8 @@ class CurvatureReport:
     normalized: float
 
 
-def _check_density(rho: ScalarField):
-    if np.any(rho.values <= 0):
+def _check_density(rho: np.ndarray):
+    if np.any(rho <= 0):
         raise DomainError("density must be positive pointwise")
 
 
@@ -52,7 +52,7 @@ def _metric_density(g, lam, rho, f, h, u, v) -> np.ndarray:
 def metric_inner(U: TangentVector, V: TangentVector, rho: ScalarField, model: PressureModel) -> float:
     """<<U, V>> = int [lambda(rho) f g + rho <u, v>] dmu."""
     g = check_same_grid(U.f, V.f, rho)
-    _check_density(rho)
+    _check_density(rho.values)
     lam = model.lam(rho.values)
     dens = _metric_density(g, lam, rho.values, U.f.values, V.f.values, U.u.values, V.u.values)
     return integrate(ScalarField(g, dens))
@@ -62,7 +62,7 @@ def christoffel(U: TangentVector, V: TangentVector, rho: ScalarField, model: Pre
     """Explicit Christoffel map: (z, j) with j = (phi/lambda)(f div v + g div u)
     and z = (1/rho) grad(phi(rho) f g)."""
     g = check_same_grid(U.f, V.f, rho)
-    _check_density(rho)
+    _check_density(rho.values)
     phi = model.phi(rho.values)
     lam = model.lam(rho.values)
     div_u = grids.div(U.u).values
@@ -102,7 +102,7 @@ def density_functional_derivative(alpha: ScalarField, phi_fn, rho: ScalarField,
     """Derivative of Phi(eta) = int alpha phi_fn(rho) dmu along the flow of w:
     -int div(rho w) alpha phi_fn'(rho) dmu."""
     g = check_same_grid(alpha, rho, w)
-    _check_density(rho)
+    _check_density(rho.values)
     if dphi_fn is None:
         h = 1e-6 * rho.values
         dphi = (np.asarray(phi_fn(rho.values + h)) - np.asarray(phi_fn(rho.values - h))) / (2 * h)
@@ -112,25 +112,21 @@ def density_functional_derivative(alpha: ScalarField, phi_fn, rho: ScalarField,
     return -integrate(ScalarField(g, flux * alpha.values * dphi))
 
 
-def sectional_curvature(U: TangentVector, V: TangentVector, rho: ScalarField,
-                        model: PressureModel) -> CurvatureReport:
-    """Unnormalized sectional curvature <<R(U,V)V,U>> as four itemized integrals.
-
-    The intrinsic term is identically zero on the supported flat base manifolds
-    and is reported as such."""
-    g = check_same_grid(U.f, V.f, rho)
-    _check_density(rho)
-    rv = rho.values
+def _curvature(g, model: PressureModel, rv, u, v, f, gg, first: int = 0):
+    """The quadrature of sectional_curvature on raw arrays with any leading
+    batch axes (a scalar (*batch, *shape), a vector (ncomp, *batch, *shape)):
+    term_div, term_Q, term_grad, total and the Gram entries uu, vv, uv, each
+    a float for one section and an array over the batch otherwise, and the
+    curvature coefficient at every density.  A non-finite integral raises
+    DomainError; in a batch the message names the first bad item, counted
+    from `first`."""
     phi = model.phi(rv)
     lam = model.lam(rv)
-    dphi = model.dphi(rv)
-    u, v = U.u.values, V.u.values
-    f, gg = U.f.values, V.f.values
+    coef = model.curvature_coefficient(rv)
     div_u = g.div(u)
     div_v = g.div(v)
 
     term_R = 0.0
-    coef = rv * dphi + phi**2 / lam
     term_div = g.integrate(coef * (f * div_v - gg * div_u) ** 2)
 
     quu = _q(g, u, u, div_u, div_u)
@@ -145,11 +141,26 @@ def sectional_curvature(U: TangentVector, V: TangentVector, rho: ScalarField,
     uu = g.integrate(_metric_density(g, lam, rv, f, f, u, u))
     vv = g.integrate(_metric_density(g, lam, rv, gg, gg, v, v))
     uv = g.integrate(_metric_density(g, lam, rv, f, gg, u, v))
-    if not np.isfinite((total, uu, vv, uv)).all():
-        raise DomainError("curvature integrand has non-finite entries")
+    finite = np.isfinite((total, uu, vv, uv)).all(axis=0)
+    if not finite.all():
+        where = "" if finite.ndim == 0 else f" (trial {first + int(np.argmin(finite))})"
+        raise DomainError("curvature integrand has non-finite entries" + where)
+    return term_div, term_Q, term_grad, total, uu, vv, uv, coef
+
+
+def sectional_curvature(U: TangentVector, V: TangentVector, rho: ScalarField,
+                        model: PressureModel) -> CurvatureReport:
+    """Unnormalized sectional curvature <<R(U,V)V,U>> as four itemized integrals.
+
+    The intrinsic term is identically zero on the supported flat base manifolds
+    and is reported as such."""
+    g = check_same_grid(U.f, V.f, rho)
+    _check_density(rho.values)
+    term_div, term_Q, term_grad, total, uu, vv, uv, _ = _curvature(
+        g, model, rho.values, U.u.values, V.u.values, U.f.values, V.f.values)
     gram = uu * vv - uv**2
     normalized = total / gram if abs(gram) > 1e-14 * max(uu * vv, 1.0) else float("nan")
-    return CurvatureReport(term_R, term_div, term_Q, term_grad, total, normalized)
+    return CurvatureReport(0.0, term_div, term_Q, term_grad, total, normalized)
 
 
 @dataclass(frozen=True)
@@ -168,36 +179,46 @@ class ScanReport:
     trials: list[ScanTrial]
     min_total: float
     argmin: int
+    coef_min: float  # the curvature coefficient's minimum over the sampled densities
 
 
-def random_section_1d(grid: grids.CircleGrid, rng: np.random.Generator):
-    """Random band-limited (U, V, rho) tuple on the circle with rho bounded
-    away from zero."""
-    def bl():
-        v = grids.random_band_limited(grid, rng).values
-        return v / (np.max(np.abs(v)) + 1e-12)
-
-    U = TangentVector(VectorField(grid, bl()[None]), ScalarField(grid, bl()))
-    V = TangentVector(VectorField(grid, bl()[None]), ScalarField(grid, bl()))
-    rho = ScalarField(grid, 1.0 + 0.5 * bl())
-    return U, V, rho
+# Grid points per block of the curvature scan (32 trials at n = 128): enough
+# trials per numpy call to pay its overhead, few enough to keep memory small.
+SCAN_BLOCK_POINTS = 4096
 
 
 def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
                            n: int = 64) -> ScanReport:
     """Evaluate the curvature on seeded random 1D sections; nonnegative for
-    polytropic gamma <= 3."""
+    polytropic gamma <= 3.  Trial i draws from its own stream
+    Philox(key=seed, counter=i) the coefficients of five band-limited fields
+    (grids.random_band_limited), each scaled to sup norm one: u, f, v, g and
+    rho = 1 + 0.5 * the fifth, with U = (u, f) and V = (v, g).  The trials go
+    through sectional_curvature's quadrature in blocks of SCAN_BLOCK_POINTS
+    grid points, so memory is O(block) whatever the number of trials, and
+    every trial gets the bits it would get alone."""
     grid = grids.CircleGrid(n)
-    rows = []
-    for i in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=i))
-        U, V, rho = random_section_1d(grid, rng)
-        rep = sectional_curvature(U, V, rho, model)
-        rows.append(ScanTrial(i, seed, rep.term_R, rep.term_div, rep.term_Q,
-                              rep.term_grad, rep.total))
-    totals = np.array([r.total for r in rows])
+    modes = len(grids._band_modes(n))
+    block = max(1, SCAN_BLOCK_POINTS // n)
+    rows, totals, coef_min = [], np.empty(trials), np.inf
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        ab = np.empty((5, stop - start, modes, 2))
+        for b, i in enumerate(range(start, stop)):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=i))
+            ab[:, b] = rng.standard_normal((5, modes, 2))
+        w = grids._band_limited_1d(n, ab, 0.0)
+        w /= np.max(np.abs(w), axis=-1, keepdims=True) + 1e-12
+        rho = 1.0 + 0.5 * w[4]
+        _check_density(rho)
+        term_div, term_Q, term_grad, total, *_, coef = _curvature(
+            grid, model, rho, w[0:1], w[2:3], w[1], w[3], first=start)
+        totals[start:stop] = total
+        coef_min = min(coef_min, float(coef.min()))
+        terms = np.stack([term_div, term_Q, term_grad, total], axis=1).tolist()
+        rows += [ScanTrial(i, seed, 0.0, *t) for i, t in zip(range(start, stop), terms)]
     k = int(np.argmin(totals))
-    return ScanReport(rows, float(totals[k]), k)
+    return ScanReport(rows, float(totals[k]), k, coef_min)
 
 
 def jacobi_metric_curvature_1d(u: VectorField, v: VectorField, rho: ScalarField,
@@ -207,7 +228,7 @@ def jacobi_metric_curvature_1d(u: VectorField, v: VectorField, rho: ScalarField,
     g = check_same_grid(u, v, rho)
     if not isinstance(g, grids.CircleGrid):
         raise DomainError("the comparison curvature is implemented on the circle")
-    _check_density(rho)
+    _check_density(rho.values)
     rv = rho.values
     uu = integrate(ScalarField(g, rv * u.values[0] ** 2))
     vv = integrate(ScalarField(g, rv * v.values[0] ** 2))

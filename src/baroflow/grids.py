@@ -68,10 +68,13 @@ def _radial_deriv(values: np.ndarray, dr: float) -> np.ndarray:
 
 class PeriodicGrid:
     """Operators of a uniform periodic grid on [0, 2*pi)^ncomp, with one
-    spectral derivative per axis."""
+    spectral derivative per axis.  The grid axes are counted from the end,
+    so leading batch axes pass through every operator: a scalar is
+    (*batch, *shape) and a vector (ncomp, *batch, *shape), and each batch
+    item gets the bits it would get alone."""
 
     def _d(self, f: np.ndarray, axis: int) -> np.ndarray:
-        return _spectral_deriv(f, axis, self.shape[axis])
+        return _spectral_deriv(f, axis - len(self.shape), self.shape[axis])
 
     def partials(self, ops: np.ndarray) -> np.ndarray:
         """Every first partial of a stack of operands (leading axis), with one
@@ -79,7 +82,7 @@ class PeriodicGrid:
         single-operand derivative."""
         out = np.empty((len(ops), len(self.shape)) + ops.shape[1:])
         for a, n in enumerate(self.shape):
-            out[:, a] = _spectral_deriv(ops, 1 + a, n)
+            out[:, a] = _spectral_deriv(ops, a - len(self.shape), n)
         return out
 
     def grad(self, f: np.ndarray) -> np.ndarray:
@@ -98,8 +101,12 @@ class PeriodicGrid:
     def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.einsum("c...,c...->...", u, v)
 
-    def integrate(self, f: np.ndarray) -> float:
-        return float(reduce(operator.mul, (2 * np.pi / n for n in self.shape), f.sum()))
+    def integrate(self, f: np.ndarray) -> float | np.ndarray:
+        """The sum over the grid axes times the cell volume: a float for one
+        field, an array over the batch axes otherwise."""
+        total = f.sum(axis=tuple(range(-len(self.shape), 0)))
+        volume = reduce(operator.mul, (2 * np.pi / n for n in self.shape), total)
+        return float(volume) if f.ndim == len(self.shape) else volume
 
     @property
     def cfl_spacing(self) -> float:
@@ -473,20 +480,23 @@ def _band_modes(n: int) -> np.ndarray:
     return table
 
 
-def _band_limited_1d(n: int, rng: np.random.Generator, mean: float) -> np.ndarray:
-    """mean + sum_k a_k cos kx + b_k sin kx, the (a_k, b_k) drawn in mode
-    order.  A sum over the leading axis adds whole rows in order, so the
-    terms accumulate onto the mean in mode order, as a loop over k would."""
-    table = _band_modes(n)
-    ab = rng.standard_normal((len(table), 2))
-    terms = ab[:, :1] * table[:, 0] + ab[:, 1:] * table[:, 1]
-    return np.vstack([np.full(n, mean), terms]).sum(axis=0)
+def _band_limited_1d(n: int, ab: np.ndarray, mean: float) -> np.ndarray:
+    """mean + sum_k a_k cos kx + b_k sin kx on the n-point circle grid, from
+    coefficients ab of shape (*batch, K, 2) in mode order; the result is
+    (*batch, n).  The terms accumulate onto the mean in mode order, one mode
+    at a time, so a batch item gets the bits it would get alone and memory
+    stays that of the result."""
+    out = np.full(ab.shape[:-2] + (n,), mean)
+    for k, (cos, sin) in enumerate(_band_modes(n)):
+        out += ab[..., k, :1] * cos + ab[..., k, 1:] * sin
+    return out
 
 
 def random_band_limited(grid: CircleGrid, rng: np.random.Generator,
                         mean: float = 0.0) -> ScalarField:
     """A seeded random field on the circle: mean plus the modes
-    1 <= k < n/4."""
+    1 <= k < n/4, with the coefficients (a_k, b_k) drawn in mode order."""
     if not isinstance(grid, CircleGrid):
         raise GridMismatchError("random band-limited fields are drawn on the circle")
-    return ScalarField(grid, _band_limited_1d(grid.n, rng, mean))
+    ab = rng.standard_normal((len(_band_modes(grid.n)), 2))
+    return ScalarField(grid, _band_limited_1d(grid.n, ab, mean))

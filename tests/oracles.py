@@ -22,8 +22,10 @@ from baroflow.disc import (
     mode_matrix,
 )
 from baroflow.errors import DomainError, ShockError
+from baroflow.geometry import ScanReport, ScanTrial, TangentVector, sectional_curvature
 from baroflow.geodesic import FlowMap, FluidState, barotropic_initializer, integrate_geodesic
 from baroflow.grids import (
+    CircleGrid,
     DiscGrid,
     ScalarField,
     TorusGrid,
@@ -89,6 +91,43 @@ def from_catalog(name: str, c: float = 1.0) -> PressureModel:
     if name == "const":
         return polytropic(c**2 / 2.0, 2.0)
     raise DomainError(f"unknown catalog model {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# Curvature sign scan
+
+
+def random_section_1d(grid: CircleGrid, rng: np.random.Generator):
+    """Random band-limited (U, V, rho) tuple on the circle with rho bounded
+    away from zero: five fields drawn in turn, each scaled to sup norm one."""
+    def bl():
+        v = grids.random_band_limited(grid, rng).values
+        return v / (np.max(np.abs(v)) + 1e-12)
+
+    U = TangentVector(VectorField(grid, bl()[None]), ScalarField(grid, bl()))
+    V = TangentVector(VectorField(grid, bl()[None]), ScalarField(grid, bl()))
+    rho = ScalarField(grid, 1.0 + 0.5 * bl())
+    return U, V, rho
+
+
+def curvature_scan_1d(model: PressureModel, trials: int, seed: int,
+                      n: int = 64) -> ScanReport:
+    """geometry.curvature_sign_scan_1d one trial at a time: each section from
+    random_section_1d on its own Philox(key=seed, counter=i) stream, through
+    sectional_curvature alone, and the coefficient minimum from
+    PressureModel.curvature_coefficient on each density."""
+    grid = CircleGrid(n)
+    rows, coef_min = [], np.inf
+    for i in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=i))
+        U, V, rho = random_section_1d(grid, rng)
+        rep = sectional_curvature(U, V, rho, model)
+        rows.append(ScanTrial(i, seed, rep.term_R, rep.term_div, rep.term_Q,
+                              rep.term_grad, rep.total))
+        coef_min = min(coef_min, float(np.min(model.curvature_coefficient(rho.values))))
+    totals = np.array([r.total for r in rows])
+    k = int(np.argmin(totals))
+    return ScanReport(rows, float(totals[k]), k, coef_min)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,25 @@ class TestExperiments:
         _, manifest = read_outputs(tmp_path, "curvature-scan")
         assert manifest["summary"]["min_total"] >= -1e-10
 
+    @pytest.mark.parametrize("gamma, a_coeff", [("1.4", ["--a-coeff", "1"]),
+                                                 ("2", ["--a-coeff", "1"]), ("3", []),
+                                                 ("4", ["--a-coeff", "1"])])
+    def test_curvature_scan_reports_the_predicted_sign(self, gamma, a_coeff, tmp_path,
+                                                       monkeypatch):
+        # coef_min is the minimum of x phi'(x) + phi(x)^2 / lambda(x) over the
+        # sampled densities: it predicts the sign that n_negative counts (the
+        # default a_coeff 1/3 at gamma = 3)
+        rc = run(["curvature-scan", "--gamma", gamma, "--trials", "200", "--seed", "9",
+                  "--n-grid", "64"] + a_coeff, tmp_path, monkeypatch)
+        assert rc == 0
+        csv_text, manifest = read_outputs(tmp_path, "curvature-scan")
+        summary = manifest["summary"]
+        assert csv_text.decode().splitlines()[0] == "trial,total,term_div,term_Q,term_grad"
+        if gamma == "4":
+            assert summary["coef_min"] < 0 and summary["n_negative"] > 0
+        else:
+            assert summary["coef_min"] >= -1e-12 and summary["n_negative"] == 0
+
     def test_geodesic_energy_column(self, tmp_path, monkeypatch):
         rc = run(["geodesic", "--t-end", "0.5", "--dt", "0.005",
                   "--n-grid", "64"], tmp_path, monkeypatch)

@@ -116,6 +116,31 @@ class TestStepGeodesic:
                 jstate = jacobi.initial_jacobi(VectorField(g, np.cos(g.x)[None]))
                 jacobi.linearized_step(jstate, state, fm, GAMMA3, dt)
 
+    @pytest.mark.parametrize("rho_after", [5e-7, 2e6])
+    def test_density_leaving_the_working_range_in_a_step_is_a_shock(self, rho_after,
+                                                                    monkeypatch):
+        # the step lands the density outside [RHO_MIN, RHO_MAX] but positive:
+        # that ends the run as a shock, not as bad input at the next step
+        state, g = circle_state(n=32)
+
+        def leaving_rk4(rhs, y, dt):
+            out = y.copy()
+            out[1] = rho_after
+            return out
+
+        monkeypatch.setattr(geodesic, "rk4", leaving_rk4)
+        with pytest.raises(ShockError, match="working range"):
+            geodesic.step_geodesic(state, None, GAMMA3, 0.01)
+        with pytest.raises(ShockError, match="working range"):
+            geodesic.integrate_geodesic(state, GAMMA3, t_end=0.05, dt=0.01)
+
+    def test_input_density_outside_the_working_range_is_bad_input(self):
+        state, g = circle_state(n=32)
+        low = geodesic.FluidState(state.u, ScalarField(g, np.full(g.n, 5e-7)), state.q)
+        with pytest.raises(DomainError, match="working range") as exc:
+            geodesic.step_geodesic(low, None, GAMMA3, 0.01)
+        assert not isinstance(exc.value, ShockError)
+
     @pytest.mark.parametrize("step", ["step_geodesic", "linearized_step"])
     def test_nan_stage_ends_the_step_as_a_shock(self, step, monkeypatch):
         # the first stage's derivatives come back NaN, so the second stage's

@@ -1,7 +1,11 @@
+import tracemalloc
+from dataclasses import astuple
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from baroflow import grids
+from baroflow import geometry, grids
 from baroflow.errors import DomainError, NormalizationError
 from baroflow.geometry import (
     TangentVector,
@@ -12,7 +16,6 @@ from baroflow.geometry import (
     jacobi_metric_curvature_1d,
     metric_inner,
     q_operator,
-    random_section_1d,
     sectional_curvature,
 )
 from baroflow.grids import (
@@ -23,8 +26,14 @@ from baroflow.grids import (
     VectorField,
     circle_interp,
 )
-from baroflow.pressure import polytropic
-from oracles import from_catalog, random_band_limited, random_band_limited_vector
+from baroflow.pressure import PressureModel, polytropic
+from oracles import (
+    curvature_scan_1d,
+    from_catalog,
+    random_band_limited,
+    random_band_limited_vector,
+    random_section_1d,
+)
 
 
 def rng(seed=0):
@@ -337,6 +346,72 @@ class TestCurvatureScan:
         a = curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=5, seed=42)
         b = curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=5, seed=42)
         assert a.trials == b.trials
+
+
+def scan_bits(rep):
+    """Every number of a scan report, as bytes: equal only bit for bit."""
+    rows = np.array([astuple(t) for t in rep.trials])
+    tail = np.array([rep.min_total, rep.argmin, rep.coef_min])
+    return rows.tobytes() + tail.tobytes()
+
+
+def scan_model(gamma):
+    return polytropic(1.0 / 3.0 if gamma == 3.0 else 1.0, gamma)
+
+
+@lru_cache(maxsize=None)
+def oracle_scan(gamma, trials, n):
+    return scan_bits(curvature_scan_1d(scan_model(gamma), trials, 5, n))
+
+
+class TestBlockedCurvatureScan:
+    """The scan evaluates its trials in blocks through sectional_curvature's
+    quadrature; every trial, min_total, argmin and coef_min equal the
+    one-trial-at-a-time oracle bit for bit, whatever the block size."""
+
+    @pytest.mark.parametrize("trials", [1, 33, 200])
+    @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_matches_per_trial_oracle(self, n, gamma, trials):
+        rep = curvature_sign_scan_1d(scan_model(gamma), trials, 5, n)
+        assert [t.index for t in rep.trials] == list(range(trials))
+        assert scan_bits(rep) == oracle_scan(gamma, trials, n)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_block_size_does_not_change_results(self, n, block, monkeypatch):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_POINTS", block * n)
+        rep = curvature_sign_scan_1d(scan_model(4.0), 33, 5, n)
+        assert scan_bits(rep) == oracle_scan(4.0, 33, n)
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_non_finite_guard_names_the_first_bad_trial(self, block, monkeypatch):
+        # lambda is NaN where rho >= 1.49; with seed 2 on 16 points, trial 4
+        # is the first whose density gets there (trial 1 of the second
+        # block of three)
+        model = PressureModel(lambda r: np.where(r < 1.49, 1.0, np.nan),
+                              lambda r: np.zeros_like(r))
+        with pytest.raises(DomainError):
+            curvature_scan_1d(model, 5, 2, 16)
+        curvature_scan_1d(model, 4, 2, 16)
+        if block is not None:
+            monkeypatch.setattr(geometry, "SCAN_BLOCK_POINTS", block * 16)
+        with pytest.raises(DomainError, match=r"^curvature integrand has non-finite "
+                                              r"entries \(trial 4\)$"):
+            curvature_sign_scan_1d(model, 10, 2, 16)
+
+    def test_memory_stays_that_of_a_block(self):
+        # one batch of all 2,000 trials would peak near 75 MB; the parent's
+        # one-trial loop peaked at 0.7 MB, mostly the ScanTrial rows
+        model = polytropic(1.0, 2.0)
+        curvature_sign_scan_1d(model, 2, 7, 128)  # warm the per-size caches
+        tracemalloc.start()
+        try:
+            curvature_sign_scan_1d(model, 2000, 7, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestJacobiMetricCurvature:

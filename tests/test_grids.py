@@ -334,6 +334,46 @@ class TestKernelEquivalence:
             for a in range(g.ncomp):
                 assert np.array_equal(d[k, a], g._d(ops[k], a)), (k, a)
 
+    @pytest.mark.parametrize("g", [CircleGrid(8), CircleGrid(64), TorusGrid(16, 24)],
+                             ids=["circle8", "circle64", "torus16x24"])
+    def test_batch_axes_match_per_item_calls(self, g):
+        # a scalar is (*batch, *shape), a vector (ncomp, *batch, *shape) and
+        # a stack of partials (k, ncomp, *batch, *shape)
+        batch = (2, 3)
+        r = rng(25)
+        f, h = r.standard_normal((2,) + batch + g.shape)
+        u, v = r.standard_normal((2, g.ncomp) + batch + g.shape)
+        ops = r.standard_normal((5,) + batch + g.shape)
+        batched = {f"d{a}": g._d(f, a) for a in range(g.ncomp)}
+        batched.update(grad=g.grad(f), div=g.div(u), directional=g.directional(u, h),
+                       covariant_derivative=g.covariant_derivative(u, v),
+                       inner=g.inner(u, v), integrate=g.integrate(f),
+                       partials=g.partials(ops))
+        for i in np.ndindex(batch):
+            c = (slice(None),) + i  # item i of a vector
+            items = {f"d{a}": (g._d(f[i], a), i) for a in range(g.ncomp)}
+            items.update(grad=(g.grad(f[i]), c), div=(g.div(u[c]), i),
+                         directional=(g.directional(u[c], h[i]), i),
+                         covariant_derivative=(g.covariant_derivative(u[c], v[c]), c),
+                         inner=(g.inner(u[c], v[c]), i), integrate=(g.integrate(f[i]), i),
+                         partials=(g.partials(ops[c]), (slice(None),) + c))
+            for name, (item, where) in items.items():
+                assert np.array_equal(batched[name][where], item), (name, i)
+        assert isinstance(g.integrate(f[0, 0]), float)
+        assert g.integrate(f).shape == batch
+
+    @pytest.mark.parametrize("g", [CircleGrid(64), TorusGrid(16, 24)],
+                             ids=["circle64", "torus16x24"])
+    def test_integrate_one_field_sums_every_entry(self, g):
+        # a strided field as well as a contiguous one: f.sum() times each
+        # axis's spacing, as a float
+        f = rng(26).standard_normal(g.shape[::-1]).T
+        for field in (f, np.ascontiguousarray(f)):
+            want = field.sum()
+            for n in g.shape:
+                want = want * (2 * np.pi / n)
+            assert g.integrate(field) == float(want)
+
     @pytest.mark.parametrize("n", [8, 16, 64, 128, 256])
     def test_circle_random_band_limited_matches_mode_loop(self, n):
         def mode_loop(rng, mean):
