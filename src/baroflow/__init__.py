@@ -11,7 +11,6 @@ from .errors import (
     DomainError,
     GridMismatchError,
     InstabilityFlagError,
-    NormalizationError,
     ProjectionResidualError,
     ShockError,
     StepSizeError,
@@ -25,7 +24,7 @@ __all__ = [
     "burgers", "disc", "geodesic", "geometry", "grids", "jacobi",
     "pressure", "torus",
     "BaroflowError", "DomainError", "GridMismatchError",
-    "InstabilityFlagError", "NormalizationError", "ProjectionResidualError",
+    "InstabilityFlagError", "ProjectionResidualError",
     "ShockError", "StepSizeError", "VacuumError",
     "CircleGrid", "DiscGrid", "ScalarField", "TorusGrid", "VectorField",
     "PressureModel", "polytropic",

@@ -52,16 +52,6 @@ def riemann_invariants(u0: ScalarField | VectorField, rho0: ScalarField) -> Riem
                        ScalarField(g, uvals - rho0.values))
 
 
-@lru_cache(maxsize=None)
-def _fine_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only 8n-point grid on [0, 2 pi) and its phases e^{ikx},
-    k = 0..n/2, as circle_interp builds them for n samples."""
-    fine = np.linspace(0.0, 2 * np.pi, 8 * n, endpoint=False)
-    phases = _phases(fine, n // 2 + 1)
-    fine.flags.writeable = phases.flags.writeable = False
-    return fine, phases
-
-
 def shock_time(alpha0: ScalarField) -> float:
     """T* = 1/max(-alpha0'), or +inf if alpha0 is nondecreasing."""
     return _flow(alpha0).shock_time
@@ -85,8 +75,9 @@ class CharacteristicFlow:
     """The Burgers characteristic flow xi(t,x) = x + t alpha0(x) and its
     spatial inverse chi, valid for t below the shock time.  The trigonometric
     interpolant of alpha0 and its derivative are summed from coefficients
-    formed once per flow, as circle_interp forms them, so every value is
-    bitwise the circle_interp one."""
+    formed once per flow, as circle_interp forms them, so every value at a
+    point is bitwise the circle_interp one; the values on the fine grid come
+    from an irfft of the same coefficients."""
 
     alpha0: ScalarField
 
@@ -96,16 +87,25 @@ class CharacteristicFlow:
         return _interp_coeffs(vals), _interp_coeffs(vals, 1)
 
     @cached_property
+    def _fine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The interpolant and minus its slope on the uniform 8n-point grid
+        2 pi j / 8n, from one zero-padded irfft of the coefficients; all but
+        the mean are halved, since irfft counts each interior bin twice."""
+        c = np.stack(self._coeffs)
+        c[:, 1:] *= 0.5
+        a, da = np.fft.irfft(c, 8 * self.alpha0.grid.n, norm="forward")
+        return a, -da
+
+    @cached_property
     def shock_time(self) -> float:
         """1/max_x(-alpha0'(x)) over the continuum: the fine-grid maximum,
         refined by bounded scalar minimization; +inf if alpha0 is
         nondecreasing."""
         da = self._coeffs[1]
-        n = self.alpha0.grid.n
-        fine, phases = _fine_grid(n)
-        slope = -np.real(phases @ da)
+        slope = self._fine[1]
         k = int(np.argmax(slope))
-        lo, hi = fine[k] - 2 * np.pi / (8 * n), fine[k] + 2 * np.pi / (8 * n)
+        h = 2 * np.pi / len(slope)
+        lo, hi = k * h - h, k * h + h
         res = scipy.optimize.minimize_scalar(
             lambda x: float(np.real(_phases(np.array([x], dtype=float), len(da)) @ da)[0]),
             bounds=(lo, hi), method="bounded", options={"xatol": 1e-13},
@@ -120,7 +120,7 @@ class CharacteristicFlow:
         """The range of the interpolant (which can overshoot the grid
         samples) on the fine grid, padded so that xi increasing guarantees
         invert's root is bracketed."""
-        afine = np.real(_fine_grid(self.alpha0.grid.n)[1] @ self._coeffs[0])
+        afine = self._fine[0]
         spread = float(np.max(afine) - np.min(afine))
         pad = 1e-2 * spread + 1e-9
         return float(np.min(afine)) - pad, float(np.max(afine)) + pad

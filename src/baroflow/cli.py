@@ -419,17 +419,24 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=args.experiment)
     accepted = EXPERIMENTS[args.experiment].params + ("output_dir",)
+    given = set()
     if args.config:
         for key, val in parse_config_file(args.config).items():
             if key not in accepted:
                 raise ValidationError(f"{args.config}: {args.experiment} has no "
                                       f"parameter {key!r}")
             setattr(cfg, key, _coerce(key, val, getattr(cfg, key)))
+            given.add(key)
     for key in cfg.__dict__:
         flag_val = getattr(args, key, None)
         if flag_val is not None and key != "experiment":
             setattr(cfg, key, flag_val)
+            given.add(key)
     cfg.validate()
+    # torus-modes reads the amplitude only to scale the divergence-free part
+    # of mixed data; anywhere else a given amplitude would be ignored
+    if cfg.experiment == "torus-modes" and "amplitude" in given and cfg.kind != "mixed":
+        raise ValidationError(f"amplitude applies to kind 'mixed' only, got kind {cfg.kind!r}")
     return cfg
 
 

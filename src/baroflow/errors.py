@@ -25,10 +25,6 @@ class VacuumError(BaroflowError, ValueError):
     """A density profile would become nonpositive."""
 
 
-class NormalizationError(BaroflowError, ValueError):
-    """Inputs fail a required normalization precondition."""
-
-
 class InstabilityFlagError(BaroflowError, RuntimeError):
     """A spectral quantity violates the boundedness criterion it was supposed to satisfy."""
 

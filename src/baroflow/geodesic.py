@@ -49,9 +49,6 @@ class FluidState:
     def grid(self):
         return self.rho.grid
 
-    def f(self, model: PressureModel) -> ScalarField:
-        return ScalarField(self.grid, self.q.values / model.lam(self.rho.values))
-
 
 @dataclass(frozen=True)
 class FlowMap:

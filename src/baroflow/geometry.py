@@ -1,6 +1,6 @@
-"""Warped-product metric on velocity/function pairs: inner product, Christoffel
-map, the symmetric operator Q, sectional curvature quadrature, and the 1D
-comparison curvature of the energy-conformal (Jacobi) metric."""
+"""Warped-product metric on velocity/function pairs: the sectional curvature
+quadrature, with the metric density and the symmetric operator Q on raw
+arrays, and the seeded curvature sign scan on the circle."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .errors import DomainError, NormalizationError
-from .grids import ScalarField, VectorField, check_same_grid, integrate
+from .errors import DomainError
+from .grids import ScalarField, VectorField, check_same_grid
 from .pressure import PressureModel
 
 
@@ -49,67 +49,9 @@ def _metric_density(g, lam, rho, f, h, u, v) -> np.ndarray:
     return lam * f * h + rho * g.inner(u, v)
 
 
-def metric_inner(U: TangentVector, V: TangentVector, rho: ScalarField, model: PressureModel) -> float:
-    """<<U, V>> = int [lambda(rho) f g + rho <u, v>] dmu."""
-    g = check_same_grid(U.f, V.f, rho)
-    _check_density(rho.values)
-    lam = model.lam(rho.values)
-    dens = _metric_density(g, lam, rho.values, U.f.values, V.f.values, U.u.values, V.u.values)
-    return integrate(ScalarField(g, dens))
-
-
-def christoffel(U: TangentVector, V: TangentVector, rho: ScalarField, model: PressureModel) -> TangentVector:
-    """Explicit Christoffel map: (z, j) with j = (phi/lambda)(f div v + g div u)
-    and z = (1/rho) grad(phi(rho) f g)."""
-    g = check_same_grid(U.f, V.f, rho)
-    _check_density(rho.values)
-    phi = model.phi(rho.values)
-    lam = model.lam(rho.values)
-    div_u = grids.div(U.u).values
-    div_v = grids.div(V.u).values
-    j = ScalarField(g, phi / lam * (U.f.values * div_v + V.f.values * div_u))
-    z_raw = grids.grad(ScalarField(g, phi * U.f.values * V.f.values))
-    z = VectorField(g, z_raw.values / rho.values)
-    return TangentVector(z, j)
-
-
-def christoffel_weak(U: TangentVector, V: TangentVector, W: TangentVector,
-                     rho: ScalarField, model: PressureModel) -> float:
-    """Weak form <<Gamma(U,V), W>> = int phi(rho)(h f div v + h g div u - f g div w)."""
-    g = check_same_grid(U.f, V.f, W.f, rho)
-    phi = model.phi(rho.values)
-    dens = phi * (
-        W.f.values * U.f.values * grids.div(V.u).values
-        + W.f.values * V.f.values * grids.div(U.u).values
-        - U.f.values * V.f.values * grids.div(W.u).values
-    )
-    return integrate(ScalarField(g, dens))
-
-
 def _q(g, u: np.ndarray, v: np.ndarray, div_u: np.ndarray, div_v: np.ndarray) -> np.ndarray:
     """Q(u, v) on raw arrays, given div u and div v."""
     return g.div(g.covariant_derivative(u, v)) - g.directional(u, div_v) - div_u * div_v
-
-
-def q_operator(u: VectorField, v: VectorField) -> ScalarField:
-    """Q(u,v) = div(nabla_u v) - u(div v) - (div u)(div v)."""
-    g = check_same_grid(u, v)
-    return ScalarField(g, _q(g, u.values, v.values, g.div(u.values), g.div(v.values)))
-
-
-def density_functional_derivative(alpha: ScalarField, phi_fn, rho: ScalarField,
-                                  w: VectorField, dphi_fn=None) -> float:
-    """Derivative of Phi(eta) = int alpha phi_fn(rho) dmu along the flow of w:
-    -int div(rho w) alpha phi_fn'(rho) dmu."""
-    g = check_same_grid(alpha, rho, w)
-    _check_density(rho.values)
-    if dphi_fn is None:
-        h = 1e-6 * rho.values
-        dphi = (np.asarray(phi_fn(rho.values + h)) - np.asarray(phi_fn(rho.values - h))) / (2 * h)
-    else:
-        dphi = np.asarray(dphi_fn(rho.values))
-    flux = grids.div(VectorField(g, rho.values * w.values)).values
-    return -integrate(ScalarField(g, flux * alpha.values * dphi))
 
 
 def _curvature(g, model: PressureModel, rv, u, v, f, gg, first: int = 0):
@@ -192,7 +134,7 @@ def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
     """Evaluate the curvature on seeded random 1D sections; nonnegative for
     polytropic gamma <= 3.  Trial i draws from its own stream
     Philox(key=seed, counter=i) the coefficients of five band-limited fields
-    (grids.random_band_limited), each scaled to sup norm one: u, f, v, g and
+    (grids._band_limited_1d), each scaled to sup norm one: u, f, v, g and
     rho = 1 + 0.5 * the fifth, with U = (u, f) and V = (v, g).  The trials go
     through sectional_curvature's quadrature in blocks of SCAN_BLOCK_POINTS
     grid points, so memory is O(block) whatever the number of trials, and
@@ -219,32 +161,3 @@ def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
         rows += [ScanTrial(i, seed, 0.0, *t) for i, t in zip(range(start, stop), terms)]
     k = int(np.argmin(totals))
     return ScanReport(rows, float(totals[k]), k, coef_min)
-
-
-def jacobi_metric_curvature_1d(u: VectorField, v: VectorField, rho: ScalarField,
-                               model: PressureModel, E: float) -> float:
-    """Sectional curvature of the energy-conformal metric on circle
-    diffeomorphisms, for a rho-orthonormal pair (u, v) at energy level E."""
-    g = check_same_grid(u, v, rho)
-    if not isinstance(g, grids.CircleGrid):
-        raise DomainError("the comparison curvature is implemented on the circle")
-    _check_density(rho.values)
-    rv = rho.values
-    uu = integrate(ScalarField(g, rv * u.values[0] ** 2))
-    vv = integrate(ScalarField(g, rv * v.values[0] ** 2))
-    uv = integrate(ScalarField(g, rv * u.values[0] * v.values[0]))
-    if abs(uu - 1) > 1e-8 or abs(vv - 1) > 1e-8 or abs(uv) > 1e-8:
-        raise NormalizationError("u, v must be rho-orthonormal")
-    Phi = integrate(ScalarField(g, rv * model.potential_density(rv)))
-    if E <= Phi:
-        raise DomainError(f"energy level E={E} must exceed Phi={Phi}")
-    dp = rv * model.linearization_coefficient(rv)  # p'(rho)
-    du = grids.derivative(ScalarField(g, u.values[0])).values
-    dv = grids.derivative(ScalarField(g, v.values[0])).values
-    drho = grids.derivative(rho).values
-    I1 = 2.0 * integrate(ScalarField(g, rv * dp * (du**2 + dv**2)))
-    Ju = integrate(ScalarField(g, dp * drho * u.values[0]))
-    Jv = integrate(ScalarField(g, dp * drho * v.values[0]))
-    I2 = integrate(ScalarField(g, dp**2 * drho**2 / rv))
-    gap = E - Phi
-    return (I1 + (3 * Jv**2 + 3 * Ju**2 - I2) / gap) / (4 * gap**2)

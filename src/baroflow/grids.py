@@ -465,7 +465,7 @@ def circle_interp_antideriv(values: np.ndarray, xq) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random band-limited fields (modes |k| <= n/4, seeded)
+# Band-limited fields (modes 1 <= k < n/4) on the circle
 
 
 @lru_cache(maxsize=None)
@@ -490,13 +490,3 @@ def _band_limited_1d(n: int, ab: np.ndarray, mean: float) -> np.ndarray:
     for k, (cos, sin) in enumerate(_band_modes(n)):
         out += ab[..., k, :1] * cos + ab[..., k, 1:] * sin
     return out
-
-
-def random_band_limited(grid: CircleGrid, rng: np.random.Generator,
-                        mean: float = 0.0) -> ScalarField:
-    """A seeded random field on the circle: mean plus the modes
-    1 <= k < n/4, with the coefficients (a_k, b_k) drawn in mode order."""
-    if not isinstance(grid, CircleGrid):
-        raise GridMismatchError("random band-limited fields are drawn on the circle")
-    ab = rng.standard_normal((len(_band_modes(grid.n)), 2))
-    return ScalarField(grid, _band_limited_1d(grid.n, ab, mean))

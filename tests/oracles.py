@@ -2,17 +2,20 @@
 cross-check integrators and residuals that no experiment runs.  Each one
 computes its answer by a route other than the code under test (a centered
 difference of perturbed geodesics, a direct method-of-lines integration, a
-PDE residual), so a test that compares the two checks something.
+PDE residual), so a test that compares the two checks something.  The
+general pressure law (any lambda(rho)) and the metric formulas that no
+experiment uses live here too, beside the polytropic law the library runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.optimize
 
-from baroflow import grids, jacobi
+from baroflow import geometry, grids, jacobi
 from baroflow.burgers import CharacteristicFlow, exact_state
 from baroflow.disc import (
     DiscBackground,
@@ -21,7 +24,7 @@ from baroflow.disc import (
     ModeSystem,
     mode_matrix,
 )
-from baroflow.errors import DomainError, ShockError
+from baroflow.errors import BaroflowError, DomainError, GridMismatchError, ShockError
 from baroflow.geometry import ScanReport, ScanTrial, TangentVector, sectional_curvature
 from baroflow.geodesic import FlowMap, FluidState, barotropic_initializer, integrate_geodesic
 from baroflow.grids import (
@@ -37,7 +40,7 @@ from baroflow.grids import (
     integrate,
 )
 from baroflow.jacobi import JacobiState
-from baroflow.pressure import PressureModel, polytropic
+from baroflow.pressure import PressureModel, _check_rho, polytropic
 from baroflow.torus import TorusModeSolution, synthesize
 
 # ---------------------------------------------------------------------------
@@ -60,12 +63,22 @@ def tuple_rk4(rhs, y: tuple, dt: float) -> tuple:
 # Fields and pressure models
 
 
+def random_band_limited_1d(grid: CircleGrid, rng: np.random.Generator,
+                           mean: float = 0.0) -> ScalarField:
+    """A seeded random field on the circle: mean plus the modes
+    1 <= k < n/4, with the coefficients (a_k, b_k) drawn in mode order."""
+    if not isinstance(grid, CircleGrid):
+        raise GridMismatchError("random band-limited fields are drawn on the circle")
+    ab = rng.standard_normal((len(grids._band_modes(grid.n)), 2))
+    return ScalarField(grid, grids._band_limited_1d(grid.n, ab, mean))
+
+
 def random_band_limited(grid, rng: np.random.Generator, mean: float = 0.0) -> ScalarField:
-    """grids.random_band_limited on the circle; on the torus, modes
+    """random_band_limited_1d on the circle; on the torus, modes
     |kx| < nx/4, |ky| < ny/4 with complex normal coefficients drawn as
     scalars in (kx, ky) order."""
     if not isinstance(grid, TorusGrid):
-        return grids.random_band_limited(grid, rng, mean)
+        return random_band_limited_1d(grid, rng, mean)
     kmax_x, kmax_y = grid.nx // 4 - 1, grid.ny // 4 - 1
     hat = np.zeros((grid.nx, grid.ny), dtype=complex)
     for kx in range(-kmax_x, kmax_x + 1):
@@ -82,15 +95,178 @@ def random_band_limited_vector(grid, rng: np.random.Generator) -> VectorField:
     return VectorField(grid, np.stack(comps))
 
 
-def from_catalog(name: str, c: float = 1.0) -> PressureModel:
+@dataclass(frozen=True)
+class LambdaModel:
+    """A barotropic model given by any metric weight lambda(rho) and its
+    derivative: the general law whose polytropic case is the library's
+    PressureModel.  phi' and h' are centered differences with step
+    1e-6 rho, and potential_density is a quadrature, so the closed forms are
+    checked against a route that does not use them."""
+
+    lam_fn: Callable[[np.ndarray], np.ndarray]
+    dlam_fn: Callable[[np.ndarray], np.ndarray]
+
+    def lam(self, rho):
+        return self.lam_fn(_check_rho(rho))
+
+    def phi(self, rho):
+        rho = _check_rho(rho)
+        return self._phi(rho, self.lam_fn(rho))
+
+    def _phi(self, rho, lam):
+        return 0.5 * (lam - rho * self.dlam_fn(rho))
+
+    def dphi(self, rho):
+        rho = _check_rho(rho)
+        h = 1e-6 * rho
+        return (self.phi(rho + h) - self.phi(rho - h)) / (2 * h)
+
+    def _h_prime(self, rho):
+        h = 1e-6 * rho
+        return (pressure(self, rho + h) - pressure(self, rho - h)) / (2 * h) / rho
+
+    curvature_coefficient = PressureModel.curvature_coefficient
+
+
+def pressure(model, rho):
+    """p(rho) = rho^2 phi / lambda^2."""
+    rho = _check_rho(rho)
+    return rho**2 * model.phi(rho) / model.lam(rho) ** 2
+
+
+def linearization_coefficient(model, rho):
+    """h'(rho) = p'(rho)/rho, the coefficient of the linearized equations."""
+    return model._h_prime(_check_rho(rho))
+
+
+def potential_density(model, rho):
+    """psi(rho) with psi'(rho) = p(rho)/rho^2: A rho^(gamma-1)/(gamma-1) for
+    a PressureModel; for a LambdaModel the trapezoid quadrature from 1 on
+    201 points."""
+    rho = _check_rho(rho)
+    if isinstance(model, PressureModel):
+        return model.A * rho ** (model.gamma - 1.0) / (model.gamma - 1.0)
+    scalar = rho.ndim == 0
+    rho1 = np.atleast_1d(rho)
+    out = np.empty_like(rho1)
+    for i, r in enumerate(rho1):
+        s = np.linspace(1.0, r, 201)
+        out[i] = np.trapezoid(pressure(model, s) / s**2, s)
+    return out[0] if scalar else out
+
+
+def state_f(state: FluidState, model) -> ScalarField:
+    """The function part f = q / lambda(rho) of a state."""
+    return ScalarField(state.grid, state.q.values / model.lam(state.rho.values))
+
+
+def from_catalog(name: str, c: float = 1.0):
     """Small fixed catalog of lambda choices: 'rho', '3/rho', 'const'."""
     if name == "rho":
-        return PressureModel(lambda r: r, lambda r: np.ones_like(r), name="lambda=rho")
+        return LambdaModel(lambda r: r, lambda r: np.ones_like(r))
     if name == "3/rho":
         return polytropic(1.0 / 3.0, 3.0)
     if name == "const":
         return polytropic(c**2 / 2.0, 2.0)
     raise DomainError(f"unknown catalog model {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# Metric, Christoffel map and the operator Q
+
+
+class NormalizationError(BaroflowError, ValueError):
+    """Inputs fail a required normalization precondition."""
+
+
+def metric_inner(U: TangentVector, V: TangentVector, rho: ScalarField, model) -> float:
+    """<<U, V>> = int [lambda(rho) f g + rho <u, v>] dmu."""
+    g = grids.check_same_grid(U.f, V.f, rho)
+    geometry._check_density(rho.values)
+    lam = model.lam(rho.values)
+    dens = geometry._metric_density(g, lam, rho.values, U.f.values, V.f.values,
+                                    U.u.values, V.u.values)
+    return integrate(ScalarField(g, dens))
+
+
+def christoffel(U: TangentVector, V: TangentVector, rho: ScalarField,
+                model) -> TangentVector:
+    """Explicit Christoffel map: (z, j) with j = (phi/lambda)(f div v + g div u)
+    and z = (1/rho) grad(phi(rho) f g)."""
+    g = grids.check_same_grid(U.f, V.f, rho)
+    geometry._check_density(rho.values)
+    phi = model.phi(rho.values)
+    lam = model.lam(rho.values)
+    div_u = grids.div(U.u).values
+    div_v = grids.div(V.u).values
+    j = ScalarField(g, phi / lam * (U.f.values * div_v + V.f.values * div_u))
+    z_raw = grids.grad(ScalarField(g, phi * U.f.values * V.f.values))
+    z = VectorField(g, z_raw.values / rho.values)
+    return TangentVector(z, j)
+
+
+def christoffel_weak(U: TangentVector, V: TangentVector, W: TangentVector,
+                     rho: ScalarField, model) -> float:
+    """Weak form <<Gamma(U,V), W>> = int phi(rho)(h f div v + h g div u - f g div w)."""
+    g = grids.check_same_grid(U.f, V.f, W.f, rho)
+    phi = model.phi(rho.values)
+    dens = phi * (
+        W.f.values * U.f.values * grids.div(V.u).values
+        + W.f.values * V.f.values * grids.div(U.u).values
+        - U.f.values * V.f.values * grids.div(W.u).values
+    )
+    return integrate(ScalarField(g, dens))
+
+
+def q_operator(u: VectorField, v: VectorField) -> ScalarField:
+    """Q(u,v) = div(nabla_u v) - u(div v) - (div u)(div v), through the raw
+    geometry._q of the curvature quadrature."""
+    g = grids.check_same_grid(u, v)
+    return ScalarField(g, geometry._q(g, u.values, v.values, g.div(u.values), g.div(v.values)))
+
+
+def density_functional_derivative(alpha: ScalarField, phi_fn, rho: ScalarField,
+                                  w: VectorField, dphi_fn=None) -> float:
+    """Derivative of Phi(eta) = int alpha phi_fn(rho) dmu along the flow of w:
+    -int div(rho w) alpha phi_fn'(rho) dmu."""
+    g = grids.check_same_grid(alpha, rho, w)
+    geometry._check_density(rho.values)
+    if dphi_fn is None:
+        h = 1e-6 * rho.values
+        dphi = (np.asarray(phi_fn(rho.values + h)) - np.asarray(phi_fn(rho.values - h))) / (2 * h)
+    else:
+        dphi = np.asarray(dphi_fn(rho.values))
+    flux = grids.div(VectorField(g, rho.values * w.values)).values
+    return -integrate(ScalarField(g, flux * alpha.values * dphi))
+
+
+def jacobi_metric_curvature_1d(u: VectorField, v: VectorField, rho: ScalarField,
+                               model, E: float) -> float:
+    """Sectional curvature of the energy-conformal metric on circle
+    diffeomorphisms, for a rho-orthonormal pair (u, v) at energy level E."""
+    g = grids.check_same_grid(u, v, rho)
+    if not isinstance(g, CircleGrid):
+        raise DomainError("the comparison curvature is implemented on the circle")
+    geometry._check_density(rho.values)
+    rv = rho.values
+    uu = integrate(ScalarField(g, rv * u.values[0] ** 2))
+    vv = integrate(ScalarField(g, rv * v.values[0] ** 2))
+    uv = integrate(ScalarField(g, rv * u.values[0] * v.values[0]))
+    if abs(uu - 1) > 1e-8 or abs(vv - 1) > 1e-8 or abs(uv) > 1e-8:
+        raise NormalizationError("u, v must be rho-orthonormal")
+    Phi = integrate(ScalarField(g, rv * potential_density(model, rv)))
+    if E <= Phi:
+        raise DomainError(f"energy level E={E} must exceed Phi={Phi}")
+    dp = rv * linearization_coefficient(model, rv)  # p'(rho)
+    du = derivative(ScalarField(g, u.values[0])).values
+    dv = derivative(ScalarField(g, v.values[0])).values
+    drho = derivative(rho).values
+    I1 = 2.0 * integrate(ScalarField(g, rv * dp * (du**2 + dv**2)))
+    Ju = integrate(ScalarField(g, dp * drho * u.values[0]))
+    Jv = integrate(ScalarField(g, dp * drho * v.values[0]))
+    I2 = integrate(ScalarField(g, dp**2 * drho**2 / rv))
+    gap = E - Phi
+    return (I1 + (3 * Jv**2 + 3 * Ju**2 - I2) / gap) / (4 * gap**2)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +277,7 @@ def random_section_1d(grid: CircleGrid, rng: np.random.Generator):
     """Random band-limited (U, V, rho) tuple on the circle with rho bounded
     away from zero: five fields drawn in turn, each scaled to sup norm one."""
     def bl():
-        v = grids.random_band_limited(grid, rng).values
+        v = random_band_limited_1d(grid, rng).values
         return v / (np.max(np.abs(v)) + 1e-12)
 
     U = TangentVector(VectorField(grid, bl()[None]), ScalarField(grid, bl()))
@@ -150,7 +326,7 @@ def steady_euler_residual(state: FluidState, model: PressureModel) -> tuple[floa
     nabla_u u + (1/rho) grad p(rho) = 0, div(rho u) = 0."""
     g = state.grid
     # (1/rho) grad p = h'(rho) grad rho with h' = p'/rho, sharper discretely
-    hp = model.linearization_coefficient(state.rho.values)
+    hp = linearization_coefficient(model, state.rho.values)
     mom = (grids.covariant_derivative(state.u, state.u).values
            + hp * grids.grad(state.rho).values)
     cont = grids.div(VectorField(g, state.rho.values * state.u.values)).values

@@ -23,6 +23,7 @@ from oracles import (
     deviation_oracle,
     displacement_amplitude,
     j_along_flow,
+    q_operator,
     radial_poisson_gradient_mode,
     random_band_limited_vector,
     z_sup_norm,
@@ -317,7 +318,7 @@ class TestDiscCurvatureAdjudication:
                                            geometry.TangentVector(v, f),
                                            rho, model)
         z = VectorField(grid, v.values - u.values)
-        qzz = geometry.q_operator(z, z)
+        qzz = q_operator(z, z)
         reduced = integrate(ScalarField(grid, (c**2 / 2) * rho.values**2
                                         * qzz.values))
         assert rep.total == pytest.approx(reduced, rel=1e-8)

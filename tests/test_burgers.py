@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -153,7 +155,7 @@ class TestShockTime:
 
 class TestClosedFormKernels:
     """The flow sums its interpolants from coefficients formed once, and its
-    fine-grid phases come from a table cached per n."""
+    fine-grid values come from one irfft of them."""
 
     def test_shock_time_matches_separate_interpolations_bitwise(self):
         data = ensemble_invariants(101, 20) + ensemble_invariants(7, 5, n=128)
@@ -162,14 +164,27 @@ class TestClosedFormKernels:
             assert burgers.shock_time(alpha0) == want
             assert burgers.CharacteristicFlow(alpha0).shock_time == want
 
-    def test_fine_grid_is_cached_and_read_only(self):
-        fine, phases = burgers._fine_grid(64)
-        assert phases.shape == (512, 33)
-        assert burgers._fine_grid(64)[1] is phases
-        with pytest.raises(ValueError):
-            phases[0, 0] = 1.0
-        assert np.array_equal(fine, np.linspace(0.0, 2 * np.pi, 512, endpoint=False))
-        assert np.array_equal(phases, grids._phases(fine, 33))
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    def test_fine_values_match_circle_interp(self, n):
+        # the zero-padded irfft against the phase sums on the same 8n points
+        fine = np.linspace(0.0, 2 * np.pi, 8 * n, endpoint=False)
+        for alpha0 in ensemble_invariants(11, 2, n=n):
+            values, minus_slope = burgers.CharacteristicFlow(alpha0)._fine
+            for got, want in ((values, circle_interp(alpha0.values, fine)),
+                              (-minus_slope, circle_interp(alpha0.values, fine, deriv=1))):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_shock_time_keeps_no_dense_table(self):
+        # the parent's (8n, n/2 + 1) phase table was 268.7 MB at n = 2048
+        alpha0 = ensemble_invariants(13, 1, n=2048)[0]
+        tracemalloc.start()
+        try:
+            tstar = burgers.shock_time(alpha0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < tstar < np.inf
+        assert peak < 50e6
 
     def test_invert_builds_one_phase_matrix_per_iterate(self, monkeypatch):
         builds = count_phase_builds(monkeypatch)
@@ -179,7 +194,7 @@ class TestClosedFormKernels:
             builds.clear()
             flow.invert(t, alpha0.grid.x)
             # the seed sweep at x, then one build per Newton iterate: value and
-            # slope share it, and the fine grid comes from the cache
+            # slope share it, and the fine grid builds no phases
             assert len(builds) >= 2
             assert np.array_equal(builds[0], alpha0.grid.x)
             assert all(len(b) == alpha0.grid.n for b in builds)

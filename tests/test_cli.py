@@ -107,13 +107,18 @@ class TestPlumbing:
         (["conjugate", "--n", "-2"], None, "n-mode"),
         (["jacobi", "--n", "-4", "--n-grid", "8", "--dt", "0.05"], None, "n-mode"),
         (["jacobi", "--n-grid", "8", "--dt", "0.05"], "n-mode = 4\n", "n-mode"),
+        (["torus-modes", "--kind", "gradient", "--amplitude", "7", "--n-grid", "16"], None,
+         "amplitude"),
+        (["torus-modes", "--kind", "divfree", "--n-grid", "16"], "amplitude = 0.5\n",
+         "amplitude"),
     ], ids=["odd_grid", "inf_flag", "nan_amplitude", "inf_config", "inf_int_config",
             "unknown_key", "fractional_int_config", "missing_config",
             "config_key_not_read", "k_max_above_nodes", "k_max_above_nodes_config",
             "n_max_above_bessel_range", "huge_grid_config", "huge_trials_flag",
             "huge_mode_config", "huge_m_max_flag", "conjugate_nyquist_mode",
             "conjugate_zero_mode", "conjugate_negative_mode", "jacobi_nyquist_mode",
-            "jacobi_nyquist_mode_config"])
+            "jacobi_nyquist_mode_config", "torus_amplitude_without_mixed",
+            "torus_amplitude_without_mixed_config"])
     def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
                                          monkeypatch, capsys):
         if config is not None:
@@ -456,6 +461,9 @@ def cli_inputs(draw):
     """(experiment, flags, config lines, config kind: none, file or missing)."""
     experiment = draw(st.sampled_from(sorted(READS)))
     items = [(key, draw(st.sampled_from(GOOD[key]))) for key in sorted(READS[experiment])]
+    if experiment == "torus-modes" and dict(items)["kind"] != "mixed":
+        # a good torus-modes run gives an amplitude with mixed data only
+        items = [(key, value) for key, value in items if key != "amplitude"]
     for key in draw(st.lists(st.sampled_from(PARAMETERS + JUNK_KEYS), max_size=2)):
         items.append((key, draw(st.sampled_from(GOOD.get(key, ["2"]) + BAD.get(key, [])))))
     config = draw(st.sampled_from(["none", "none", "file", "file", "missing"]))

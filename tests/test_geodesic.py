@@ -6,7 +6,12 @@ from baroflow.disc import DiscBackground
 from baroflow.errors import BaroflowError, DomainError, ShockError, StepSizeError, VacuumError
 from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
 from baroflow.pressure import polytropic
-from oracles import compatibility_residual, steady_euler_residual, steady_shear_torus
+from oracles import (
+    compatibility_residual,
+    state_f,
+    steady_euler_residual,
+    steady_shear_torus,
+)
 
 GAMMA3 = polytropic(1 / 3, 3.0)
 
@@ -25,7 +30,7 @@ class TestInitializer:
 
     def test_f_gamma3(self):
         state, g = circle_state()
-        assert np.allclose(state.f(GAMMA3).values, 1 / 3, atol=1e-14)
+        assert np.allclose(state_f(state, GAMMA3).values, 1 / 3, atol=1e-14)
 
     def test_f_gamma2(self):
         g = CircleGrid(64)
@@ -33,7 +38,7 @@ class TestInitializer:
         m = polytropic(c**2 / 2, 2.0)
         state = geodesic.barotropic_initializer(
             VectorField(g, np.zeros((1, g.n))), ScalarField(g, np.ones(g.n)), m)
-        assert np.allclose(state.f(m).values, c**2, rtol=1e-13)
+        assert np.allclose(state_f(state, m).values, c**2, rtol=1e-13)
 
 
 class TestEnergy:

@@ -13,6 +13,7 @@ from oracles import (
     conjugate_j,
     deviation_oracle,
     j_along_flow,
+    linearization_coefficient,
     steady_shear_torus,
     stored_conjugate_times,
     tuple_rk4,
@@ -59,7 +60,7 @@ def separate_rhs(u, rho, q, eta, jac, g, model):
     if not jac:
         return out
     v, sigma, j, _ = jac
-    hp = model.linearization_coefficient(rho)
+    hp = linearization_coefficient(model, rho)
     dsig = -(g.div(sigma * u) + g.div(rho * v))
     dv = -(g.covariant_derivative(u, v) + g.covariant_derivative(v, u) + g.grad(hp * sigma))
     dj = v - (g.covariant_derivative(u, j) - g.covariant_derivative(j, u))

@@ -5,9 +5,24 @@ from hypothesis import strategies as st
 
 from baroflow.errors import DomainError
 from baroflow.pressure import PressureModel, polytropic
-from oracles import from_catalog
+from oracles import (
+    LambdaModel,
+    from_catalog,
+    linearization_coefficient,
+    potential_density,
+    pressure,
+)
 
 RHO = np.geomspace(0.1, 10.0, 20)
+
+
+def lambda_model(A, gamma):
+    """The general-lambda model of p = A rho^gamma, from the closures
+    lambda = C rho^(2-gamma) and lambda' = C (2-gamma) rho^(1-gamma),
+    C = (gamma-1)/(2A)."""
+    C = (gamma - 1.0) / (2.0 * A)
+    return LambdaModel(lambda rho: C * rho ** (2.0 - gamma),
+                       lambda rho: C * (2.0 - gamma) * rho ** (1.0 - gamma))
 
 
 class TestPhi:
@@ -33,8 +48,10 @@ class TestDensityGuard:
     @pytest.mark.parametrize("method", ["lam", "phi", "pressure", "sound_speed"])
     @pytest.mark.parametrize("rho", [np.nan, [1.0, np.nan], [np.nan, 0.5]])
     def test_nan_density_is_rejected(self, method, rho):
+        model = polytropic(1 / 3, 3.0)
+        fn = (lambda r: pressure(model, r)) if method == "pressure" else getattr(model, method)
         with pytest.raises(DomainError, match="working range"):
-            getattr(polytropic(1 / 3, 3.0), method)(rho)
+            fn(rho)
 
     @pytest.mark.parametrize("rho, message", [
         ([1.0, 0.0], "must be positive"), ([1.0, -2.0, np.nan], "must be positive"),
@@ -52,15 +69,15 @@ class TestDensityGuard:
 class TestPressure:
     def test_gamma3(self):
         m = from_catalog("3/rho")
-        assert np.allclose(m.pressure(RHO), RHO**3 / 3, rtol=1e-13)
+        assert np.allclose(pressure(m, RHO), RHO**3 / 3, rtol=1e-13)
 
     def test_gamma2(self):
         c = 1.3
         m = from_catalog("const", c=c)
-        assert np.allclose(m.pressure(RHO), c**2 * RHO**2 / 2, rtol=1e-13)
+        assert np.allclose(pressure(m, RHO), c**2 * RHO**2 / 2, rtol=1e-13)
 
     def test_lambda_rho_zero_pressure(self):
-        assert np.max(np.abs(from_catalog("rho").pressure(RHO))) < 1e-14
+        assert np.max(np.abs(pressure(from_catalog("rho"), RHO))) < 1e-14
 
 
 class TestPolytropic:
@@ -73,19 +90,30 @@ class TestPolytropic:
 
     def test_gamma_14_identity(self):
         m = polytropic(1.0, 1.4)
-        assert np.allclose(m.pressure(RHO), RHO**1.4, rtol=1e-12)
+        assert np.allclose(pressure(m, RHO), RHO**1.4, rtol=1e-12)
 
     @given(st.floats(0.2, 5.0), st.floats(1.05, 4.0))
     @settings(max_examples=50, deadline=None)
     def test_pressure_roundtrip_property(self, A, gamma):
         m = polytropic(A, gamma)
-        assert np.allclose(m.pressure(RHO), A * RHO**gamma, rtol=1e-10)
+        assert np.allclose(pressure(m, RHO), A * RHO**gamma, rtol=1e-10)
 
     def test_rejects_bad_params(self):
         with pytest.raises(DomainError):
             polytropic(1.0, 1.0)
         with pytest.raises(DomainError):
             polytropic(-1.0, 2.0)
+        for A, gamma in ((0.0, 2.0), (-1.0, 2.0), (1.0, 1.0), (1.0, 0.5)):
+            with pytest.raises(DomainError):
+                PressureModel(A, gamma)
+
+    @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
+    def test_closed_forms_equal_the_lambda_closures_bitwise(self, gamma):
+        m, ref = polytropic(0.7, gamma), lambda_model(0.7, gamma)
+        lam = ref.lam(RHO)
+        assert np.array_equal(m.lam(RHO), lam)
+        assert np.array_equal(m.phi(RHO), ref.phi(RHO))
+        assert np.array_equal(m._phi(RHO, lam), ref._phi(RHO, lam))
 
 
 class TestCurvatureCoefficient:
@@ -115,7 +143,7 @@ class TestCurvatureCoefficient:
     def test_finite_difference_dphi_matches_analytic(self):
         for gamma in (1.4, 2.0, 3.0):
             m = polytropic(1.0, gamma)
-            generic = PressureModel(m.lam_fn, m.dlam_fn)
+            generic = lambda_model(1.0, gamma)
             assert np.allclose(generic.dphi(RHO), m.dphi(RHO), rtol=1e-6)
 
 
@@ -123,39 +151,28 @@ class TestDerivedCoefficients:
     def test_hprime_gamma2(self):
         c = 1.5
         m = polytropic(c**2 / 2, 2.0)
-        assert np.allclose(m.linearization_coefficient(RHO), c**2, rtol=1e-13)
+        assert np.allclose(linearization_coefficient(m, RHO), c**2, rtol=1e-13)
 
     def test_hprime_gamma3(self):
         m = polytropic(1 / 3, 3.0)
-        assert np.allclose(m.linearization_coefficient(RHO), RHO, rtol=1e-13)
+        assert np.allclose(linearization_coefficient(m, RHO), RHO, rtol=1e-13)
+
+    def test_finite_difference_hprime_matches_analytic(self):
+        for gamma in (1.4, 2.0, 3.0):
+            m = polytropic(1.0, gamma)
+            generic = lambda_model(1.0, gamma)
+            assert np.allclose(linearization_coefficient(generic, RHO),
+                               linearization_coefficient(m, RHO), rtol=1e-6)
 
     def test_psi_gamma2(self):
         c = 1.5
         m = polytropic(c**2 / 2, 2.0)
-        assert np.allclose(m.potential_density(RHO), c**2 * RHO / 2, rtol=1e-13)
+        assert np.allclose(potential_density(m, RHO), c**2 * RHO / 2, rtol=1e-13)
 
     def test_numeric_psi_matches_analytic(self):
         m = polytropic(1.0, 1.4)
-        generic = PressureModel(m.lam_fn, m.dlam_fn)
+        generic = lambda_model(1.0, 1.4)
         assert np.allclose(
-            generic.potential_density(RHO), m.potential_density(RHO) - m.potential_density(1.0),
+            potential_density(generic, RHO), potential_density(m, RHO) - potential_density(m, 1.0),
             atol=1e-3,
         )
-
-
-class TestReferenceConsistency:
-    def test_matching_reference_accepted(self):
-        m = PressureModel(
-            lam_fn=lambda r: 3.0 / r,
-            dlam_fn=lambda r: -3.0 / r**2,
-            reference_p=lambda r: r**3 / 3,
-        )
-        assert np.allclose(m.pressure(RHO), RHO**3 / 3, rtol=1e-12)
-
-    def test_mismatched_reference_rejected(self):
-        with pytest.raises(DomainError):
-            PressureModel(
-                lam_fn=lambda r: 3.0 / r,
-                dlam_fn=lambda r: -3.0 / r**2,
-                reference_p=lambda r: r**2,
-            )
