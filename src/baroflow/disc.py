@@ -92,8 +92,8 @@ def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
     r = _radial_nodes(n_nodes)
     ri = r[:-1]  # interior nodes, Dirichlet at r=1
     m = len(ri)
-    if k_max > m:
-        raise DomainError(f"k_max must not exceed the {m} interior nodes, got {k_max}")
+    if not 1 <= k_max <= m:
+        raise DomainError(f"k_max must lie between 1 and the {m} interior nodes, got {k_max}")
     r_half_lo = ri - h / 2
     r_half_hi = ri + h / 2
     flux_lo = r_half_lo * background.rho(r_half_lo) / h**2

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -23,6 +21,8 @@ from .grids import (
     CircleGrid,
     ScalarField,
     VectorField,
+    _div,
+    _nabla,
     check_same_grid,
     circle_interp,
 )
@@ -153,43 +153,34 @@ def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
     return _cfl_bound(state.grid, state.u.values, state.rho.values, model)
 
 
-def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """nabla_w v (flat), from the partials dv[c, a] = d_a v_c: one product per
-    axis over every component at once.  A stack of scalars h (dv[k, a] =
-    d_a h_k) gives each w(h_k)."""
-    return reduce(operator.add, (w[a] * dv[:, a] for a in range(len(w))))
-
-
-def _div(dv: np.ndarray) -> np.ndarray:
-    """div v = sum_a d_a v_a, from the partials dv[c, a] = d_a v_c."""
-    return reduce(operator.add, (dv[a, a] for a in range(len(dv))))
-
-
-def _parts(y: np.ndarray, ncomp: int, flow: bool, jac: bool):
+def _parts(y: np.ndarray, ncomp: int):
     """Views of the parts of a stacked state y: u, rho, q, eta (None without a
     flow map) and the Jacobi (v, sigma, j, G) (empty without).  u, v and j
-    take one row per component, every other part one row, in that order."""
+    take one row per component, every other part one row, in that order, so
+    the row count fixes the layout: ncomp + 2 rows, one more for a flow map
+    and 2 ncomp + 2 more for a Jacobi state."""
+    jac, flow = divmod(len(y) - ncomp - 2, 2 * ncomp + 2)
     b = ncomp + 2 + flow
     jrows = (y[b:b + ncomp], y[b + ncomp], y[b + ncomp + 1:b + 2 * ncomp + 1],
              y[b + 2 * ncomp + 1]) if jac else ()
     return y[:ncomp], y[ncomp], y[ncomp + 1], y[ncomp + 2] if flow else None, jrows
 
 
-def _rhs(y: np.ndarray, grid, model, flow: bool, jac: bool) -> np.ndarray:
+def _rhs(y: np.ndarray, grid, model) -> np.ndarray:
     """The RK stage on the stacked state y (see _parts): the derivative of
-    (u, rho, q[, eta]) and, if jac, of the Jacobi state at the same stage, as
+    (u, rho, q[, eta]) and of the Jacobi state, if any, at the same stage, as
     one array shaped like y, with u_t = -nabla_u u - (1/rho) grad(q^2
     phi/lambda^2), q_t = -div(qu), rho_t = -div(rho u), eta_t = u(eta) and
     the equations of jacobi.linearized_step.  Every derivative operand is
     differentiated in one stacked transform, and u and g are interpolated at
     eta from one phase matrix."""
     out = np.empty_like(y)
-    u, rho, q, eta, jrows = _parts(y, grid.ncomp, flow, jac)
-    du, drho, dq, deta, djrows = _parts(out, grid.ncomp, flow, jac)
+    u, rho, q, eta, jrows = _parts(y, grid.ncomp)
+    du, drho, dq, deta, djrows = _parts(out, grid.ncomp)
     lam = model.lam(rho)  # first: its density check is the one stage guard
     phi = model._phi(rho, lam)
     ops = [u, (q**2 * phi / lam**2)[None], q * u, rho * u]
-    if jac:
+    if jrows:
         (v, sigma, j, _), (dv, dsigma, dj, dG) = jrows, djrows
         hp = model._h_prime(rho)
         ops += [sigma * u, rho * v, v, (hp * sigma)[None], j, (rho / lam)[None]]
@@ -199,8 +190,8 @@ def _rhs(y: np.ndarray, grid, model, flow: bool, jac: bool) -> np.ndarray:
     du[...] = -(_nabla(u, du_) + dpress[0] / rho)
     drho[...] = -_div(drhou)
     dq[...] = -_div(dqu)
-    if not jac:
-        if flow:
+    if not jrows:
+        if eta is not None:
             deta[...] = circle_interp(u[0], eta)
         return out
     dsigmau, drhov, dv_, dhps, dj_, drl = djac
@@ -208,7 +199,7 @@ def _rhs(y: np.ndarray, grid, model, flow: bool, jac: bool) -> np.ndarray:
     dv[...] = -(_nabla(u, dv_) + _nabla(v, du_) + dhps[0])
     # [u, j] = nabla_u j - nabla_j u (flat M)
     dj[...] = v - (_nabla(u, dj_) - _nabla(j, du_))
-    if not flow:
+    if eta is None:
         dG[...] = 0.0
         return out
     # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along eta
@@ -237,60 +228,58 @@ def _pack(state: FluidState, flowmap: FlowMap | None,
     return np.concatenate(rows)
 
 
-def _unpack(y: np.ndarray, grid, rho0: ScalarField | None, jac: bool):
-    """The state, flow map (with initial density rho0; None for none) and
+def _unpack(y: np.ndarray, grid, rho0: ScalarField | None):
+    """The state, flow map (with initial density rho0; None if rho0 is) and
     Jacobi state (None without) of a stacked state y, as views of it.  The
     fields validate their values in that order."""
-    u, rho, q, eta, jrows = _parts(y, grid.ncomp, rho0 is not None, jac)
+    u, rho, q, eta, jrows = _parts(y, grid.ncomp)
     state = FluidState(VectorField(grid, u), ScalarField(grid, rho), ScalarField(grid, q))
     flowmap = None if rho0 is None else FlowMap(eta, rho0)
     jstate = None
-    if jac:
+    if jrows:
         v, sigma, j, G = jrows
         jstate = JacobiState(VectorField(grid, v), ScalarField(grid, sigma),
                              VectorField(grid, j), ScalarField(grid, G))
     return state, flowmap, jstate
 
 
-def _step(y: np.ndarray, grid, model: PressureModel, dt: float,
-          rho0: ScalarField | None, jac: bool) -> np.ndarray:
-    """One guarded RK4 step of a stacked state y (see _parts; a flow map row
-    iff rho0 is given, Jacobi rows iff jac), as a new array.  The guards, in
-    order: the CFL bound (StepSizeError); a stage density out of range, or a
-    state after the step that is not finite or whose density left the working
-    range [RHO_MIN, RHO_MAX] (ShockError); the flow-map Jacobian floor
-    (ShockError); Jacobi rows that are not finite (DomainError).  A failed
-    check builds the fields of y, so the error names the fault as the
-    field's own validation does."""
+def _step(y: np.ndarray, grid, model: PressureModel, dt: float) -> np.ndarray:
+    """One guarded RK4 step of a stacked state y (see _parts), as a new
+    array.  The guards, in order: the CFL bound (StepSizeError); a stage
+    density out of range, or a state after the step that is not finite or
+    whose density left the working range [RHO_MIN, RHO_MAX] (ShockError); the
+    flow-map Jacobian floor (ShockError); Jacobi rows that are not finite
+    (DomainError).  A failed check builds the fields of y, so the error
+    names the fault as the field's own validation does."""
     b = grid.ncomp
     bound = _cfl_bound(grid, y[:b], y[b], model)
     if dt > bound:
         raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}")
-    flow = rho0 is not None
     try:
-        y = rk4(lambda y: _rhs(y, grid, model, flow, jac), y, dt)
+        y = rk4(lambda y: _rhs(y, grid, model), y, dt)
         rho = y[b]
         if not (np.isfinite(y[:b + 2]).all() and RHO_MIN <= rho.min() and rho.max() <= RHO_MAX):
-            _unpack(y, grid, None, False)
+            _unpack(y[:b + 2], grid, None)
             _check_rho(rho)
     except DomainError as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening
         raise ShockError(f"solution left the smooth regime: {exc}") from exc
-    if flow and float(np.min(_jacobian(grid, y[b + 2]))) <= SHOCK_JACOBIAN_FLOOR:
+    _, _, _, eta, jrows = _parts(y, b)
+    if eta is not None and float(np.min(_jacobian(grid, eta))) <= SHOCK_JACOBIAN_FLOOR:
         raise ShockError("flow map lost monotonicity (shock reached)")
-    if jac and not np.isfinite(y[b + 2 + flow:]).all():
-        _unpack(y, grid, rho0, jac)
+    if jrows and not np.isfinite(y[-(2 * b + 2):]).all():
+        _unpack(y, grid, None)
     return y
 
 
 def _advance(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
              dt: float, jstate: JacobiState | None = None):
-    """The one-step API: pack, one guarded step, and the new state, flow map
-    and Jacobi state as views of the stepped array."""
-    rho0 = None if flowmap is None else flowmap.rho0
-    y = _step(_pack(state, flowmap, jstate), state.grid, model, dt, rho0, jstate is not None)
-    return _unpack(y, state.grid, rho0, jstate is not None)
+    """The one-step API: pack, one step of the step loop (so dt is checked as
+    a run checks it), and the new state, flow map and Jacobi state as views
+    of the stepped array."""
+    (_, y), = _steps(_pack(state, flowmap, jstate), state.grid, model, dt, dt)
+    return _unpack(y, state.grid, None if flowmap is None else flowmap.rho0)
 
 
 def step_geodesic(state: FluidState, flowmap: FlowMap | None, model: PressureModel,
@@ -307,20 +296,20 @@ def _default_flowmap(state0: FluidState) -> FlowMap | None:
     return identity_flowmap(state0.rho) if isinstance(state0.grid, CircleGrid) else None
 
 
-def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float,
-           rho0: ScalarField | None, jac: bool):
+def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float):
     """The one step loop: fixed guarded steps (see _step) of the stacked state
     y to t_end, the last one shortened to land on t_end exactly, yielding
-    (t, y) after each step.  It builds no fields; the caller reads the rows."""
-    if not 0 <= t_end < math.inf:
-        raise DomainError(f"t_end must be finite and nonnegative, got {t_end}")
-    if not (0 < dt < math.inf and t_end / dt < math.inf):
-        raise DomainError(f"dt must be finite and positive, with t_end / dt finite, "
-                          f"got dt={dt}")
+    (t, y) after each step.  It builds no fields; the caller reads the rows.
+    dt is checked first, so a one-step call (t_end = dt) names a bad dt."""
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and positive, got dt={dt}")
+    if not (0 <= t_end < math.inf and t_end / dt < math.inf):
+        raise DomainError(f"t_end must be finite and nonnegative, with t_end / dt finite, "
+                          f"got t_end={t_end}, dt={dt}")
     t = 0.0
     for _ in range(int(np.ceil(t_end / dt - 1e-12))):
         h = min(dt, t_end - t)
-        y = _step(y, grid, model, h, rho0, jac)
+        y = _step(y, grid, model, h)
         t += h
         yield t, y
 
@@ -335,17 +324,16 @@ def _integrate(state0: FluidState, model: PressureModel, t_end: float, dt: float
     if not (isinstance(store_every, numbers.Integral) and store_every >= 1):
         raise DomainError(f"store_every must be a positive integer, got {store_every}")
     flowmap = _default_flowmap(state0)
-    g, jac = state0.grid, jstate0 is not None
+    g = state0.grid
     rho0 = None if flowmap is None else flowmap.rho0
     traj = Trajectory(model)
     traj.append(0.0, state0, flowmap, jstate0)
     k = 0
-    for k, (t, y) in enumerate(_steps(_pack(state0, flowmap, jstate0), g, model,
-                                      t_end, dt, rho0, jac), 1):
+    for k, (t, y) in enumerate(_steps(_pack(state0, flowmap, jstate0), g, model, t_end, dt), 1):
         if k % store_every == 0:
-            traj.append(t, *_unpack(y, g, rho0, jac))
+            traj.append(t, *_unpack(y, g, rho0))
     if k % store_every:
-        traj.append(t, *_unpack(y, g, rho0, jac))
+        traj.append(t, *_unpack(y, g, rho0))
     return traj
 
 

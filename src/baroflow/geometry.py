@@ -139,6 +139,9 @@ def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
     through sectional_curvature's quadrature in blocks of SCAN_BLOCK_POINTS
     grid points, so memory is O(block) whatever the number of trials, and
     every trial gets the bits it would get alone."""
+    if trials < 1 or seed < 0:
+        raise DomainError(f"the scan needs trials >= 1 and seed >= 0, "
+                          f"got trials={trials}, seed={seed}")
     grid = grids.CircleGrid(n)
     modes = len(grids._band_modes(n))
     block = max(1, SCAN_BLOCK_POINTS // n)

@@ -3,8 +3,9 @@ disc, fields on them, and their differential operators and quadrature.
 
 Each grid owns its operators as methods on raw arrays, which the time
 steppers call on RK stage arrays.  The circle and the torus share one
-periodic implementation, a real-FFT derivative along each axis (exact for
-band-limited fields) with the axis terms summed in axis order from the first
+periodic implementation: grad, div, u(h) and nabla_u v are reductions of
+one stack of partials, a real-FFT derivative along each axis (exact for
+band-limited fields), with the axis terms summed in axis order from the first
 term.  The disc uses second-order centered differences in r, one-sided at
 both ends (r=0 is excluded; the consumers handle regularity mode-wise), and
 a spectral derivative in theta.  The field functions (grad, div, ...) are the
@@ -62,6 +63,18 @@ def _radial_deriv(values: np.ndarray, dr: float) -> np.ndarray:
     return out
 
 
+def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """nabla_w v (flat), from the partials dv[c, a] = d_a v_c: one product per
+    axis over every component at once, summed in axis order.  A stack of
+    scalars h (dv[k, a] = d_a h_k) gives each w(h_k)."""
+    return reduce(operator.add, (w[a] * dv[:, a] for a in range(len(w))))
+
+
+def _div(dv: np.ndarray) -> np.ndarray:
+    """div v = sum_a d_a v_a, from the partials dv[c, a] = d_a v_c."""
+    return reduce(operator.add, (dv[a, a] for a in range(len(dv))))
+
+
 # ---------------------------------------------------------------------------
 # Grids and their operators (raw arrays in, raw arrays out)
 
@@ -86,17 +99,17 @@ class PeriodicGrid:
         return out
 
     def grad(self, f: np.ndarray) -> np.ndarray:
-        return np.array([self._d(f, a) for a in range(self.ncomp)])
+        return self.partials(f[None])[0]
 
     def div(self, v: np.ndarray) -> np.ndarray:
-        return reduce(operator.add, (self._d(v[a], a) for a in range(self.ncomp)))
+        return _div(self.partials(v))
 
     def directional(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
         """u(h) = sum_a u_a d_a h."""
-        return reduce(operator.add, (u[a] * self._d(h, a) for a in range(self.ncomp)))
+        return _nabla(u, self.partials(h[None]))[0]
 
     def covariant_derivative(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.array([self.directional(u, c) for c in v])
+        return _nabla(u, self.partials(v))
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.einsum("c...,c...->...", u, v)
@@ -176,9 +189,6 @@ class TorusGrid(PeriodicGrid):
 
     ncomp = 2
 
-    def sgrad(self, f: np.ndarray) -> np.ndarray:
-        return np.array([self._d(f, 1), -self._d(f, 0)])
-
     def curl(self, v: np.ndarray) -> np.ndarray:
         return self._d(v[1], 0) - self._d(v[0], 1)
 
@@ -228,11 +238,6 @@ class DiscGrid:
     def grad(self, f: np.ndarray) -> np.ndarray:
         """grad f = f_r d/dr + (f_theta / r^2) d/dtheta."""
         return np.array([self._dr(f), self._dtheta(f) / self.r[:, None] ** 2])
-
-    def sgrad(self, f: np.ndarray) -> np.ndarray:
-        """sgrad f = (f_theta/r) d/dr - (f_r/r) d/dtheta (divergence-free)."""
-        r = self.r[:, None]
-        return np.array([self._dtheta(f) / r, -self._dr(f) / r])
 
     def div(self, v: np.ndarray) -> np.ndarray:
         r = self.r[:, None]
@@ -316,12 +321,6 @@ def check_same_grid(*fields):
 # Differential operators and quadrature on fields (validate, then delegate)
 
 
-def _planar(grid, name: str):
-    if isinstance(grid, CircleGrid):
-        raise GridMismatchError(f"{name} is defined on 2D grids only")
-    return grid
-
-
 def derivative(f: ScalarField) -> ScalarField:
     """Trigonometric-interpolation derivative on the circle."""
     if not isinstance(f.grid, CircleGrid):
@@ -333,19 +332,15 @@ def grad(f: ScalarField) -> VectorField:
     return VectorField(f.grid, f.grid.grad(f.values))
 
 
-def sgrad(f: ScalarField) -> VectorField:
-    """Rotated gradient (divergence-free).  On the disc this follows the
-    orientation sgrad f = (f_theta/r) d/dr - (f_r/r) d/dtheta."""
-    return VectorField(f.grid, _planar(f.grid, "sgrad").sgrad(f.values))
-
-
 def div(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, v.grid.div(v.values))
 
 
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl of a 2D vector field."""
-    return ScalarField(v.grid, _planar(v.grid, "curl").curl(v.values))
+    if isinstance(v.grid, CircleGrid):
+        raise GridMismatchError("curl is defined on 2D grids only")
+    return ScalarField(v.grid, v.grid.curl(v.values))
 
 
 def directional(u: VectorField, h: ScalarField) -> ScalarField:

@@ -93,32 +93,35 @@ def growth_report(times, jstates, v0: VectorField) -> GrowthReport:
 # Conjugate-time detection
 
 
-def _norm_sq(y: np.ndarray, grid, flow: bool) -> float:
+# A local minimum of the Jacobi norm is refined as a conjugate time when it
+# lies below this fraction of the largest norm of the run.
+CONJUGATE_REL_TOL = 0.05
+
+
+def _norm_sq(y: np.ndarray, grid) -> float:
     """||(j, G)||^2 = int |j|^2 + G^2 of a stacked state y with Jacobi rows
     (see geodesic._parts); it vanishes at conjugate points."""
-    _, _, j, G = _parts(y, grid.ncomp, flow, True)[4]
+    _, _, j, G = _parts(y, grid.ncomp)[4]
     return grid.integrate(grid.inner(j, j) + G**2)
 
 
 def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureModel,
-                           t_max: float, dt: float, rel_tol: float = 0.05) -> list[float]:
+                           t_max: float, dt: float) -> list[float]:
     """Times where the Jacobi norm ||(j, G)|| vanishes: each local minimum
-    of the per-step norm below rel_tol times the largest, refined by bounded
-    minimization with re-integration from the step before it.  The norm is
-    read off each stepped array, and the array of step k-1 is kept only when
-    step k is a candidate minimum (norm no larger than at k-1, smaller than
-    at k+1), so no trajectory is stored."""
+    of the per-step norm below CONJUGATE_REL_TOL times the largest, refined
+    by bounded minimization with re-integration from the step before it.  The
+    norm is read off each stepped array, and the array of step k-1 is kept
+    only when step k is a candidate minimum (norm no larger than at k-1,
+    smaller than at k+1), so no trajectory is stored."""
     jstate0 = initial_jacobi(v0)
     check_same_grid(jstate0.sigma, state0.rho)
-    g, flowmap = state0.grid, _default_flowmap(state0)
-    flow = flowmap is not None
-    rho0 = flowmap.rho0 if flow else None
-    y = _pack(state0, flowmap, jstate0)
-    times, norms2, candidates = [0.0], [_norm_sq(y, g, flow)], []
+    g = state0.grid
+    y = _pack(state0, _default_flowmap(state0), jstate0)
+    times, norms2, candidates = [0.0], [_norm_sq(y, g)], []
     before, last = None, y  # the arrays of the two steps before this one
-    for t, y in _steps(y, g, model, t_max, dt, rho0, True):
+    for t, y in _steps(y, g, model, t_max, dt):
         times.append(t)
-        norms2.append(_norm_sq(y, g, flow))
+        norms2.append(_norm_sq(y, g))
         if before is not None and norms2[-3] >= norms2[-2] < norms2[-1]:
             candidates.append((len(times) - 2, before))
         before, last = last, y
@@ -131,15 +134,15 @@ def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
         re-integrating from the array y of step k."""
         remain = time - times[k]
         if remain <= 0:
-            return _norm_sq(y, g, flow)
+            return _norm_sq(y, g)
         nsub = max(1, int(np.ceil(remain / dt)))
-        for _, y in _steps(y, g, model, remain, remain / nsub, rho0, True):
+        for _, y in _steps(y, g, model, remain, remain / nsub):
             pass
-        return _norm_sq(y, g, flow)
+        return _norm_sq(y, g)
 
     zeros = []
     for k, y in candidates:
-        if norms2[k] < (rel_tol**2) * scale2:
+        if norms2[k] < CONJUGATE_REL_TOL**2 * scale2:
             res = scipy.optimize.minimize_scalar(
                 lambda time: norm2_at(time, k - 1, y),
                 bounds=(times[k - 1], times[k + 1]), method="bounded",

@@ -172,6 +172,21 @@ def from_catalog(name: str, c: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
+# Rotated gradient
+
+
+def sgrad(f: ScalarField) -> VectorField:
+    """Rotated gradient (divergence-free) on the torus or the disc.  On the
+    disc this follows the orientation sgrad f = (f_theta/r) d/dr - (f_r/r)
+    d/dtheta."""
+    g, fv = f.grid, f.values
+    if isinstance(g, TorusGrid):
+        return VectorField(g, np.array([g._d(fv, 1), -g._d(fv, 0)]))
+    r = g.r[:, None]
+    return VectorField(g, np.array([g._dtheta(fv) / r, -g._dr(fv) / r]))
+
+
+# ---------------------------------------------------------------------------
 # Metric, Christoffel map and the operator Q
 
 

@@ -1,15 +1,17 @@
 """The library keeps no public name that only tests use.
 
 Every public module-level function and class in src/baroflow must be used:
-referred to by name, as a bare name or an attribute, somewhere in src/, or
-mentioned in the source text of perfbench/*.py, which also looks names up
-as strings (the tracer's span names).  Imports, re-exports and the
-definition itself do not count.  The check is by name only: a grid method
-called sgrad keeps the field function grids.sgrad in use.
+referred to by name, as a bare name or an attribute, somewhere in src/
+outside its own definition, or mentioned in the source text of
+perfbench/*.py, which also looks names up as strings (the tracer's span
+names).  Imports and re-exports do not count, and neither does a reference
+inside the definition's own body: a field function that calls the grid
+method of the same name does not keep itself in use.
 """
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,32 +24,40 @@ ALLOWED = {
 }
 
 
-def _public_and_referenced() -> tuple[list[str], set[str]]:
-    """The public module.name definitions of src/baroflow, and every name
-    that src/ refers to."""
-    public, referenced = [], set()
+def _public_and_referrers() -> tuple[list[str], dict[str, set]]:
+    """The public module.name definitions of src/baroflow, and for every name
+    that src/ refers to, the top-level definitions (module.name; None for
+    module-level code) whose text refers to it."""
+    public, referrers = [], defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        public += [f"{path.stem}.{node.name}" for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                   and not node.name.startswith("_")]
-        referenced |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-                       if isinstance(n, (ast.Name, ast.Attribute))}
-    return public, referenced
+        for top in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = f"{path.stem}.{top.name}"
+                if not top.name.startswith("_"):
+                    public.append(owner)
+            for n in ast.walk(top):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    referrers[n.id if isinstance(n, ast.Name) else n.attr].add(owner)
+    return public, referrers
+
+
+def _referred_elsewhere(qualified: str, referrers) -> bool:
+    return bool(referrers[qualified.split(".", 1)[1]] - {qualified})
 
 
 def test_every_public_name_is_used():
-    public, referenced = _public_and_referenced()
+    public, referrers = _public_and_referrers()
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
-    names = {q: q.split(".", 1)[1] for q in public if q not in ALLOWED}
-    unused = [q for q, name in names.items()
-              if name not in referenced and not re.search(rf"\b{name}\b", bench)]
+    unused = [q for q in public if q not in ALLOWED
+              and not _referred_elsewhere(q, referrers)
+              and not re.search(rf"\b{q.split('.', 1)[1]}\b", bench)]
     assert unused == []
 
 
 def test_allowed_names_are_defined_and_unused():
     # an allowed name that gains a caller, or goes, leaves the list
-    public, referenced = _public_and_referenced()
+    public, referrers = _public_and_referrers()
     for qualified in ALLOWED:
         assert qualified in public
-        assert qualified.split(".", 1)[1] not in referenced
+        assert not _referred_elsewhere(qualified, referrers)

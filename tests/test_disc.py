@@ -67,8 +67,9 @@ class TestSturmLiouville:
         # n_nodes = 16 leaves 15 interior nodes, so 15 eigenpairs at most
         assert [p.k for p in disc.sturm_liouville_eigs(BG, 1, 15, n_nodes=16)] == \
             list(range(1, 16))
-        with pytest.raises(DomainError, match="15 interior nodes"):
-            disc.sturm_liouville_eigs(BG, 1, 16, n_nodes=16)
+        for k_max in (16, 0, -1):
+            with pytest.raises(DomainError, match="15 interior nodes"):
+                disc.sturm_liouville_eigs(BG, 1, k_max, n_nodes=16)
         with pytest.raises(DomainError):
             disc.sturm_liouville_eigs(BG, 0, 500, n_nodes=16)
 

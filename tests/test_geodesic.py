@@ -277,6 +277,28 @@ def run(linearized, state, model, t_end, dt, store_every=1, v0=None):
     return geodesic.integrate_geodesic(state, model, t_end, dt, store_every)
 
 
+@pytest.mark.parametrize("grid", [CircleGrid(8), TorusGrid(8, 10)])
+@pytest.mark.parametrize("flow", [False, True])
+@pytest.mark.parametrize("jac", [False, True])
+def test_parts_reads_the_layout_from_the_row_count(grid, flow, jac):
+    rows = iter(np.random.default_rng(0).uniform(1.0, 2.0, (4 * grid.ncomp + 5,) + grid.shape))
+
+    def vector():
+        return VectorField(grid, np.array([next(rows) for _ in range(grid.ncomp)]))
+
+    state = geodesic.FluidState(vector(), ScalarField(grid, next(rows)),
+                                ScalarField(grid, next(rows)))
+    fm = geodesic.FlowMap(next(rows), state.rho) if flow else None
+    js = jacobi.JacobiState(vector(), ScalarField(grid, next(rows)), vector(),
+                            ScalarField(grid, next(rows))) if jac else None
+    u, rho, q, eta, jrows = geodesic._parts(geodesic._pack(state, fm, js), grid.ncomp)
+    want = [state.u, state.rho, state.q] + ([fm.eta] if flow else [])
+    want += [js.v, js.sigma, js.j, js.G] if jac else []
+    got = [u, rho, q] + ([eta] if flow else []) + list(jrows)
+    assert (eta is None) is not flow and len(jrows) == 4 * jac
+    assert all(np.array_equal(a, getattr(b, "values", b)) for a, b in zip(got, want, strict=True))
+
+
 class TestRunLoop:
     """The run loop carries one stacked array; it must give bit for bit what
     a loop of the public one-step calls gives."""
@@ -419,15 +441,16 @@ class TestRunLoopGuards:
         assert err is DomainError and msg == "vector field has non-finite entries"
 
 
+BAD_DT = [0.0, -0.01, np.nan, np.inf]
+
+
 class TestRunInputs:
-    """The integrators reject a bad run length, step or storage stride."""
+    """The integrators and the one-step calls reject a bad run length, step
+    or storage stride."""
 
     @pytest.mark.parametrize("linearized", [False, True])
     @pytest.mark.parametrize("t_end, dt, store_every, match", [
-        (0.1, 0.0, 1, "dt must be finite and positive"),
-        (0.1, -0.01, 1, "dt must be finite and positive"),
-        (0.1, np.nan, 1, "dt must be finite and positive"),
-        (0.1, np.inf, 1, "dt must be finite and positive"),
+        *((0.1, dt, 1, "dt must be finite and positive") for dt in BAD_DT),
         (1.0, 5e-324, 1, "t_end / dt finite"),
         (np.nan, 0.01, 1, "t_end must be finite and nonnegative"),
         (np.inf, 0.01, 1, "t_end must be finite and nonnegative"),
@@ -440,6 +463,17 @@ class TestRunInputs:
         state, model, v0 = run_case("circle")
         with pytest.raises(DomainError, match=match):
             run(linearized, state, model, t_end, dt, store_every, v0)
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("dt", BAD_DT)
+    def test_one_step_rejects_bad_dt(self, linearized, dt):
+        state, model, v0 = run_case("circle")
+        fm = geodesic.identity_flowmap(state.rho)
+        with pytest.raises(DomainError, match="dt must be finite and positive"):
+            if linearized:
+                jacobi.linearized_step(jacobi.initial_jacobi(v0), state, fm, model, dt)
+            else:
+                geodesic.step_geodesic(state, fm, model, dt)
 
     def test_zero_length_run_is_the_start(self):
         state, model, v0 = run_case("circle")

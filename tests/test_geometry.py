@@ -347,6 +347,11 @@ class TestCurvatureScan:
         b = curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=5, seed=42)
         assert a.trials == b.trials
 
+    @pytest.mark.parametrize("trials, seed", [(0, 7), (-1, 7), (5, -1)])
+    def test_rejects_bad_trials_and_seed(self, trials, seed):
+        with pytest.raises(DomainError, match="trials >= 1 and seed >= 0"):
+            curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=trials, seed=seed)
+
 
 def scan_bits(rep):
     """Every number of a scan report, as bytes: equal only bit for bit."""
