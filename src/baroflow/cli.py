@@ -288,24 +288,27 @@ def run_curvature_scan(cfg: ExperimentConfig):
     return ["trial", "total", "term_div", "term_Q", "term_grad"], rows, summary
 
 
-def run_torus_modes(cfg: ExperimentConfig):
+def _torus_perturbation(cfg: ExperimentConfig) -> VectorField:
     g = TorusGrid(cfg.n_grid, cfg.n_grid)
     X, Y = g.mesh
     gradient = grad(ScalarField(g, np.sin(2 * X) + np.cos(3 * Y))).values
     divfree = np.stack([-np.sin(Y), np.zeros(g.shape)])
     if cfg.kind == "gradient":
-        vals = gradient
-    elif cfg.kind == "divfree":
-        vals = divfree
-    else:
-        vals = gradient + cfg.amplitude * divfree
-    v0 = VectorField(g, vals)
-    rep = torus.classify_boundedness(v0, c=cfg.c)
-    sol = torus.synthesize(v0, cfg.omega, cfg.c)
+        return VectorField(g, gradient)
+    if cfg.kind == "divfree":
+        return VectorField(g, divfree)
+    return VectorField(g, gradient + cfg.amplitude * divfree)
+
+
+def run_torus_modes(cfg: ExperimentConfig):
+    # v0 and its parts go once synthesized: the sample loop holds only the
+    # solution and its half-spectrum cache
+    sol = torus.synthesize(_torus_perturbation(cfg), cfg.omega, cfg.c)
+    rep = torus.classify_boundedness(sol)
     rows = []
     for t in np.linspace(0.0, cfg.t_end, cfg.n_samples):
-        jt = sol.j_at(float(t))
-        rows.append([float(t), float(np.max(np.sqrt(np.sum(jt.values**2, axis=0))))])
+        jx, jy = sol.j_at(float(t)).values
+        rows.append([float(t), float(np.sqrt(np.max(jx**2 + jy**2)))])
     summary = {"bounded": rep.bounded, "w_norm": rep.w_norm,
                "series_bound": rep.series_bound}
     return ["t", "sup_j"], rows, summary

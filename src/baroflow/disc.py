@@ -7,6 +7,7 @@ Jacobi displacements.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,8 +93,9 @@ def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
     r = _radial_nodes(n_nodes)
     ri = r[:-1]  # interior nodes, Dirichlet at r=1
     m = len(ri)
-    if not 1 <= k_max <= m:
-        raise DomainError(f"k_max must lie between 1 and the {m} interior nodes, got {k_max}")
+    if not (isinstance(k_max, numbers.Integral) and 1 <= k_max <= m):
+        raise DomainError(f"k_max must be an integer between 1 and the {m} interior nodes, "
+                          f"got {k_max}")
     r_half_lo = ri - h / 2
     r_half_hi = ri + h / 2
     flux_lo = r_half_lo * background.rho(r_half_lo) / h**2

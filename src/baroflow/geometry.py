@@ -4,6 +4,7 @@ arrays, and the seeded curvature sign scan on the circle."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,18 +140,24 @@ def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
     through sectional_curvature's quadrature in blocks of SCAN_BLOCK_POINTS
     grid points, so memory is O(block) whatever the number of trials, and
     every trial gets the bits it would get alone."""
-    if trials < 1 or seed < 0:
-        raise DomainError(f"the scan needs trials >= 1 and seed >= 0, "
+    if not (isinstance(trials, numbers.Integral) and isinstance(seed, numbers.Integral)
+            and trials >= 1 and seed >= 0):
+        raise DomainError(f"the scan needs integers trials >= 1 and seed >= 0, "
                           f"got trials={trials}, seed={seed}")
     grid = grids.CircleGrid(n)
     modes = len(grids._band_modes(n))
     block = max(1, SCAN_BLOCK_POINTS // n)
     rows, totals, coef_min = [], np.empty(trials), np.inf
+    # one generator for the scan, rewound to counter i for trial i: the same
+    # draws as a fresh Philox(key=seed, counter=i), without building one
+    bitgen = np.random.Philox(key=seed)
+    rng, state = np.random.Generator(bitgen), bitgen.state
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         ab = np.empty((5, stop - start, modes, 2))
         for b, i in enumerate(range(start, stop)):
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=i))
+            state["state"]["counter"][:] = (i, 0, 0, 0)
+            bitgen.state = state
             ab[:, b] = rng.standard_normal((5, modes, 2))
         w = grids._band_limited_1d(n, ab, 0.0)
         w /= np.max(np.abs(w), axis=-1, keepdims=True) + 1e-12

@@ -44,9 +44,10 @@ def _ik(n: int, ndim: int, axis: int) -> np.ndarray:
     return ik
 
 
-def _spectral_deriv(values: np.ndarray, axis: int, n: int) -> np.ndarray:
+def _spectral_deriv(values: np.ndarray, axis: int, n: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     hat = np.fft.rfft(values, axis=axis)
-    return np.fft.irfft(_ik(n, values.ndim, axis) * hat, n, axis=axis)
+    return np.fft.irfft(_ik(n, values.ndim, axis) * hat, n, axis=axis, out=out)
 
 
 def _radial_nodes(n_r: int) -> np.ndarray:
@@ -95,7 +96,7 @@ class PeriodicGrid:
         single-operand derivative."""
         out = np.empty((len(ops), len(self.shape)) + ops.shape[1:])
         for a, n in enumerate(self.shape):
-            out[:, a] = _spectral_deriv(ops, a - len(self.shape), n)
+            _spectral_deriv(ops, a - len(self.shape), n, out=out[:, a])
         return out
 
     def grad(self, f: np.ndarray) -> np.ndarray:
@@ -377,11 +378,8 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
         raise GridMismatchError("hodge_decompose expects a torus field")
     kx, ky = g.wavenumbers
     k2 = kx**2 + ky**2
-    k2safe = np.where(k2 == 0, 1.0, k2)
-    vx_hat = np.fft.fft2(v.values[0])
-    vy_hat = np.fft.fft2(v.values[1])
-    div_hat = 1j * kx * vx_hat + 1j * ky * vy_hat
-    f_hat = -div_hat / k2safe
+    div_hat = 1j * kx * np.fft.fft2(v.values[0]) + 1j * ky * np.fft.fft2(v.values[1])
+    f_hat = -div_hat / np.where(k2 == 0, 1.0, k2)
     f_hat[0, 0] = 0.0
     f = ScalarField(g, np.real(np.fft.ifft2(f_hat)))
     w = VectorField(g, v.values - g.grad(f.values))

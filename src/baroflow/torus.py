@@ -29,25 +29,32 @@ class TorusModeSolution:
     c: float
 
     @cached_property
-    def _z_hat(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.fft.fft2(self.z.values[0]), np.fft.fft2(self.z.values[1])
+    def _half_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """On the half spectrum along y (ny//2 + 1 columns): the gradient
+        part's components i k_a f_hat / (c|k|), zero at k = 0; rfft2 of z;
+        c|k|; and the ky row.  The x derivative is zeroed on the kx Nyquist
+        row (the grid counts are even), where i kx is anti-Hermitian: the
+        full-spectrum real part drops it, so the half spectrum must too."""
+        g = self.grid
+        h = g.ny // 2 + 1
+        kx, ky = g.wavenumbers
+        ky = ky[:, :h]
+        ck = self.c * np.sqrt(kx**2 + ky**2)
+        osc = self.f_hat[:, :h] / np.where(ck == 0, 1.0, ck)
+        osc[0, 0] = 0.0
+        dx = 1j * kx
+        dx[g.nx // 2] = 0.0
+        grad_hat = np.stack([dx * osc, 1j * ky * osc])
+        return grad_hat, np.fft.rfft2(self.z.values), ck, ky
 
     def j_at(self, t: float) -> VectorField:
         """j(t) = sum_k (a_k sin(c|k|t)/(c|k|)) grad phi_k(x, y - omega t)
-        + t z(x, y - omega t)."""
-        g = self.grid
-        kx, ky = g.wavenumbers
-        kmag = np.sqrt(kx**2 + ky**2)
-        ksafe = np.where(kmag == 0, 1.0, kmag)
-        osc = np.where(kmag == 0, 0.0, np.sin(self.c * ksafe * t) / (self.c * ksafe))
-        shift = np.exp(-1j * ky * self.omega * t)
-        coef = self.f_hat * osc * shift
-        jx = np.real(np.fft.ifft2(1j * kx * coef))
-        jy = np.real(np.fft.ifft2(1j * ky * coef))
-        zx_hat, zy_hat = self._z_hat
-        zx = np.real(np.fft.ifft2(zx_hat * shift))
-        zy = np.real(np.fft.ifft2(zy_hat * shift))
-        return VectorField(g, np.stack([jx + t * zx, jy + t * zy]))
+        + t z(x, y - omega t), by one half-spectrum inverse transform."""
+        grad_hat, z_hat, ck, ky = self._half_spectra
+        spec = np.sin(ck * t) * grad_hat
+        spec += t * z_hat
+        spec *= np.exp(-1j * ky * self.omega * t)
+        return VectorField(self.grid, np.fft.irfft2(spec, s=self.grid.shape))
 
     def series_bound(self) -> float:
         """sup_t ||gradient part of j(t)||_inf <= sum_k |f_hat_k| / (c N)."""
@@ -71,12 +78,14 @@ class BoundednessReport:
     series_bound: float | None
 
 
-def classify_boundedness(v0: VectorField, c: float = 1.0,
+def classify_boundedness(v0: VectorField | TorusModeSolution, c: float = 1.0,
                          tol: float = 1e-10) -> BoundednessReport:
     """Bounded displacement iff v0 is a gradient: certificate is the L^2 norm
     of the divergence-free Hodge part, plus the analytic sup bound when
-    bounded."""
-    sol = synthesize(v0, 0.0, c)
+    bounded.  Given a TorusModeSolution of v0 instead, it reads that
+    solution's decomposition and sound speed (c is then unused), so a caller
+    that holds one decomposes v0 once; omega does not enter the report."""
+    sol = v0 if isinstance(v0, TorusModeSolution) else synthesize(v0, 0.0, c)
     w_norm = float(np.sqrt(integrate(grids.inner(sol.z, sol.z))))
     bounded = w_norm < tol
     return BoundednessReport(bounded, w_norm, sol.series_bound() if bounded else None)

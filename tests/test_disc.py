@@ -73,6 +73,12 @@ class TestSturmLiouville:
         with pytest.raises(DomainError):
             disc.sturm_liouville_eigs(BG, 0, 500, n_nodes=16)
 
+    def test_rejects_fractional_k_max(self, monkeypatch):
+        # rejected before the eigensolver runs
+        monkeypatch.setattr(disc.linalg, "eigh_tridiagonal", None)
+        with pytest.raises(DomainError, match="k_max must be an integer"):
+            disc.sturm_liouville_eigs(BG, 1, 2.5)
+
     def test_spectrum_depends_on_abs_n(self):
         lp = disc.sturm_liouville_eigs(BG, 2, 2, n_nodes=200)
         lm = disc.sturm_liouville_eigs(BG, -2, 2, n_nodes=200)

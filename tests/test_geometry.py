@@ -352,6 +352,13 @@ class TestCurvatureScan:
         with pytest.raises(DomainError, match="trials >= 1 and seed >= 0"):
             curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=trials, seed=seed)
 
+    @pytest.mark.parametrize("trials, seed", [(2.5, 7), (2, 2.5), (2.0, 7)])
+    def test_rejects_non_integer_trials_and_seed(self, trials, seed, monkeypatch):
+        # rejected before the generator is built
+        monkeypatch.setattr(np.random, "Philox", None)
+        with pytest.raises(DomainError, match="integers trials >= 1 and seed >= 0"):
+            curvature_sign_scan_1d(polytropic(1.0, 2.0), trials, seed)
+
 
 def scan_bits(rep):
     """Every number of a scan report, as bytes: equal only bit for bit."""

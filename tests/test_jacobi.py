@@ -210,9 +210,9 @@ class TestLinearizedStep:
         state, fm, model, v0 = stage_case("circle64")
         transforms, phase_builds = [], []
 
-        def counting_deriv(values, axis, n, _deriv=grids._spectral_deriv):
+        def counting_deriv(values, axis, n, out=None, _deriv=grids._spectral_deriv):
             transforms.append(values.shape)
-            return _deriv(values, axis, n)
+            return _deriv(values, axis, n, out=out)
 
         def counting_phases(xq, m, _phases=grids._phases):
             phase_builds.append(len(xq))

@@ -81,8 +81,9 @@ class TestTorusJacobi:
 
 
 def j_at_formula(sol, t):
-    """j(t) with every transform redone, fft2 of z included."""
-    kx, ky = G.wavenumbers
+    """j(t) with every transform redone, fft2 of z included, on the full
+    spectrum: the real part of each complex inverse transform."""
+    kx, ky = sol.grid.wavenumbers
     kmag = np.sqrt(kx**2 + ky**2)
     ksafe = np.where(kmag == 0, 1.0, kmag)
     osc = np.where(kmag == 0, 0.0, np.sin(sol.c * ksafe * t) / (sol.c * ksafe))
@@ -95,14 +96,34 @@ def j_at_formula(sol, t):
     return np.stack([jx + t * zx, jy + t * zy])
 
 
+def max_rel_gap(sol, ts):
+    """max over ts of max|j_at - formula| / max|formula|."""
+    gaps = []
+    for t in ts:
+        want = j_at_formula(sol, float(t))
+        gaps.append(np.max(np.abs(sol.j_at(float(t)).values - want)) / np.max(np.abs(want)))
+    return max(gaps)
+
+
 @pytest.mark.parametrize("kind", ["gradient", "divfree", "mixed"])
-def test_j_at_matches_formula_bitwise(kind):
+def test_j_at_matches_formula(kind):
     gradient = grad_field(np.sin(2 * X) + np.cos(3 * Y)).values
     divfree = np.stack([-np.sin(Y), np.zeros(G.shape)])
     v0 = {"gradient": gradient, "divfree": divfree, "mixed": gradient + 0.5 * divfree}[kind]
     sol = torus.synthesize(VectorField(G, v0), omega=0.7, c=1.3)
-    for t in np.linspace(-3.0, 60.0, 10):
-        assert np.array_equal(sol.j_at(float(t)).values, j_at_formula(sol, float(t))), t
+    assert max_rel_gap(sol, np.linspace(-3.0, 60.0, 10)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (34, 34), (16, 32), (32, 16), (10, 12)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_j_at_matches_formula_on_white_noise(shape):
+    # noise fills the Nyquist row and column, where the full-spectrum real
+    # part drops the anti-Hermitian derivative terms
+    g = TorusGrid(*shape)
+    rng = np.random.Generator(np.random.Philox(key=sum(shape)))
+    sol = torus.synthesize(VectorField(g, rng.standard_normal((2,) + shape)),
+                           omega=0.7, c=1.3)
+    assert max_rel_gap(sol, np.linspace(-3.0, 60.0, 10)) <= 1e-14
 
 
 class TestClassify:
@@ -123,6 +144,14 @@ class TestClassify:
         rep0 = torus.classify_boundedness(VectorField(G, base))
         rep1 = torus.classify_boundedness(VectorField(G, base + 1e-3 * w))
         assert rep0.bounded and not rep1.bounded
+
+    @pytest.mark.parametrize("kind", ["gradient", "mixed"])
+    def test_solution_gives_the_field_report(self, kind):
+        w = 0.0 if kind == "gradient" else 1e-3
+        v0 = VectorField(G, grad_field(np.cos(2 * X) + np.sin(Y)).values
+                         + w * np.stack([-np.sin(Y), np.zeros(G.shape)]))
+        sol = torus.synthesize(v0, omega=0.9, c=1.7)
+        assert torus.classify_boundedness(sol) == torus.classify_boundedness(v0, c=1.7)
 
     def test_rejects_non_torus(self):
         from baroflow.grids import CircleGrid
