@@ -21,7 +21,6 @@ from .grids import (
     _interp_coeffs,
     _phases,
     check_same_grid,
-    circle_interp,
     circle_interp_antideriv,
 )
 
@@ -130,6 +129,12 @@ class CharacteristicFlow:
         safeguarded Newton iteration, bisection fallback.  Each iterate's
         value and slope come from one phase build; a step that lands on a
         bracket end (a converged point whose step rounds to zero) is kept."""
+        return self._invert(t, x)[0]
+
+    def _invert(self, t: float, x) -> tuple[np.ndarray, np.ndarray]:
+        """invert's chi and alpha0(chi) at chi.ravel(): the value of the
+        converged iterate, bitwise circle_interp's, since it sums the same
+        coefficients against the same phases."""
         if t >= self.shock_time:
             raise ShockError(f"t={t} is at or past the shock time {self.shock_time}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -142,39 +147,37 @@ class CharacteristicFlow:
         chi = np.clip(chi, lo, hi)
         for _ in range(100):
             phases = _phases(chi.ravel(), len(a))
-            f = chi + t * np.real(phases @ a) - x
+            value = np.real(phases @ a)
+            f = chi + t * value - x
             lo = np.where(f < 0, chi, lo)
             hi = np.where(f > 0, chi, hi)
             if np.max(np.abs(f)) < 1e-13:
-                break
+                return chi, value
             fp = 1.0 + t * np.real(phases @ da)
             step = np.where(fp > 1e-10, f / np.where(fp > 1e-10, fp, 1.0), 0.0)
             nxt = chi - step
             bad = (nxt < lo) | (nxt > hi) | (fp <= 1e-10)
             chi = np.where(bad, 0.5 * (lo + hi), nxt)
-        return chi
+        return chi, np.real(_phases(chi.ravel(), len(a)) @ a)
 
 
-def _trace_back(u0: ScalarField | VectorField, rho0: ScalarField,
-                t: float) -> tuple[RiemannData, np.ndarray, np.ndarray]:
-    """The Riemann invariants and the feet chi_+, chi_- at time 0 of the
-    characteristics through the grid nodes at time t."""
+def _trace_back(u0: ScalarField | VectorField, rho0: ScalarField, t: float):
+    """The feet chi_+, chi_- at time 0 of the characteristics through the
+    grid nodes at time t, each with its Riemann invariant's value there:
+    (grid, (chi_+, alpha_+), (chi_-, alpha_-))."""
     inv = riemann_invariants(u0, rho0)
     flow_p, flow_m = _flow(inv.alpha_plus), _flow(inv.alpha_minus)
     tstar = min(flow_p.shock_time, flow_m.shock_time)
     if t >= tstar:
         raise ShockError(f"t={t} is at or past the shock time {tstar}")
     x = inv.grid.x
-    return inv, flow_p.invert(t, x), flow_m.invert(t, x)
+    return inv.grid, flow_p._invert(t, x), flow_m._invert(t, x)
 
 
 def exact_state(u0: ScalarField | VectorField, rho0: ScalarField, t: float) -> FluidState:
     """Pre-shock solution by tracing both Riemann invariants back along their
     characteristics; returns the barotropic state (q = rho)."""
-    inv, chi_p, chi_m = _trace_back(u0, rho0, t)
-    g = inv.grid
-    ap = circle_interp(inv.alpha_plus.values, chi_p)
-    am = circle_interp(inv.alpha_minus.values, chi_m)
+    g, (_, ap), (_, am) = _trace_back(u0, rho0, t)
     u = ScalarField(g, 0.5 * (ap + am))
     rho = ScalarField(g, 0.5 * (ap - am))
     return FluidState(VectorField(g, u.values[None]), rho, ScalarField(g, rho.values.copy()))
@@ -189,10 +192,8 @@ def exact_jacobi(u0: ScalarField | VectorField, rho0: ScalarField,
     interpolant of v0, with the inverse characteristics lifted to the real
     line so the endpoints are well defined for any t."""
     vvals = v0.values[0] if isinstance(v0, VectorField) else v0.values
-    inv, chi_p, chi_m = _trace_back(u0, rho0, t)
-    g = inv.grid
-    rho = 0.5 * (circle_interp(inv.alpha_plus.values, chi_p)
-                 - circle_interp(inv.alpha_minus.values, chi_m))
+    g, (chi_p, ap), (chi_m, am) = _trace_back(u0, rho0, t)
+    rho = 0.5 * (ap - am)
     V = circle_interp_antideriv(vvals, np.concatenate([chi_m, chi_p]))
     j = 0.5 * (V[: g.n] - V[g.n:]) / rho
     return VectorField(g, j[None])

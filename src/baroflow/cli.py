@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal, InvalidOperation
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,84 +31,101 @@ from .pressure import polytropic
 
 OUTPUT_DIR_ENV = "BAROFLOW_OUTPUT_DIR"
 
-# Largest magnitude of each integer that sizes an array or a loop, and of the
-# mode number (which must convert to a float): far above every README and
-# preset value, so that a huge value is rejected before anything is allocated.
-INT_BOUNDS = {"n_grid": 2048, "n_nodes": 100_000, "n_mode": 1000, "m_max": 100,
-              "trials": 100_000, "n_samples": 10_000}
-
 
 class ValidationError(Exception):
     """Invalid experiment parameters; carries the violated bound."""
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything an experiment run needs; unset fields keep their defaults."""
+def integer(text: str) -> int:
+    """Parse an integer flag or config value exactly: "3", "3.0" and "1e3"
+    parse; a fraction, "inf", "nan", "1/2" and a number of more than 4300
+    digits (Python's own cap on int(str)) raise ValueError."""
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not number.is_finite() or number.adjusted() > 4300 \
+            or number != number.to_integral_value():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(number)
 
-    experiment: str
-    gamma: float = 3.0
-    a_coeff: float = 1.0 / 3.0
-    omega: float = 1.0
-    c: float = 1.0
-    rho0: float = 1.0
-    n_grid: int = 128
-    n_nodes: int = 400
-    n_mode: int = 2
-    m_max: int = 2
-    k_max: int = 12
-    n_max: int = 16
-    amplitude: float = 0.5
-    trials: int = 200
-    dt: float = 0.01
-    t_end: float = 1.0
-    n_samples: int = 50
-    seed: int = 0
-    kind: str = "gradient"
-    output_dir: str = "."
+
+class Param(NamedTuple):
+    """One value an experiment run can be given: its parser (float, integer
+    or str) for flags and config values, default, --help text, and bounds.
+    An integer lies in [low, high]; a float is finite and lies in
+    (low, high]."""
+
+    parse: Callable[[str], object]
+    default: object
+    help: str
+    low: float | None = None
+    high: float | None = None
+
+
+# Each integer that sizes an array or a loop, and the mode number (which must
+# convert to a float), is capped far above every README and preset value, so
+# that a huge value is rejected before anything is allocated.
+PARAMS = {
+    "gamma": Param(float, 3.0, "adiabatic exponent", low=1),
+    "a_coeff": Param(float, 1.0 / 3.0, "polytropic coefficient A in p = A rho^gamma", low=0),
+    "omega": Param(float, 1.0, "background angular velocity"),
+    "c": Param(float, 1.0, "sound speed scale", low=0),
+    "rho0": Param(float, 1.0, "background density", low=0),
+    "n_grid": Param(integer, 128, "grid points per period", 8, 2048),
+    "n_nodes": Param(integer, 400, "radial nodes on the disc", 16, 100_000),
+    "n_mode": Param(integer, 2, "azimuthal or Fourier mode number n", -1000, 1000),
+    "m_max": Param(integer, 2, "number of conjugate times to report", 1, 100),
+    "k_max": Param(integer, 12, "radial eigenmodes per azimuthal mode", 1),
+    "n_max": Param(integer, 16, "largest azimuthal mode", 0, disc.BESSEL_MAX_ORDER),
+    "amplitude": Param(float, 0.5, "initial data amplitude"),
+    "trials": Param(integer, 200, "number of random trials", 1, 100_000),
+    "dt": Param(float, 0.01, "time step", low=0),
+    "t_end": Param(float, 1.0, "final time", low=0),
+    "n_samples": Param(integer, 50, "number of output samples", 1, 10_000),
+    "seed": Param(integer, 0, "64-bit unsigned RNG seed", 0, 2**64 - 1),
+    "kind": Param(str, "gradient", "torus perturbation kind: gradient | divfree | mixed"),
+    "output_dir": Param(str, ".", f"output directory (overridden by ${OUTPUT_DIR_ENV})"),
+}
+
+
+class ExperimentConfig:
+    """Everything an experiment run needs: one attribute per PARAMS entry,
+    at its default unless given."""
+
+    def __init__(self, experiment: str, **values):
+        self.experiment = experiment
+        for key, param in PARAMS.items():
+            setattr(self, key, values.pop(key, param.default))
+        if values:
+            raise TypeError(f"ExperimentConfig has no parameters {sorted(values)}")
 
     def validate(self) -> None:
-        for key, value in self.__dict__.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"{key.replace('_', '-')} must be finite, got {value}")
-        checks = [
-            (self.gamma > 1.0, f"gamma must exceed 1, got {self.gamma}"),
-            (self.a_coeff > 0, f"a-coeff must be positive, got {self.a_coeff}"),
-            (self.c > 0, f"c must be positive, got {self.c}"),
-            (self.rho0 > 0, f"rho0 must be positive, got {self.rho0}"),
-            (self.n_grid >= 8, f"n-grid must be at least 8, got {self.n_grid}"),
-            (self.n_grid % 2 == 0, f"n-grid must be even, got {self.n_grid}"),
-            (self.n_nodes >= 16, f"n-nodes must be at least 16, got {self.n_nodes}"),
-            (self.m_max >= 1, f"m-max must be at least 1, got {self.m_max}"),
-            (self.k_max >= 1, f"k-max must be at least 1, got {self.k_max}"),
-            (self.k_max <= self.n_nodes - 1,
-             f"k-max must not exceed n-nodes - 1 = {self.n_nodes - 1}, got {self.k_max}"),
-            (self.n_max >= 0, f"n-max must be nonnegative, got {self.n_max}"),
-            (self.n_max <= disc.BESSEL_MAX_ORDER,
-             f"n-max must be at most {disc.BESSEL_MAX_ORDER}, got {self.n_max}"),
-            (self.trials >= 1, f"trials must be at least 1, got {self.trials}"),
-            (self.dt > 0, f"dt must be positive, got {self.dt}"),
-            (self.t_end > 0, f"t-end must be positive, got {self.t_end}"),
-            (self.n_samples >= 1, f"n-samples must be at least 1, got {self.n_samples}"),
-            (0 <= self.seed < 2**64, f"seed must be a 64-bit unsigned integer, got {self.seed}"),
-            (self.kind in ("gradient", "divfree", "mixed"),
-             f"kind must be gradient, divfree, or mixed, got {self.kind!r}"),
-        ]
-        checks += [(abs(getattr(self, key)) <= bound,
-                    f"{key.replace('_', '-')} must be at most {bound} in magnitude, "
-                    f"got {getattr(self, key)}")
-                   for key, bound in INT_BOUNDS.items()]
+        for key, param in PARAMS.items():
+            value, name = getattr(self, key), key.replace("_", "-")
+            if param.parse is float and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+            if param.parse is float and param.low is not None and value <= param.low:
+                raise ValidationError(f"{name} must exceed {param.low}, got {value}")
+            if param.parse is integer and param.low is not None and value < param.low:
+                raise ValidationError(f"{name} must be at least {param.low}, got {value}")
+            if param.high is not None and value > param.high:
+                raise ValidationError(f"{name} must be at most {param.high}, got {value}")
+        if self.n_grid % 2:
+            raise ValidationError(f"n-grid must be even, got {self.n_grid}")
+        if self.k_max > self.n_nodes - 1:
+            raise ValidationError(f"k-max must not exceed n-nodes - 1 = {self.n_nodes - 1}, "
+                                  f"got {self.k_max}")
+        if self.kind not in ("gradient", "divfree", "mixed"):
+            raise ValidationError(f"kind must be gradient, divfree, or mixed, got {self.kind!r}")
         # v0 = cos(n x) must lie below the Nyquist mode, which has no
         # derivative; a conjugate time needs n >= 1
         nyquist = self.n_grid // 2
         if self.experiment in ("conjugate", "jacobi"):
             low = 1 if self.experiment == "conjugate" else 1 - nyquist
-            checks.append((low <= self.n_mode < nyquist,
-                           f"n-mode must be from {low} to {nyquist - 1}, below the Nyquist "
-                           f"mode n-grid / 2 = {nyquist}, got {self.n_mode}"))
-        for ok, message in checks:
-            if not ok:
-                raise ValidationError(message)
+            if not low <= self.n_mode < nyquist:
+                raise ValidationError(f"n-mode must be from {low} to {nyquist - 1}, below the "
+                                      f"Nyquist mode n-grid / 2 = {nyquist}, got {self.n_mode}")
 
     def params(self) -> dict:
         """The parameters this experiment reads, by name."""
@@ -133,20 +150,6 @@ def parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         values[key.strip().replace("-", "_")] = val.strip()
     return values
-
-
-def _coerce(name: str, value, target):
-    """Parse a config-file string as the type of `target`.  An integer key
-    takes an exact integer ("3", "3.0", "1e3"), never a fraction."""
-    if not isinstance(value, str) or isinstance(target, str):
-        return value
-    try:
-        number = Fraction(value) if isinstance(target, int) else float(value)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {name}={value!r}") from exc
-    if isinstance(target, int) and number.denominator != 1:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(number) if isinstance(target, int) else number
 
 
 def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
@@ -376,65 +379,41 @@ class _JsonArgumentParser(argparse.ArgumentParser):
         sys.exit(_report_error({"error": "usage", "message": f"{self.prog}: {message}"}, 2))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every call returns the
+    same parser, which keeps no state between parses."""
     parser = _JsonArgumentParser(
         prog="baroflow",
         description="Batch experiments for barotropic-flow geometry.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    flag_specs = {
-        "gamma": (float, "adiabatic exponent"),
-        "a_coeff": (float, "polytropic coefficient A in p = A rho^gamma"),
-        "omega": (float, "background angular velocity"),
-        "c": (float, "sound speed scale"),
-        "rho0": (float, "background density"),
-        "n_grid": (int, "grid points per period"),
-        "n_nodes": (int, "radial nodes on the disc"),
-        "n_mode": (int, "azimuthal or Fourier mode number n"),
-        "m_max": (int, "number of conjugate times to report"),
-        "k_max": (int, "radial eigenmodes per azimuthal mode"),
-        "n_max": (int, "largest azimuthal mode"),
-        "amplitude": (float, "initial data amplitude"),
-        "trials": (int, "number of random trials"),
-        "dt": (float, "time step"),
-        "t_end": (float, "final time"),
-        "n_samples": (int, "number of output samples"),
-        "seed": (int, "64-bit unsigned RNG seed"),
-        "kind": (str, "torus perturbation kind: gradient | divfree | mixed"),
-    }
     for name, experiment in EXPERIMENTS.items():
         # no abbreviations: --n must not silently become --n-grid where
         # the experiment has no mode number
         p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--output-dir", dest="output_dir", default=None,
-                       help=f"output directory (overridden by ${OUTPUT_DIR_ENV})")
-        for key in experiment.params:
-            typ, help_text = flag_specs[key]
-            flag = "--" + key.replace("_", "-")
-            if key == "n_mode":
-                p.add_argument(flag, "--n", dest=key, type=typ, default=None,
-                               help=help_text)
-            else:
-                p.add_argument(flag, dest=key, type=typ, default=None, help=help_text)
+        for key in ("output_dir",) + experiment.params:
+            flags = ["--" + key.replace("_", "-")] + (["--n"] if key == "n_mode" else [])
+            p.add_argument(*flags, dest=key, type=PARAMS[key].parse, help=PARAMS[key].help)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(experiment=args.experiment)
-    accepted = EXPERIMENTS[args.experiment].params + ("output_dir",)
-    given = set()
+    accepted = ("output_dir",) + EXPERIMENTS[args.experiment].params
+    given = {}
     if args.config:
-        for key, val in parse_config_file(args.config).items():
+        for key, text in parse_config_file(args.config).items():
             if key not in accepted:
                 raise ValidationError(f"{args.config}: {args.experiment} has no "
                                       f"parameter {key!r}")
-            setattr(cfg, key, _coerce(key, val, getattr(cfg, key)))
-            given.add(key)
-    for key in cfg.__dict__:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None and key != "experiment":
-            setattr(cfg, key, flag_val)
-            given.add(key)
+            try:
+                given[key] = PARAMS[key].parse(text)
+            except ValueError as exc:
+                raise ValidationError(f"cannot parse {key}={text!r} as "
+                                      f"{PARAMS[key].parse.__name__}") from exc
+    given.update((key, getattr(args, key)) for key in accepted
+                 if getattr(args, key) is not None)
+    cfg = ExperimentConfig(args.experiment, **given)
     cfg.validate()
     # torus-modes reads the amplitude only to scale the divergence-free part
     # of mixed data; anywhere else a given amplitude would be ignored
@@ -444,8 +423,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = config_from_args(args)

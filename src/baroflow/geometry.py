@@ -40,11 +40,6 @@ class CurvatureReport:
     normalized: float
 
 
-def _check_density(rho: np.ndarray):
-    if np.any(rho <= 0):
-        raise DomainError("density must be positive pointwise")
-
-
 def _metric_density(g, lam, rho, f, h, u, v) -> np.ndarray:
     """lambda(rho) f h + rho <u, v> on raw arrays: the integrand of <<U, V>>."""
     return lam * f * h + rho * g.inner(u, v)
@@ -98,7 +93,6 @@ def sectional_curvature(U: TangentVector, V: TangentVector, rho: ScalarField,
     The intrinsic term is identically zero on the supported flat base manifolds
     and is reported as such."""
     g = check_same_grid(U.f, V.f, rho)
-    _check_density(rho.values)
     term_div, term_Q, term_grad, total, uu, vv, uv, _ = _curvature(
         g, model, rho.values, U.u.values, V.u.values, U.f.values, V.f.values)
     gram = uu * vv - uv**2
@@ -162,7 +156,6 @@ def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
         w = grids._band_limited_1d(n, ab, 0.0)
         w /= np.max(np.abs(w), axis=-1, keepdims=True) + 1e-12
         rho = 1.0 + 0.5 * w[4]
-        _check_density(rho)
         term_div, term_Q, term_grad, total, *_, coef = _curvature(
             grid, model, rho, w[0:1], w[2:3], w[1], w[3], first=start)
         totals[start:stop] = total

@@ -381,7 +381,8 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
     div_hat = 1j * kx * np.fft.fft2(v.values[0]) + 1j * ky * np.fft.fft2(v.values[1])
     f_hat = -div_hat / np.where(k2 == 0, 1.0, k2)
     f_hat[0, 0] = 0.0
-    f = ScalarField(g, np.real(np.fft.ifft2(f_hat)))
+    # a contiguous copy: the real view would keep the complex transform alive
+    f = ScalarField(g, np.fft.ifft2(f_hat).real.copy())
     w = VectorField(g, v.values - g.grad(f.values))
     return f, w
 

@@ -78,14 +78,10 @@ class BoundednessReport:
     series_bound: float | None
 
 
-def classify_boundedness(v0: VectorField | TorusModeSolution, c: float = 1.0,
-                         tol: float = 1e-10) -> BoundednessReport:
+def classify_boundedness(sol: TorusModeSolution, tol: float = 1e-10) -> BoundednessReport:
     """Bounded displacement iff v0 is a gradient: certificate is the L^2 norm
-    of the divergence-free Hodge part, plus the analytic sup bound when
-    bounded.  Given a TorusModeSolution of v0 instead, it reads that
-    solution's decomposition and sound speed (c is then unused), so a caller
-    that holds one decomposes v0 once; omega does not enter the report."""
-    sol = v0 if isinstance(v0, TorusModeSolution) else synthesize(v0, 0.0, c)
+    of the divergence-free Hodge part of the solution's v0, plus the analytic
+    sup bound when bounded; omega does not enter the report."""
     w_norm = float(np.sqrt(integrate(grids.inner(sol.z, sol.z))))
     bounded = w_norm < tol
     return BoundednessReport(bounded, w_norm, sol.series_bound() if bounded else None)

@@ -194,10 +194,15 @@ class NormalizationError(BaroflowError, ValueError):
     """Inputs fail a required normalization precondition."""
 
 
+def _check_density(rho: np.ndarray):
+    if np.any(rho <= 0):
+        raise DomainError("density must be positive pointwise")
+
+
 def metric_inner(U: TangentVector, V: TangentVector, rho: ScalarField, model) -> float:
     """<<U, V>> = int [lambda(rho) f g + rho <u, v>] dmu."""
     g = grids.check_same_grid(U.f, V.f, rho)
-    geometry._check_density(rho.values)
+    _check_density(rho.values)
     lam = model.lam(rho.values)
     dens = geometry._metric_density(g, lam, rho.values, U.f.values, V.f.values,
                                     U.u.values, V.u.values)
@@ -209,7 +214,7 @@ def christoffel(U: TangentVector, V: TangentVector, rho: ScalarField,
     """Explicit Christoffel map: (z, j) with j = (phi/lambda)(f div v + g div u)
     and z = (1/rho) grad(phi(rho) f g)."""
     g = grids.check_same_grid(U.f, V.f, rho)
-    geometry._check_density(rho.values)
+    _check_density(rho.values)
     phi = model.phi(rho.values)
     lam = model.lam(rho.values)
     div_u = grids.div(U.u).values
@@ -245,7 +250,7 @@ def density_functional_derivative(alpha: ScalarField, phi_fn, rho: ScalarField,
     """Derivative of Phi(eta) = int alpha phi_fn(rho) dmu along the flow of w:
     -int div(rho w) alpha phi_fn'(rho) dmu."""
     g = grids.check_same_grid(alpha, rho, w)
-    geometry._check_density(rho.values)
+    _check_density(rho.values)
     if dphi_fn is None:
         h = 1e-6 * rho.values
         dphi = (np.asarray(phi_fn(rho.values + h)) - np.asarray(phi_fn(rho.values - h))) / (2 * h)
@@ -262,7 +267,7 @@ def jacobi_metric_curvature_1d(u: VectorField, v: VectorField, rho: ScalarField,
     g = grids.check_same_grid(u, v, rho)
     if not isinstance(g, CircleGrid):
         raise DomainError("the comparison curvature is implemented on the circle")
-    geometry._check_density(rho.values)
+    _check_density(rho.values)
     rv = rho.values
     uu = integrate(ScalarField(g, rv * u.values[0] ** 2))
     vv = integrate(ScalarField(g, rv * v.values[0] ** 2))

@@ -174,7 +174,7 @@ class TestTorusClassification:
             float(np.max(np.sqrt(np.sum(sol.j_at(t).values**2, axis=0))))
             for t in np.linspace(0.0, 100.0 / c, 400))
         assert sup <= bound + 1e-10
-        assert torus.classify_boundedness(v0, c=c).bounded
+        assert torus.classify_boundedness(sol).bounded
 
     def test_divfree_linear_slope(self):
         g = TorusGrid(32, 32)
@@ -187,7 +187,7 @@ class TestTorusClassification:
                 for t in ts]
         slope = np.polyfit(ts, sups, 1)[0]
         assert slope == pytest.approx(z_sup_norm(sol), rel=0.01)
-        assert not torus.classify_boundedness(v0).bounded
+        assert not torus.classify_boundedness(sol).bounded
 
 
 class TestTorusCurvatureCoefficient:

@@ -168,6 +168,51 @@ class TestPlumbing:
         cfg = cli.config_from_args(args)
         assert (cfg.seed, cfg.trials) == (2**53 + 1, 100)
 
+    @pytest.mark.parametrize("text, trials", [
+        ("1e2", 100), ("100.0", 100), ("+7", 7), ("2.5", None), ("1/2", None),
+        ("1/0", None), ("inf", None), ("nan", None), ("abc", None),
+        ("1e999999999", None)])  # a billion-digit integer, refused unexpanded
+    def test_flags_and_config_files_parse_integers_alike(self, text, trials, tmp_path,
+                                                          monkeypatch, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"trials = {text}\n")
+        for source, argv in [("flag", ["--trials", text]), ("config", ["--config", str(conf)])]:
+            out = tmp_path / source
+            try:
+                code = run(["curvature-scan", "--n-grid", "16"] + argv, out, monkeypatch)
+            except SystemExit as exc:
+                code = exc.code
+            if trials is not None:
+                assert code == 0
+                assert read_outputs(out, "curvature-scan")[1]["parameters"]["trials"] == trials
+                continue
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == ("usage" if source == "flag" else "validation")
+            assert ("--trials" if source == "flag" else "trials") in err["message"]
+            assert "0x" not in err["message"]
+
+    def test_parser_is_built_once_and_each_parse_is_fresh(self, tmp_path, monkeypatch,
+                                                          capsys):
+        assert cli.build_parser() is cli.build_parser()
+        fresh = cli.build_parser.__wrapped__()
+        argvs = [["curvature-scan", "--trials", "3", "--seed", "5", "--n-grid", "16"],
+                 ["conjugate", "--n", "1", "--n-grid", "16", "--dt", "0.05", "--m-max", "1"],
+                 ["curvature-scan", "--trials", "2", "--n-grid", "16"]]
+        for argv in argvs:
+            assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        assert run(argvs[0], tmp_path / "a", monkeypatch) == 0
+        assert run(argvs[1], tmp_path / "b", monkeypatch) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["curvature-scan", "--seed", "x"], tmp_path / "c", monkeypatch)
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert run(argvs[2], tmp_path / "d", monkeypatch) == 0
+        # the seed of the first run and the bad one leave no trace
+        _, manifest = read_outputs(tmp_path / "d", "curvature-scan")
+        assert manifest["parameters"] == {"gamma": 3.0, "a_coeff": 1.0 / 3.0, "n_grid": 16,
+                                          "trials": 2, "seed": 0}
+
     def test_malformed_config_rejected(self, tmp_path, monkeypatch, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("gamma 2.0\n")
@@ -405,9 +450,10 @@ def test_mode_bounds_are_the_modes_below_nyquist(experiment, valid):
                 cfg.validate()
 
 
-@pytest.mark.parametrize("key", sorted(cli.INT_BOUNDS))
+@pytest.mark.parametrize("key", sorted(key for key, param in cli.PARAMS.items()
+                                        if param.parse is cli.integer and param.high))
 def test_integer_bounds_are_inclusive(key):
-    bound = cli.INT_BOUNDS[key]
+    bound = cli.PARAMS[key].high
     cli.ExperimentConfig("geodesic", **{key: bound}).validate()
     # bound + 2 keeps n-grid even, so only its bound can reject it
     with pytest.raises(cli.ValidationError, match=f"{key.replace('_', '-')} must be at most"):

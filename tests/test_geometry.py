@@ -231,6 +231,16 @@ class TestSectionalCurvature:
         assert abs(rep.term_Q) < 1e-12
         assert rep.term_grad == pytest.approx(9 * np.pi, rel=1e-10)
 
+    @pytest.mark.parametrize("where, value", [(np.s_[:], 0.0), (np.s_[:], -1.0), (5, np.nan)],
+                             ids=["zero", "negative", "nan_entry"])
+    def test_rejects_nonpositive_or_nan_density(self, where, value):
+        g = CircleGrid(32)
+        U, V, _ = random_section_1d(g, rng(4))
+        rho = ScalarField(g, np.ones(g.n))
+        rho.values[where] = value  # a ScalarField refuses NaN only when built
+        with pytest.raises(DomainError):
+            sectional_curvature(U, V, rho, polytropic(1.0, 2.0))
+
     def test_degenerate_section_vanishes(self):
         g = CircleGrid(32)
         U, _, rho = random_section_1d(g, rng(3))

@@ -129,35 +129,28 @@ def test_j_at_matches_formula_on_white_noise(shape):
 class TestClassify:
     def test_gradient_is_bounded(self):
         v0 = grad_field(np.sin(2 * X) + np.cos(3 * Y))
-        rep = torus.classify_boundedness(v0)
+        rep = torus.classify_boundedness(torus.synthesize(v0, 0.0, 1.0))
         assert rep.bounded and rep.series_bound is not None
 
     def test_divfree_grows(self):
         v0 = VectorField(G, np.stack([-np.sin(Y), np.zeros(G.shape)]))
-        rep = torus.classify_boundedness(v0)
+        rep = torus.classify_boundedness(torus.synthesize(v0, 0.0, 1.0))
         assert not rep.bounded
         assert rep.w_norm > 1.0
 
     def test_mixed_flips_with_epsilon(self):
         w = np.stack([-np.sin(Y), np.zeros(G.shape)])
         base = grad_field(np.cos(2 * X)).values
-        rep0 = torus.classify_boundedness(VectorField(G, base))
-        rep1 = torus.classify_boundedness(VectorField(G, base + 1e-3 * w))
+        rep0 = torus.classify_boundedness(torus.synthesize(VectorField(G, base), 0.0, 1.0))
+        rep1 = torus.classify_boundedness(
+            torus.synthesize(VectorField(G, base + 1e-3 * w), 0.0, 1.0))
         assert rep0.bounded and not rep1.bounded
-
-    @pytest.mark.parametrize("kind", ["gradient", "mixed"])
-    def test_solution_gives_the_field_report(self, kind):
-        w = 0.0 if kind == "gradient" else 1e-3
-        v0 = VectorField(G, grad_field(np.cos(2 * X) + np.sin(Y)).values
-                         + w * np.stack([-np.sin(Y), np.zeros(G.shape)]))
-        sol = torus.synthesize(v0, omega=0.9, c=1.7)
-        assert torus.classify_boundedness(sol) == torus.classify_boundedness(v0, c=1.7)
 
     def test_rejects_non_torus(self):
         from baroflow.grids import CircleGrid
         g = CircleGrid(16)
         with pytest.raises(DomainError):
-            torus.classify_boundedness(VectorField(g, np.zeros((1, 16))))
+            torus.synthesize(VectorField(g, np.zeros((1, 16))), 0.0, 1.0)
 
 
 class TestCurvatureCoefficient:
