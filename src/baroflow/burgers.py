@@ -118,22 +118,19 @@ class CharacteristicFlow:
     def _range(self) -> tuple[float, float]:
         """The range of the interpolant (which can overshoot the grid
         samples) on the fine grid, padded so that xi increasing guarantees
-        invert's root is bracketed."""
+        _invert's root is bracketed."""
         afine = self._fine[0]
         spread = float(np.max(afine) - np.min(afine))
         pad = 1e-2 * spread + 1e-9
         return float(np.min(afine)) - pad, float(np.max(afine)) + pad
 
-    def invert(self, t: float, x) -> np.ndarray:
-        """Solve x = chi + t alpha0(chi) for chi (lift on the real line) by
-        safeguarded Newton iteration, bisection fallback.  Each iterate's
-        value and slope come from one phase build; a step that lands on a
-        bracket end (a converged point whose step rounds to zero) is kept."""
-        return self._invert(t, x)[0]
-
     def _invert(self, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-        """invert's chi and alpha0(chi) at chi.ravel(): the value of the
-        converged iterate, bitwise circle_interp's, since it sums the same
+        """Solve x = chi + t alpha0(chi) for chi (lift on the real line) by
+        safeguarded Newton iteration, bisection fallback; returns chi and
+        alpha0(chi) at chi.ravel().  Each iterate's value and slope come from
+        one phase build; a step that lands on a bracket end (a converged point
+        whose step rounds to zero) is kept.  The value is the converged
+        iterate's, bitwise circle_interp's, since it sums the same
         coefficients against the same phases."""
         if t >= self.shock_time:
             raise ShockError(f"t={t} is at or past the shock time {self.shock_time}")

@@ -432,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         return _report_error({"error": "validation", "message": str(exc)}, 2)
     except BaroflowError as exc:
         return _report_error({"error": type(exc).__name__, "message": str(exc),
-                              "experiment": args.experiment}, 1)
+                              "experiment": args.experiment, "t": exc.t,
+                              "step": exc.step, "guard": exc.guard}, 1)
     csv_path, json_path = write_outputs(cfg, header, rows, summary, t0)
     print(f"wrote {csv_path} and {json_path}")
     return 0

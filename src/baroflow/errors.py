@@ -2,7 +2,16 @@
 
 
 class BaroflowError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  One that ends a time-stepped run
+    names the guard that fired, the failed step (1-based) and the time t it
+    started from; each is None for a failure outside the step loop."""
+
+    step: int | None = None
+    t: float | None = None
+
+    def __init__(self, *args, guard: str | None = None):
+        super().__init__(*args)
+        self.guard = guard
 
 
 class DomainError(BaroflowError, ValueError):

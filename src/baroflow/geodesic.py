@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, ShockError, StepSizeError
+from .errors import BaroflowError, DomainError, ShockError, StepSizeError
 from .grids import (
     CircleGrid,
     ScalarField,
@@ -143,9 +142,9 @@ def energy(state: FluidState, model: PressureModel) -> float:
 
 
 def _cfl_bound(grid, u: np.ndarray, rho: np.ndarray, model: PressureModel) -> float:
-    speed = np.sqrt(grid.inner(u, u))
-    cs = model.sound_speed(rho)
-    return CFL_SAFETY * grid.cfl_spacing / float(np.max(speed + cs))
+    speed = np.sqrt(_nabla(u, u[None])[0])  # |u|^2 = sum_a u_a u_a, in axis order
+    speed += model.sound_speed(rho)
+    return CFL_SAFETY * grid.cfl_spacing / float(speed.max())
 
 
 def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
@@ -169,52 +168,73 @@ def _parts(y: np.ndarray, ncomp: int):
 def _rhs(y: np.ndarray, grid, model) -> np.ndarray:
     """The RK stage on the stacked state y (see _parts): the derivative of
     (u, rho, q[, eta]) and of the Jacobi state, if any, at the same stage, as
-    one array shaped like y, with u_t = -nabla_u u - (1/rho) grad(q^2
+    one new array shaped like y, with u_t = -nabla_u u - (1/rho) grad(q^2
     phi/lambda^2), q_t = -div(qu), rho_t = -div(rho u), eta_t = u(eta) and
-    the equations of jacobi.linearized_step.  Every derivative operand is
-    differentiated in one stacked transform, and u and g are interpolated at
-    eta from one phase matrix."""
+    the equations of jacobi.linearized_step.  The derivative operands are
+    written into one stack for one stacked transform, and u and g are
+    interpolated at eta from one phase matrix."""
+    nc = grid.ncomp
     out = np.empty_like(y)
-    u, rho, q, eta, jrows = _parts(y, grid.ncomp)
-    du, drho, dq, deta, djrows = _parts(out, grid.ncomp)
+    u, rho, q, eta, jrows = _parts(y, nc)
+    du, drho, dq, deta, djrows = _parts(out, nc)
     lam = model.lam(rho)  # first: its density check is the one stage guard
     phi = model._phi(rho, lam)
-    ops = [u, (q**2 * phi / lam**2)[None], q * u, rho * u]
+    lam2 = lam**2
+    # the operand rows: u, q^2 phi/lambda^2, qu, rho u, then the Jacobi
+    # state's sigma u, rho v, v, h' sigma, j, rho/lambda from row b
+    b = 3 * nc + 1
+    U, P, QU, RU = slice(0, nc), nc, slice(nc + 1, 2 * nc + 1), slice(2 * nc + 1, b)
+    SU, RV, V = slice(b, b + nc), slice(b + nc, b + 2 * nc), slice(b + 2 * nc, b + 3 * nc)
+    HS, J, RL = b + 3 * nc, slice(b + 3 * nc + 1, b + 4 * nc + 1), b + 4 * nc + 1
+    ops = np.empty((RL + 1 if jrows else RU.stop,) + rho.shape)
+    ops[U] = u
+    np.divide(q**2 * phi, lam2, out=ops[P])
+    np.multiply(q, u, out=ops[QU])
+    np.multiply(rho, u, out=ops[RU])
     if jrows:
         (v, sigma, j, _), (dv, dsigma, dj, dG) = jrows, djrows
-        hp = model._h_prime(rho)
-        ops += [sigma * u, rho * v, v, (hp * sigma)[None], j, (rho / lam)[None]]
-    ends = list(accumulate(len(op) for op in ops))
-    d = grid.partials(np.concatenate(ops))
-    du_, dpress, dqu, drhou, *djac = (d[i:k] for i, k in zip([0] + ends, ends))
-    du[...] = -(_nabla(u, du_) + dpress[0] / rho)
-    drho[...] = -_div(drhou)
-    dq[...] = -_div(dqu)
+        np.multiply(sigma, u, out=ops[SU])
+        np.multiply(rho, v, out=ops[RV])
+        ops[V] = v
+        np.multiply(model._h_prime(rho), sigma, out=ops[HS])
+        ops[J] = j
+        np.divide(rho, lam, out=ops[RL])
+    d = grid.partials(ops)
+    np.negative(_nabla(u, d[U]) + d[P] / rho, out=du)
+    np.negative(_div(d[QU]), out=dq)
+    np.negative(_div(d[RU]), out=drho)
     if not jrows:
         if eta is not None:
             deta[...] = circle_interp(u[0], eta)
         return out
-    dsigmau, drhov, dv_, dhps, dj_, drl = djac
-    dsigma[...] = -(_div(dsigmau) + _div(drhov))
-    dv[...] = -(_nabla(u, dv_) + _nabla(v, du_) + dhps[0])
+    np.negative(_div(d[SU]) + _div(d[RV]), out=dsigma)
+    np.negative(_nabla(u, d[V]) + _nabla(v, d[U]) + d[HS], out=dv)
     # [u, j] = nabla_u j - nabla_j u (flat M)
-    dj[...] = v - (_nabla(u, dj_) - _nabla(j, du_))
+    np.subtract(v, _nabla(u, d[J]) - _nabla(j, d[U]), out=dj)
     if eta is None:
         dG[...] = 0.0
         return out
-    # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along eta
-    gval = 2 * phi * sigma / lam**2 + _nabla(j, drl)[0]
-    deta[...], dG[...] = circle_interp(np.stack([u[0], gval], axis=1), eta).T
+    # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along
+    # eta, goes to the free pressure row: u and g are then adjacent rows
+    np.divide(2 * phi * sigma, lam2, out=ops[P])
+    ops[P] += _nabla(j, d[RL:])[0]
+    circle_interp(ops[:2].T, eta, out=(deta, dG))
     return out
 
 
 def rk4(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of y' = rhs(y) over one array."""
+    """One classical RK4 step of y' = rhs(y) over one array, as a new array:
+    the stages are summed into k1 in place, so rhs must return a new array."""
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
-    return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6.0)
+    k1 += 2 * k2
+    k1 += 2 * k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += y
+    return k1
 
 
 def _pack(state: FluidState, flowmap: FlowMap | None,
@@ -245,18 +265,21 @@ def _unpack(y: np.ndarray, grid, rho0: ScalarField | None):
 
 def _step(y: np.ndarray, grid, model: PressureModel, dt: float) -> np.ndarray:
     """One guarded RK4 step of a stacked state y (see _parts), as a new
-    array.  The guards, in order: the CFL bound (StepSizeError); a stage
-    density out of range, or a state after the step that is not finite or
-    whose density left the working range [RHO_MIN, RHO_MAX] (ShockError); the
-    flow-map Jacobian floor (ShockError); Jacobi rows that are not finite
-    (DomainError).  A failed check builds the fields of y, so the error
-    names the fault as the field's own validation does."""
+    array.  The guards, in order, each naming itself on its error: the CFL
+    bound ("cfl", StepSizeError); a stage density out of range
+    ("stage_density", ShockError); a state after the step that is not finite
+    or whose density left [RHO_MIN, RHO_MAX] ("state", ShockError); the
+    flow-map Jacobian floor ("jacobian_floor", ShockError); non-finite Jacobi
+    rows ("jacobi_finite", DomainError).  A failed check builds the fields of
+    y, so the error names the fault as the field's own validation does."""
     b = grid.ncomp
     bound = _cfl_bound(grid, y[:b], y[b], model)
     if dt > bound:
-        raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}")
+        raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}", guard="cfl")
+    guard = "stage_density"
     try:
         y = rk4(lambda y: _rhs(y, grid, model), y, dt)
+        guard = "state"
         rho = y[b]
         if not (np.isfinite(y[:b + 2]).all() and RHO_MIN <= rho.min() and rho.max() <= RHO_MAX):
             _unpack(y[:b + 2], grid, None)
@@ -264,12 +287,16 @@ def _step(y: np.ndarray, grid, model: PressureModel, dt: float) -> np.ndarray:
     except DomainError as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening
-        raise ShockError(f"solution left the smooth regime: {exc}") from exc
+        raise ShockError(f"solution left the smooth regime: {exc}", guard=guard) from exc
     _, _, _, eta, jrows = _parts(y, b)
-    if eta is not None and float(np.min(_jacobian(grid, eta))) <= SHOCK_JACOBIAN_FLOOR:
-        raise ShockError("flow map lost monotonicity (shock reached)")
+    if eta is not None and float(_jacobian(grid, eta).min()) <= SHOCK_JACOBIAN_FLOOR:
+        raise ShockError("flow map lost monotonicity (shock reached)", guard="jacobian_floor")
     if jrows and not np.isfinite(y[-(2 * b + 2):]).all():
-        _unpack(y, grid, None)
+        try:
+            _unpack(y, grid, None)
+        except DomainError as exc:
+            exc.guard = "jacobi_finite"
+            raise
     return y
 
 
@@ -307,9 +334,13 @@ def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float):
         raise DomainError(f"t_end must be finite and nonnegative, with t_end / dt finite, "
                           f"got t_end={t_end}, dt={dt}")
     t = 0.0
-    for _ in range(int(np.ceil(t_end / dt - 1e-12))):
+    for k in range(1, int(np.ceil(t_end / dt - 1e-12)) + 1):
         h = min(dt, t_end - t)
-        y = _step(y, grid, model, h)
+        try:
+            y = _step(y, grid, model, h)
+        except BaroflowError as exc:
+            exc.t, exc.step = t, k
+            raise
         t += h
         yield t, y
 

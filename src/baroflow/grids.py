@@ -3,10 +3,10 @@ disc, fields on them, and their differential operators and quadrature.
 
 Each grid owns its operators as methods on raw arrays, which the time
 steppers call on RK stage arrays.  The circle and the torus share one
-periodic implementation: grad, div, u(h) and nabla_u v are reductions of
-one stack of partials, a real-FFT derivative along each axis (exact for
-band-limited fields), with the axis terms summed in axis order from the first
-term.  The disc uses second-order centered differences in r, one-sided at
+periodic implementation of real-FFT derivatives along each axis (exact for
+band-limited fields): grad, u(h) and nabla_u v are reductions of one stack
+of partials and div takes d_a v_a alone, the axis terms summed in axis
+order from the first term.  The disc uses second-order centered differences in r, one-sided at
 both ends (r=0 is excluded; the consumers handle regularity mode-wise), and
 a spectral derivative in theta.  The field functions (grad, div, ...) are the
 public API: they validate their fields, then call the grid method.
@@ -66,14 +66,21 @@ def _radial_deriv(values: np.ndarray, dr: float) -> np.ndarray:
 
 def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """nabla_w v (flat), from the partials dv[c, a] = d_a v_c: one product per
-    axis over every component at once, summed in axis order.  A stack of
-    scalars h (dv[k, a] = d_a h_k) gives each w(h_k)."""
-    return reduce(operator.add, (w[a] * dv[:, a] for a in range(len(w))))
+    axis over every component at once, summed in axis order from the first
+    term.  A stack of scalars h (dv[k, a] = d_a h_k) gives each w(h_k)."""
+    out = w[0] * dv[:, 0]
+    for a in range(1, len(w)):
+        out += w[a] * dv[:, a]
+    return out
 
 
 def _div(dv: np.ndarray) -> np.ndarray:
-    """div v = sum_a d_a v_a, from the partials dv[c, a] = d_a v_c."""
-    return reduce(operator.add, (dv[a, a] for a in range(len(dv))))
+    """div v = sum_a d_a v_a, from the partials dv[c, a] = d_a v_c, summed in
+    axis order from the first term (a view of it for one axis)."""
+    out = dv[0, 0]
+    for a in range(1, len(dv)):
+        out = out + dv[a, a]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +110,11 @@ class PeriodicGrid:
         return self.partials(f[None])[0]
 
     def div(self, v: np.ndarray) -> np.ndarray:
-        return _div(self.partials(v))
+        """sum_a d_a v_a: one derivative per axis, of its own component."""
+        out = self._d(v[0], 0)
+        for a in range(1, len(self.shape)):
+            out += self._d(v[a], a)
+        return out
 
     def directional(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
         """u(h) = sum_a u_a d_a h."""
@@ -122,7 +133,7 @@ class PeriodicGrid:
         volume = reduce(operator.mul, (2 * np.pi / n for n in self.shape), total)
         return float(volume) if f.ndim == len(self.shape) else volume
 
-    @property
+    @cached_property
     def cfl_spacing(self) -> float:
         return min(2 * np.pi / n for n in self.shape)
 
@@ -391,19 +402,6 @@ def hodge_decompose(v: VectorField) -> tuple[ScalarField, VectorField]:
 # Trigonometric interpolation on the circle
 
 
-def _trig_coeffs(values: np.ndarray) -> np.ndarray:
-    """Coefficients a_k, k = 0..n/2, of the trigonometric interpolant
-    Re sum_k a_k e^{ikx} of grid samples along axis 0 (rfft / n, interior
-    modes doubled).  The last bin is the Nyquist bin only for even n, so odd
-    sample counts are rejected."""
-    if len(values) % 2:
-        raise DomainError(f"trigonometric interpolation needs an even sample count, "
-                          f"got {len(values)}")
-    a = np.fft.rfft(values, axis=0) / len(values)
-    a[1:-1] *= 2.0
-    return a
-
-
 def _phases(xq: np.ndarray, m: int) -> np.ndarray:
     """e^{ikx} for k = 0..m-1 (m >= 2) at each point of xq, one row per
     point.  Built mode-major by doubling: rows [s, 2s) are rows [0, s) times
@@ -423,35 +421,45 @@ def _phases(xq: np.ndarray, m: int) -> np.ndarray:
 
 
 def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:
-    """The coefficients that circle_interp sums against the phases: those of
-    the interpolant, or of its deriv-th derivative."""
-    a = _trig_coeffs(values)
+    """The coefficients a_k, k = 0..n/2, that circle_interp sums against the
+    phases: those of the trigonometric interpolant Re sum_k a_k e^{ikx} of
+    grid samples along axis 0 (rfft / n, interior modes doubled), or of its
+    deriv-th derivative.  The transform runs along the rows of values.T, so
+    it is contiguous for the transpose of a row stack.  The last bin is the
+    Nyquist bin only for even n, so odd sample counts are rejected."""
+    if len(values) % 2:
+        raise DomainError(f"trigonometric interpolation needs an even sample count, "
+                          f"got {len(values)}")
+    a = np.fft.rfft(values.T).T
+    a /= len(values)
+    a[1:-1] *= 2.0
     if deriv:
         a = (a.T * (1j * np.arange(len(a))) ** deriv).T
         a[-1] = 0.0  # Nyquist mode has no odd derivative
     return a
 
 
-def circle_interp(values: np.ndarray, xq, deriv: int = 0) -> np.ndarray:
+def circle_interp(values: np.ndarray, xq, deriv: int = 0, out=None) -> np.ndarray:
     """Evaluate the trigonometric interpolant of grid samples (or its
     derivative) at arbitrary points.  Samples of shape (n, k) are k functions
-    evaluated from one phase matrix; the result is then (len(xq), k)."""
+    evaluated from one phase matrix; the result is then (len(xq), k), or is
+    written into out, a sequence of k arrays of len(xq), one per function."""
     a = _interp_coeffs(values, deriv)
     xq = np.asarray(xq, dtype=float).ravel()
     phases = _phases(xq, len(a))
     if a.ndim == 1:
         return np.real(phases @ a)
     # one matvec per function: an (m, k) matmat is not bitwise equal to them
-    out = np.empty((a.shape[1], len(xq)))
-    for row, col in zip(out, a.T):
+    rows = np.empty((a.shape[1], len(xq))) if out is None else out
+    for row, col in zip(rows, a.T):
         row[...] = (phases @ col).real
-    return out.T
+    return rows.T if out is None else out
 
 
 def circle_interp_antideriv(values: np.ndarray, xq) -> np.ndarray:
     """Antiderivative V of the trigonometric interpolant with V(0) = 0,
     evaluated on the real line (the mean contributes a linear part)."""
-    a = _trig_coeffs(values)
+    a = _interp_coeffs(values)
     xq = np.asarray(xq, dtype=float).ravel()
     k = np.arange(1, len(a))
     terms = (_phases(xq, len(a))[:, 1:] - 1.0) @ (a[1:] / (1j * k))

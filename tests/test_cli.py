@@ -137,6 +137,26 @@ class TestPlumbing:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShockError"
+        assert err["guard"] == "stage_density"
+        assert err["step"] >= 1 and err["t"] == pytest.approx(0.005 * (err["step"] - 1))
+
+    def test_shock_portrait_past_the_shock_says_where(self, tmp_path, monkeypatch, capsys):
+        rc = run(["geodesic", "--config", str(PRESETS / "shock-portrait.conf"),
+                  "--t-end", "2.5"], tmp_path, monkeypatch)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ShockError"
+        # t is the time the failed step started from: step - 1 steps of dt
+        assert (err["guard"], err["step"]) == ("stage_density", 601)
+        assert err["t"] == pytest.approx(0.004 * 600)
+
+    def test_failure_outside_the_step_loop_has_null_location(self, tmp_path, monkeypatch,
+                                                             capsys):
+        rc = run(["disc-spectrum", "--omega", "10"], tmp_path, monkeypatch)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "VacuumError"
+        assert (err["t"], err["step"], err["guard"]) == (None, None, None)
 
     @pytest.mark.parametrize("experiment", ["geodesic", "jacobi", "conjugate"])
     def test_dt_over_cfl_bound_at_start_exits_2(self, experiment, tmp_path, monkeypatch,

@@ -344,7 +344,8 @@ class TestRunLoop:
 
 
 def guard_outcome(fn, monkeypatch):
-    """(steps begun, error type, message) of a call that must fail."""
+    """(steps begun, error type, message, guard) of a call that must fail,
+    and the error."""
     steps = []
 
     def counting_rk4(*args, _rk4=geodesic.rk4):
@@ -355,15 +356,16 @@ def guard_outcome(fn, monkeypatch):
         m.setattr(geodesic, "rk4", counting_rk4)
         with pytest.raises(BaroflowError) as exc:
             fn()
-    return len(steps), type(exc.value), str(exc.value)
+    return (len(steps), type(exc.value), str(exc.value), exc.value.guard), exc.value
 
 
 class TestRunLoopGuards:
     """Each guard fires at the same step, with the same error, through the
-    run loop as through the one-step API."""
+    run loop as through the one-step API, and names itself; the run loop's
+    error carries the failed step and the time it started from."""
 
     def both(self, monkeypatch, state, model, t_end, dt, linearized, v0, setup=lambda m: None):
-        out = []
+        out, errors = [], []
         # the run loop stores no sample before the failure, so the guard and
         # not a stored sample's field validation must stop it
         for fn in (lambda: run(linearized, state, model, t_end, dt, 1000, v0),
@@ -371,10 +373,16 @@ class TestRunLoopGuards:
                                        jacobi.initial_jacobi(v0) if linearized else None)):
             with monkeypatch.context() as m:
                 setup(m)
-                out.append(guard_outcome(fn, monkeypatch))
+                outcome, exc = guard_outcome(fn, monkeypatch)
+                out.append(outcome)
+                errors.append(exc)
         assert out[0] == out[1]
         assert out[0][0] > 1  # not on the first step
-        return out[0]
+        run_err, one_step_err = errors
+        assert run_err.t == pytest.approx(dt * (run_err.step - 1), rel=1e-12)
+        # each one-step call is a one-step loop of its own
+        assert (one_step_err.step, one_step_err.t) == (1, 0.0)
+        return out[0][:3] + (run_err.guard, run_err.step)
 
     @pytest.mark.parametrize("linearized", [False, True])
     def test_cfl(self, linearized, monkeypatch):
@@ -385,8 +393,11 @@ class TestRunLoopGuards:
             VectorField(g, np.zeros((1, 32))), ScalarField(g, 1 + 0.5 * np.cos(g.x)), model)
         dt = 0.98 * geodesic.cfl_dt_max(state, model)
         v0 = VectorField(g, np.cos(g.x)[None])
-        steps, err, msg = self.both(monkeypatch, state, model, 1.0, dt, linearized, v0)
+        steps, err, msg, guard, step = self.both(monkeypatch, state, model, 1.0, dt,
+                                                 linearized, v0)
         assert err is StepSizeError and "CFL bound" in msg
+        # the bound is checked before the failed step's RK4 begins
+        assert guard == "cfl" and step == steps + 1
 
     @pytest.mark.parametrize("linearized", [False, True])
     def test_nan_stage(self, linearized, monkeypatch):
@@ -403,9 +414,11 @@ class TestRunLoopGuards:
 
             m.setattr(grids.PeriodicGrid, "partials", nan_partials)
 
-        steps, err, msg = self.both(monkeypatch, state, model, 0.2, 0.01, linearized, v0, setup)
+        steps, err, msg, guard, step = self.both(monkeypatch, state, model, 0.2, 0.01,
+                                                 linearized, v0, setup)
         assert steps == 5
         assert err is ShockError and "working range" in msg
+        assert guard == "stage_density" and step == 5
 
     @pytest.mark.parametrize("linearized", [False, True])
     def test_jacobian_floor(self, linearized, monkeypatch):
@@ -416,8 +429,10 @@ class TestRunLoopGuards:
             # a high floor, reached while the flow is well resolved
             m.setattr(geodesic, "SHOCK_JACOBIAN_FLOOR", 0.5)
 
-        steps, err, msg = self.both(monkeypatch, state, GAMMA3, 1.0, 0.01, linearized, v0, setup)
+        steps, err, msg, guard, step = self.both(monkeypatch, state, GAMMA3, 1.0, 0.01,
+                                                 linearized, v0, setup)
         assert err is ShockError and msg == "flow map lost monotonicity (shock reached)"
+        assert guard == "jacobian_floor" and step == steps
 
     @pytest.mark.parametrize("case", ["circle", "torus"])
     def test_non_finite_jacobi_rows(self, case, monkeypatch):
@@ -436,9 +451,33 @@ class TestRunLoopGuards:
 
             m.setattr(grids.PeriodicGrid, "partials", nan_jacobi_partials)
 
-        steps, err, msg = self.both(monkeypatch, state, model, 0.2, 0.01, True, v0, setup)
+        steps, err, msg, guard, step = self.both(monkeypatch, state, model, 0.2, 0.01,
+                                                 True, v0, setup)
         assert steps == 4
         assert err is DomainError and msg == "vector field has non-finite entries"
+        assert guard == "jacobi_finite" and step == 4
+
+    @pytest.mark.parametrize("rho_after", [5e-7, 2e6])
+    def test_state(self, rho_after, monkeypatch):
+        state, model, v0 = run_case("circle")
+
+        def setup(m):
+            calls = []
+
+            def leaving_rk4(rhs, y, dt, _rk4=geodesic.rk4):
+                calls.append(1)
+                out = _rk4(rhs, y, dt)
+                if len(calls) == 3:  # the third step lands outside the working range
+                    out[1] = rho_after
+                return out
+
+            m.setattr(geodesic, "rk4", leaving_rk4)
+
+        steps, err, msg, guard, step = self.both(monkeypatch, state, model, 0.2, 0.01,
+                                                 False, v0, setup)
+        assert steps == 3
+        assert err is ShockError and "working range" in msg
+        assert guard == "state" and step == 3
 
 
 BAD_DT = [0.0, -0.01, np.nan, np.inf]

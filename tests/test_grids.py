@@ -338,6 +338,24 @@ class TestKernelEquivalence:
             for a in range(g.ncomp):
                 assert np.array_equal(d[k, a], g._d(ops[k], a)), (k, a)
 
+    @pytest.mark.parametrize("g", [CircleGrid(64), TorusGrid(64, 64), TorusGrid(16, 24)],
+                             ids=["circle64", "torus64x64", "torus16x24"])
+    def test_div_takes_one_derivative_per_axis(self, g, monkeypatch):
+        # d_a v_a only, per axis, bit for bit the sum of the diagonal partials
+        v = rng(26).standard_normal((g.ncomp, 3) + g.shape)
+        want = grids._div(g.partials(v))
+        transforms = []
+
+        def counting_deriv(values, axis, n, out=None, _deriv=grids._spectral_deriv):
+            transforms.append((values.shape, axis))
+            return _deriv(values, axis, n, out=out)
+
+        monkeypatch.setattr(grids, "_spectral_deriv", counting_deriv)
+        got = g.div(v)
+        assert transforms == [((3,) + g.shape, a - g.ncomp) for a in range(g.ncomp)]
+        assert got.shape == (3,) + g.shape
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("g", [CircleGrid(8), CircleGrid(64), TorusGrid(16, 24)],
                              ids=["circle8", "circle64", "torus16x24"])
     def test_batch_axes_match_per_item_calls(self, g):
@@ -456,6 +474,11 @@ class TestKernelEquivalence:
         assert got.shape == (40, 3)
         for c in range(3):
             assert np.array_equal(got[:, c], circle_interp(vals[:, c].copy(), xq, deriv=deriv))
+        # the transpose of a (k, n) row stack, written row by row into out
+        out = np.full((3, 40), np.nan)
+        rows = np.ascontiguousarray(vals.T)
+        assert circle_interp(rows.T, xq, deriv=deriv, out=out) is out
+        assert np.array_equal(out, got.T)
 
     def test_circle_derivative_and_grad(self):
         g = CircleGrid(64)

@@ -35,12 +35,14 @@ def sine_background(n=128, amp=0.5):
 
 
 def stage_case(case):
-    """(state, flow map, model, v0) for the circle with a flow map or the
-    torus shear."""
+    """(state, flow map, model, v0) for the circle with a flow map
+    ("circle64"), the circle without one ("circle64_nomap": the 3- and 7-row
+    layouts) or the torus shear."""
     if case.startswith("circle"):
-        state, g = sine_background(int(case[len("circle"):]))
-        return (state, geodesic.identity_flowmap(state.rho), GAMMA3,
-                VectorField(g, np.cos(2 * g.x)[None]))
+        n, nomap, _ = case[len("circle"):].partition("_nomap")
+        state, g = sine_background(int(n))
+        fm = None if nomap else geodesic.identity_flowmap(state.rho)
+        return state, fm, GAMMA3, VectorField(g, np.cos(2 * g.x)[None])
     g = TorusGrid(16, 16)
     model = polytropic(0.5, 2.0)
     X, Y = g.mesh
@@ -178,7 +180,8 @@ class TestLinearizedStep:
         # only the fields of the returned states: (v, sigma, j, G) and (u, rho, q)
         assert len(built) <= 7, built
 
-    @pytest.mark.parametrize("case", ["circle64", "circle128", "torus_shear"])
+    @pytest.mark.parametrize("case", ["circle64", "circle128", "circle64_nomap",
+                                      "circle128_nomap", "torus_shear"])
     def test_fused_stage_matches_separate_formulas(self, case):
         state, fm, model, v0 = stage_case(case)
         g = state.grid
@@ -204,6 +207,42 @@ class TestLinearizedStep:
             for k, (a, b) in enumerate(zip(got, want)):
                 a = a.eta if isinstance(a, geodesic.FlowMap) else a.values
                 assert np.array_equal(a, b), k
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("case", ["circle64", "circle64_nomap", "torus_shear"])
+    def test_stage_writes_every_workspace_entry(self, case, linearized, monkeypatch):
+        # every array that geodesic and grids take from np.empty/np.empty_like
+        # comes back NaN-filled: the stage and the step must not change a bit,
+        # and each such array must be fully written by the time they return
+        state, fm, model, v0 = stage_case(case)
+        g = state.grid
+        y = geodesic._pack(state, fm, jacobi.initial_jacobi(v0) if linearized else None)
+        want_stage = geodesic._rhs(y, g, model)
+        want_step = geodesic._step(y, g, model, 0.01)
+        handed_out = []
+
+        class PoisonedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, dtype=float):
+                handed_out.append(np.full(shape, np.nan, dtype=dtype))
+                return handed_out[-1]
+
+            def empty_like(self, a):
+                handed_out.append(np.full_like(a, np.nan))
+                return handed_out[-1]
+
+        for module in (geodesic, grids):
+            monkeypatch.setattr(module, "np", PoisonedNumpy())
+        with np.errstate(all="raise"):
+            got_stage = geodesic._rhs(y, g, model)
+            got_step = geodesic._step(y, g, model, 0.01)
+        assert handed_out
+        assert all(np.isfinite(a).all() for a in handed_out)
+        for got, want in ((got_stage, want_stage), (got_step, want_step)):
+            assert np.isfinite(got).all()
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("step", ["linearized_step", "step_geodesic"])
     def test_stage_makes_one_transform_and_one_phase_build(self, step, monkeypatch):
