@@ -153,7 +153,7 @@ def parse_config_file(path: str) -> dict:
 
 
 def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
-                  summary: dict, t0: float) -> tuple[str, str]:
+                  summary: dict, t0: tuple[float, float]) -> tuple[str, str]:
     out_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{cfg.experiment}.csv")
@@ -177,7 +177,8 @@ def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
             "scipy": scipy.__version__,
         },
         "summary": summary,
-        "wall_time_s": time.perf_counter() - t0,
+        "cpu_time_s": time.process_time() - t0[1],
+        "wall_time_s": time.perf_counter() - t0[0],
     }
     json_path = os.path.join(out_dir, f"{cfg.experiment}_manifest.json")
     with open(json_path, "w") as fh:
@@ -424,7 +425,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
+    t0 = time.perf_counter(), time.process_time()
     try:
         cfg = config_from_args(args)
         header, rows, summary = EXPERIMENTS[cfg.experiment].run(cfg)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, special
+import scipy
 
 from . import grids
 from .errors import (
@@ -107,8 +107,8 @@ def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
     # similarity by diag(sqrt(r)) symmetrizes the weight
     diag_t = diag / ri
     off_t = off / np.sqrt(ri[:-1] * ri[1:])
-    vals, vecs = linalg.eigh_tridiagonal(diag_t, off_t,
-                                         select="i", select_range=(0, k_max - 1))
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag_t, off_t,
+                                               select="i", select_range=(0, k_max - 1))
     pairs = []
     for k in range(k_max):
         zt = vecs[:, k] / np.sqrt(ri)  # undo the similarity scaling
@@ -161,7 +161,7 @@ def bessel_first_root(n: int) -> float:
     Functions, 1996), for n in [0, BESSEL_MAX_ORDER]."""
     if not 0 <= n <= BESSEL_MAX_ORDER:
         raise DomainError(f"order must be in [0, {BESSEL_MAX_ORDER}], got {n}")
-    return float(special.jn_zeros(n, 1)[0])
+    return float(scipy.special.jn_zeros(n, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ from oracles import stored_conjugate_times
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
+# the environment of a fresh CLI process on this source tree
+SRC_ENV = {k: v for k, v in os.environ.items() if k != cli.OUTPUT_DIR_ENV}
+SRC_ENV["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
 HUGE = "1" + "0" * 400  # a 401-digit integer
 
 # the ExperimentConfig fields each experiment reads: its only flags and
@@ -33,6 +36,16 @@ READS = {
     "disc-spectrum": {"omega", "c", "rho0", "n_nodes", "k_max", "n_max"},
 }
 PARAMETERS = sorted(set().union(*READS.values()))
+# one small run of each experiment
+TINY_RUNS = [
+    ["geodesic", "--n-grid", "16", "--t-end", "0.1", "--dt", "0.05"],
+    ["jacobi", "--n-grid", "16", "--t-end", "0.1", "--dt", "0.05"],
+    ["burgers-exact", "--n-grid", "16", "--t-end", "0.2", "--n-samples", "2"],
+    ["conjugate", "--n-grid", "16", "--dt", "0.05", "--m-max", "1"],
+    ["curvature-scan", "--n-grid", "16", "--trials", "2"],
+    ["torus-modes", "--n-grid", "16", "--n-samples", "2"],
+    ["disc-spectrum", "--n-max", "1", "--k-max", "1", "--n-nodes", "32"],
+]
 
 
 def flag(key):
@@ -256,18 +269,30 @@ class TestPlumbing:
         csv1, man1 = read_outputs(d1, "curvature-scan")
         csv2, man2 = read_outputs(d2, "curvature-scan")
         assert csv1 == csv2
-        man1.pop("wall_time_s")
-        man2.pop("wall_time_s")
+        for man in (man1, man2):
+            man.pop("wall_time_s")
+            man.pop("cpu_time_s")
         assert man1 == man2
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the shock-time and conjugate-time refinements need it
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    def test_import_leaves_scipy_submodules_unloaded(self):
+        # only the shock-time and conjugate-time refinements need
+        # scipy.optimize, and only disc-spectrum scipy.linalg and scipy.special
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, baroflow.cli; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, check=True, env=env)
-        assert out.stdout.strip() == "False"
+            [sys.executable, "-c", "import sys, baroflow.cli; print(sorted(m for m in "
+             "('scipy.linalg', 'scipy.optimize', 'scipy.special') if m in sys.modules))"],
+            capture_output=True, text=True, check=True, env=SRC_ENV)
+        assert out.stdout.strip() == "[]"
+
+    def test_disc_spectrum_loads_scipy_at_call_time(self, tmp_path, monkeypatch):
+        # this process has loaded scipy.linalg already; a fresh one has not
+        argv = ["disc-spectrum", "--n-max", "2", "--k-max", "2", "--n-nodes", "40"]
+        out = subprocess.run(
+            [sys.executable, "-m", "baroflow.cli", *argv, "--output-dir", str(tmp_path / "a")],
+            capture_output=True, text=True, env=SRC_ENV)
+        assert out.returncode == 0, out.stderr
+        assert run(argv, tmp_path / "b", monkeypatch) == 0
+        csvs = [read_outputs(tmp_path / side, argv[0])[0] for side in "ab"]
+        assert csvs[0] == csvs[1]
 
     def test_manifest_records_library_versions(self, tmp_path, monkeypatch):
         import scipy
@@ -373,15 +398,7 @@ class TestExperiments:
         assert manifest["summary"]["all_bounds_hold"] is True
         assert manifest["summary"]["min_discriminant_margin"] > 0
 
-    @pytest.mark.parametrize("argv", [
-        ["geodesic", "--n-grid", "16", "--t-end", "0.1", "--dt", "0.05"],
-        ["jacobi", "--n-grid", "16", "--t-end", "0.1", "--dt", "0.05"],
-        ["burgers-exact", "--n-grid", "16", "--t-end", "0.2", "--n-samples", "2"],
-        ["conjugate", "--n-grid", "16", "--dt", "0.05", "--m-max", "1"],
-        ["curvature-scan", "--n-grid", "16", "--trials", "2"],
-        ["torus-modes", "--n-grid", "16", "--n-samples", "2"],
-        ["disc-spectrum", "--n-max", "1", "--k-max", "1", "--n-nodes", "32"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
     def test_manifest_parameters_are_the_ones_read(self, argv, tmp_path, monkeypatch):
         rc = run(argv, tmp_path, monkeypatch)
         assert rc == 0
@@ -389,6 +406,12 @@ class TestExperiments:
         assert set(manifest["parameters"]) == READS[argv[0]]
         for name, value in zip(argv[1::2], argv[2::2]):
             assert manifest["parameters"][name[2:].replace("-", "_")] == float(value)
+
+    @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+    def test_manifest_records_process_cpu_time(self, argv, tmp_path, monkeypatch):
+        assert run(argv, tmp_path, monkeypatch) == 0
+        cpu = read_outputs(tmp_path, argv[0])[1]["cpu_time_s"]
+        assert isinstance(cpu, float) and np.isfinite(cpu) and cpu >= 0
 
     def test_missing_conjugate_time_is_null(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.jacobi, "detect_conjugate_times", lambda *a, **k: [])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from baroflow import disc
 from baroflow.errors import (
@@ -75,7 +76,7 @@ class TestSturmLiouville:
 
     def test_rejects_fractional_k_max(self, monkeypatch):
         # rejected before the eigensolver runs
-        monkeypatch.setattr(disc.linalg, "eigh_tridiagonal", None)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
         with pytest.raises(DomainError, match="k_max must be an integer"):
             disc.sturm_liouville_eigs(BG, 1, 2.5)
 
