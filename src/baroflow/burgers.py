@@ -58,7 +58,7 @@ def shock_time(alpha0: ScalarField) -> float:
 
 def _flow(alpha0: ScalarField) -> CharacteristicFlow:
     """The flow of alpha0, built once per datum, so that the closed forms on
-    one datum share its shock time and range bracket.  The cache is keyed by
+    one datum share its shock time and fine-grid table.  The cache is keyed by
     the bytes of alpha0 (a caller that changes its array gets a new flow),
     and each flow holds a read-only copy of them."""
     return _cached_flow(alpha0.grid, alpha0.values.tobytes())
@@ -76,7 +76,8 @@ class CharacteristicFlow:
     interpolant of alpha0 and its derivative are summed from coefficients
     formed once per flow, as circle_interp forms them, so every value at a
     point is bitwise the circle_interp one; the values on the fine grid come
-    from an irfft of the same coefficients."""
+    from an irfft of the same coefficients, and give both the shock time and
+    the seed and bracket of each inversion."""
 
     alpha0: ScalarField
 
@@ -89,7 +90,8 @@ class CharacteristicFlow:
     def _fine(self) -> tuple[np.ndarray, np.ndarray]:
         """The interpolant and minus its slope on the uniform 8n-point grid
         2 pi j / 8n, from one zero-padded irfft of the coefficients; all but
-        the mean are halved, since irfft counts each interior bin twice."""
+        the mean are halved, since irfft counts each interior bin twice.  The
+        slope locates the shock time; the values seed the inversion."""
         c = np.stack(self._coeffs)
         c[:, 1:] *= 0.5
         a, da = np.fft.irfft(c, 8 * self.alpha0.grid.n, norm="forward")
@@ -114,34 +116,26 @@ class CharacteristicFlow:
             return float("inf")
         return 1.0 / m
 
-    @cached_property
-    def _range(self) -> tuple[float, float]:
-        """The range of the interpolant (which can overshoot the grid
-        samples) on the fine grid, padded so that xi increasing guarantees
-        _invert's root is bracketed."""
-        afine = self._fine[0]
-        spread = float(np.max(afine) - np.min(afine))
-        pad = 1e-2 * spread + 1e-9
-        return float(np.min(afine)) - pad, float(np.max(afine)) + pad
-
     def _invert(self, t: float, x) -> tuple[np.ndarray, np.ndarray]:
         """Solve x = chi + t alpha0(chi) for chi (lift on the real line) by
         safeguarded Newton iteration, bisection fallback; returns chi and
-        alpha0(chi) at chi.ravel().  Each iterate's value and slope come from
-        one phase build; a step that lands on a bracket end (a converged point
-        whose step rounds to zero) is kept.  The value is the converged
-        iterate's, bitwise circle_interp's, since it sums the same
-        coefficients against the same phases."""
+        alpha0(chi) at chi.ravel().  Before the shock time xi_j = z_j + t a_j
+        increases on the fine grid and chi - x is 2 pi-periodic, so
+        interpolating that table puts the seed in the root's fine cell, and
+        the seed -/+ two cells is a bracket with a cell of slack for
+        rounding.  Each iterate's value and slope come from one phase build; a
+        step that lands on a bracket end (a converged point whose step rounds
+        to zero) is kept.  The value is the converged iterate's, bitwise
+        circle_interp's, since it sums the same coefficients against the same
+        phases."""
         if t >= self.shock_time:
             raise ShockError(f"t={t} is at or past the shock time {self.shock_time}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a, da = self._coeffs
-        amin, amax = self._range
-        lo = x - t * amax
-        hi = x - t * amin
-        # one fixed-point sweep as the seed
-        chi = x - t * np.real(_phases(x.ravel(), len(a)) @ a)
-        chi = np.clip(chi, lo, hi)
+        afine = self._fine[0]
+        z, h = np.linspace(0.0, 2 * np.pi, len(afine), endpoint=False, retstep=True)
+        chi = x + np.interp(x, z + t * afine, -t * afine, period=2 * np.pi)
+        lo, hi = chi - 2 * h, chi + 2 * h
         for _ in range(100):
             phases = _phases(chi.ravel(), len(a))
             value = np.real(phases @ a)
@@ -163,12 +157,8 @@ def _trace_back(u0: ScalarField | VectorField, rho0: ScalarField, t: float):
     grid nodes at time t, each with its Riemann invariant's value there:
     (grid, (chi_+, alpha_+), (chi_-, alpha_-))."""
     inv = riemann_invariants(u0, rho0)
-    flow_p, flow_m = _flow(inv.alpha_plus), _flow(inv.alpha_minus)
-    tstar = min(flow_p.shock_time, flow_m.shock_time)
-    if t >= tstar:
-        raise ShockError(f"t={t} is at or past the shock time {tstar}")
     x = inv.grid.x
-    return inv.grid, flow_p._invert(t, x), flow_m._invert(t, x)
+    return inv.grid, _flow(inv.alpha_plus)._invert(t, x), _flow(inv.alpha_minus)._invert(t, x)
 
 
 def exact_state(u0: ScalarField | VectorField, rho0: ScalarField, t: float) -> FluidState:

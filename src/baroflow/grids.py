@@ -486,9 +486,13 @@ def _band_limited_1d(n: int, ab: np.ndarray, mean: float) -> np.ndarray:
     """mean + sum_k a_k cos kx + b_k sin kx on the n-point circle grid, from
     coefficients ab of shape (*batch, K, 2) in mode order; the result is
     (*batch, n).  The terms accumulate onto the mean in mode order, one mode
-    at a time, so a batch item gets the bits it would get alone and memory
-    stays that of the result."""
+    at a time, so a batch item gets the bits it would get alone; each mode's
+    a cos + b sin is written into two buffers made once, so memory stays
+    three times that of the result and no mode allocates."""
     out = np.full(ab.shape[:-2] + (n,), mean)
+    term, sin_term = np.empty(out.shape), np.empty(out.shape)
     for k, (cos, sin) in enumerate(_band_modes(n)):
-        out += ab[..., k, :1] * cos + ab[..., k, 1:] * sin
+        np.multiply(ab[..., k, :1], cos, out=term)
+        term += np.multiply(ab[..., k, 1:], sin, out=sin_term)
+        out += term
     return out

@@ -190,26 +190,30 @@ class TestClosedFormKernels:
         builds = count_phase_builds(monkeypatch)
         for alpha0 in ensemble_invariants(101, 5):
             flow = burgers.CharacteristicFlow(alpha0)
-            t = 0.9 * flow.shock_time
-            builds.clear()
-            flow._invert(t, alpha0.grid.x)[0]
-            # the seed sweep at x, then one build per Newton iterate: value and
-            # slope share it, and the fine grid builds no phases
-            assert len(builds) >= 2
-            assert np.array_equal(builds[0], alpha0.grid.x)
-            assert all(len(b) == alpha0.grid.n for b in builds)
-            assert not any(np.array_equal(a, b) for a, b in zip(builds, builds[1:]))
-
-    def test_invert_converges_in_few_iterations(self, monkeypatch):
-        builds = count_phase_builds(monkeypatch)
-        for alpha0 in ensemble_invariants(101, 20):
-            flow = burgers.CharacteristicFlow(alpha0)
             t, x = 0.9 * flow.shock_time, alpha0.grid.x
             builds.clear()
             chi = flow._invert(t, x)[0]
-            assert len(builds) - 1 <= 10
-            residual = chi + t * circle_interp(alpha0.values, chi) - x
-            assert np.max(np.abs(residual)) < 1e-13
+            # one build per Newton iterate, the last at the returned feet:
+            # value and slope share it, the fine-grid seed builds no phases,
+            # and no two builds are at the same points
+            assert len(builds) >= 1
+            assert np.array_equal(builds[-1], chi)
+            assert all(len(b) == alpha0.grid.n for b in builds)
+            assert not any(np.array_equal(b, x) for b in builds)
+            assert not any(np.array_equal(a, b)
+                           for i, a in enumerate(builds) for b in builds[i + 1:])
+
+    def test_invert_converges_in_few_iterations(self, monkeypatch):
+        builds = count_phase_builds(monkeypatch)
+        for alpha0 in ensemble_invariants(101, 20) + ensemble_invariants(7, 5, n=128):
+            flow = burgers.CharacteristicFlow(alpha0)
+            x, tstar = alpha0.grid.x, flow.shock_time
+            for t in (0.9 * tstar, 0.99999 * tstar, np.nextafter(tstar, 0)):
+                builds.clear()
+                chi = flow._invert(t, x)[0]
+                assert len(builds) <= 4
+                residual = chi + t * circle_interp(alpha0.values, chi) - x
+                assert np.max(np.abs(residual)) < 1e-13
 
     def test_invert_agrees_with_reference_inversion(self):
         for alpha0 in ensemble_invariants(101, 10) + ensemble_invariants(7, 3, n=128):
