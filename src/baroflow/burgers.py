@@ -123,18 +123,24 @@ class CharacteristicFlow:
         increases on the fine grid and chi - x is 2 pi-periodic, so
         interpolating that table puts the seed in the root's fine cell, and
         the seed -/+ two cells is a bracket with a cell of slack for
-        rounding.  Each iterate's value and slope come from one phase build; a
-        step that lands on a bracket end (a converged point whose step rounds
-        to zero) is kept.  The value is the converged iterate's, bitwise
-        circle_interp's, since it sums the same coefficients against the same
-        phases."""
+        rounding; xi mod 2 pi is the sorted table rotated at its minimum, so
+        one gather sorts it and pads it as np.interp's period option does,
+        without that option's argsort.  Each iterate's value and slope come
+        from one phase build; a step that lands on a bracket end (a converged
+        point whose step rounds to zero) is kept.  The value is the converged
+        iterate's, bitwise circle_interp's, since it sums the same
+        coefficients against the same phases."""
         if t >= self.shock_time:
             raise ShockError(f"t={t} is at or past the shock time {self.shock_time}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a, da = self._coeffs
         afine = self._fine[0]
         z, h = np.linspace(0.0, 2 * np.pi, len(afine), endpoint=False, retstep=True)
-        chi = x + np.interp(x, z + t * afine, -t * afine, period=2 * np.pi)
+        xi = (z + t * afine) % (2 * np.pi)
+        idx = np.arange(-1, len(xi) + 1) + int(np.argmin(xi))
+        xp = np.take(xi, idx, mode="wrap")
+        xp[[0, -1]] += (-2 * np.pi, 2 * np.pi)
+        chi = x + np.interp(x % (2 * np.pi), xp, np.take(-t * afine, idx, mode="wrap"))
         lo, hi = chi - 2 * h, chi + 2 * h
         for _ in range(100):
             phases = _phases(chi.ravel(), len(a))

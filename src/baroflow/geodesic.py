@@ -15,17 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pressure
 from .errors import BaroflowError, DomainError, ShockError, StepSizeError
 from .grids import (
     CircleGrid,
     ScalarField,
     VectorField,
+    _check_finite,
     _div,
     _nabla,
     check_same_grid,
     circle_interp,
 )
-from .pressure import RHO_MAX, RHO_MIN, PressureModel, _check_rho
+from .pressure import PressureModel
 
 SHOCK_JACOBIAN_FLOOR = 1e-3
 CFL_SAFETY = 0.5
@@ -141,15 +143,15 @@ def energy(state: FluidState, model: PressureModel) -> float:
     return 0.5 * g.integrate(dens)
 
 
-def _cfl_bound(grid, u: np.ndarray, rho: np.ndarray, model: PressureModel) -> float:
+def _cfl_bound(grid, u: np.ndarray, sound_speed: np.ndarray) -> float:
     speed = np.sqrt(_nabla(u, u[None])[0])  # |u|^2 = sum_a u_a u_a, in axis order
-    speed += model.sound_speed(rho)
+    speed += sound_speed
     return CFL_SAFETY * grid.cfl_spacing / float(speed.max())
 
 
 def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
     """Largest admissible step 0.5 * dx / max(|u| + wavespeed)."""
-    return _cfl_bound(state.grid, state.u.values, state.rho.values, model)
+    return _cfl_bound(state.grid, state.u.values, model.sound_speed(state.rho.values))
 
 
 def _parts(y: np.ndarray, ncomp: int):
@@ -165,7 +167,7 @@ def _parts(y: np.ndarray, ncomp: int):
     return y[:ncomp], y[ncomp], y[ncomp + 1], y[ncomp + 2] if flow else None, jrows
 
 
-def _rhs(y: np.ndarray, grid, model) -> np.ndarray:
+def _rhs(y: np.ndarray, grid, model, check: bool = True) -> np.ndarray:
     """The RK stage on the stacked state y (see _parts): the derivative of
     (u, rho, q[, eta]) and of the Jacobi state, if any, at the same stage, as
     one new array shaped like y, with u_t = -nabla_u u - (1/rho) grad(q^2
@@ -177,7 +179,7 @@ def _rhs(y: np.ndarray, grid, model) -> np.ndarray:
     out = np.empty_like(y)
     u, rho, q, eta, jrows = _parts(y, nc)
     du, drho, dq, deta, djrows = _parts(out, nc)
-    lam = model.lam(rho)  # first: its density check is the one stage guard
+    lam = model.lam(rho) if check else model._lam(rho)  # check: the stage guard
     phi = model._phi(rho, lam)
     lam2 = lam**2
     # the operand rows: u, q^2 phi/lambda^2, qu, rho u, then the Jacobi
@@ -264,26 +266,26 @@ def _unpack(y: np.ndarray, grid, rho0: ScalarField | None):
 
 
 def _step(y: np.ndarray, grid, model: PressureModel, dt: float) -> np.ndarray:
-    """One guarded RK4 step of a stacked state y (see _parts), as a new
-    array.  The guards, in order, each naming itself on its error: the CFL
-    bound ("cfl", StepSizeError); a stage density out of range
-    ("stage_density", ShockError); a state after the step that is not finite
-    or whose density left [RHO_MIN, RHO_MAX] ("state", ShockError); the
-    flow-map Jacobian floor ("jacobian_floor", ShockError); non-finite Jacobi
-    rows ("jacobi_finite", DomainError).  A failed check builds the fields of
-    y, so the error names the fault as the field's own validation does."""
+    """One guarded RK4 step of a stacked state y (see _parts) whose density
+    is in range, as a new array.  The guards, in order, each naming itself on
+    its error: the CFL bound ("cfl", StepSizeError); a later RK stage's
+    density out of range ("stage_density", ShockError); a state after the step
+    that is not finite or whose density is out of range ("state", ShockError);
+    the flow-map Jacobian floor ("jacobian_floor", ShockError); non-finite
+    Jacobi rows ("jacobi_finite", DomainError).  Failures are worded as the
+    fields word them."""
     b = grid.ncomp
-    bound = _cfl_bound(grid, y[:b], y[b], model)
+    bound = _cfl_bound(grid, y[:b], model._sound_speed(y[b]))
     if dt > bound:
         raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}", guard="cfl")
     guard = "stage_density"
     try:
-        y = rk4(lambda y: _rhs(y, grid, model), y, dt)
+        # the first stage is at y, whose density is checked already
+        y = rk4(lambda z: _rhs(z, grid, model, z is not y), y, dt)
         guard = "state"
-        rho = y[b]
-        if not (np.isfinite(y[:b + 2]).all() and RHO_MIN <= rho.min() and rho.max() <= RHO_MAX):
-            _unpack(y[:b + 2], grid, None)
-            _check_rho(rho)
+        _check_finite("vector", y[:b])
+        _check_finite("scalar", y[b:b + 2])
+        pressure._check_rho(y[b])
     except DomainError as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening
@@ -292,11 +294,8 @@ def _step(y: np.ndarray, grid, model: PressureModel, dt: float) -> np.ndarray:
     if eta is not None and float(_jacobian(grid, eta).min()) <= SHOCK_JACOBIAN_FLOOR:
         raise ShockError("flow map lost monotonicity (shock reached)", guard="jacobian_floor")
     if jrows and not np.isfinite(y[-(2 * b + 2):]).all():
-        try:
-            _unpack(y, grid, None)
-        except DomainError as exc:
-            exc.guard = "jacobi_finite"
-            raise
+        for kind, rows in zip(("vector", "scalar") * 2, jrows):
+            _check_finite(kind, rows, "jacobi_finite")
     return y
 
 
@@ -337,6 +336,8 @@ def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float):
     for k in range(1, int(np.ceil(t_end / dt - 1e-12)) + 1):
         h = min(dt, t_end - t)
         try:
+            if k == 1:  # y's density; each step checks the densities it makes
+                pressure._check_rho(y[grid.ncomp])
             y = _step(y, grid, model, h)
         except BaroflowError as exc:
             exc.t, exc.step = t, k

@@ -301,8 +301,7 @@ class ScalarField:
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.shape:
             raise GridMismatchError(f"scalar values {v.shape} vs grid {self.grid.shape}")
-        if not np.isfinite(v).all():
-            raise DomainError("scalar field has non-finite entries")
+        _check_finite("scalar", v)
 
 
 @dataclass(frozen=True)
@@ -317,8 +316,13 @@ class VectorField:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.ncomp,) + self.grid.shape:
             raise GridMismatchError(f"vector values {v.shape} vs grid {self.grid.shape}")
-        if not np.isfinite(v).all():
-            raise DomainError("vector field has non-finite entries")
+        _check_finite("vector", v)
+
+
+def _check_finite(kind: str, values: np.ndarray, guard: str | None = None) -> None:
+    """The fields' finiteness test, on a "scalar" or "vector" field's values."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{kind} field has non-finite entries", guard=guard)
 
 
 def check_same_grid(*fields):

@@ -30,7 +30,8 @@ def _check_rho(rho):
 @dataclass(frozen=True)
 class PressureModel:
     """The barotropic model p = A rho^gamma (A > 0, gamma > 1), every
-    quantity in closed form."""
+    quantity in closed form.  Each public method checks the density once
+    and composes the unchecked forms, which the step loop calls directly."""
 
     A: float
     gamma: float
@@ -44,34 +45,40 @@ class PressureModel:
         object.__setattr__(self, "C", (self.gamma - 1.0) / (2.0 * self.A))
 
     def lam(self, rho):
-        rho = _check_rho(rho)
-        return self.C * rho ** (2.0 - self.gamma)
+        return self._lam(_check_rho(rho))
 
     def phi(self, rho):
         rho = _check_rho(rho)
-        return self._phi(rho, self.C * rho ** (2.0 - self.gamma))
-
-    def _phi(self, rho, lam):
-        """phi from rho and lam = lambda(rho), without the density check."""
-        return 0.5 * (lam - rho * (self.C * (2.0 - self.gamma) * rho ** (1.0 - self.gamma)))
+        return self._phi(rho, self._lam(rho))
 
     def dphi(self, rho):
-        rho = _check_rho(rho)
-        return 0.5 * self.C * (self.gamma - 1.0) * (2.0 - self.gamma) * rho ** (1.0 - self.gamma)
+        return self._dphi(_check_rho(rho))
 
     def curvature_coefficient(self, x):
         """x*phi'(x) + phi(x)^2/lambda(x); its sign controls the 1D curvature."""
         x = _check_rho(x)
-        return x * self.dphi(x) + self.phi(x) ** 2 / self.lam(x)
-
-    def _h_prime(self, rho):
-        """h'(rho) = p'(rho)/rho, the coefficient of the linearized equations,
-        without the density check."""
-        return self.A * self.gamma * rho ** (self.gamma - 2.0)
+        lam = self._lam(x)
+        return x * self._dphi(x) + self._phi(x, lam) ** 2 / lam
 
     def sound_speed(self, rho):
         """sqrt(p'(rho)); used for CFL bounds."""
-        rho = _check_rho(rho)
+        return self._sound_speed(_check_rho(rho))
+
+    def _lam(self, rho):
+        return self.C * rho ** (2.0 - self.gamma)
+
+    def _phi(self, rho, lam):
+        """phi from rho and lam = lambda(rho)."""
+        return 0.5 * (lam - rho * (self.C * (2.0 - self.gamma) * rho ** (1.0 - self.gamma)))
+
+    def _dphi(self, rho):
+        return 0.5 * self.C * (self.gamma - 1.0) * (2.0 - self.gamma) * rho ** (1.0 - self.gamma)
+
+    def _h_prime(self, rho):
+        """h'(rho) = p'(rho)/rho, the coefficient of the linearized equations."""
+        return self.A * self.gamma * rho ** (self.gamma - 2.0)
+
+    def _sound_speed(self, rho):
         return np.sqrt(np.maximum(rho * self._h_prime(rho), 0.0))
 
 

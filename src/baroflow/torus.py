@@ -88,7 +88,7 @@ def classify_boundedness(sol: TorusModeSolution, tol: float = 1e-10) -> Boundedn
 
 
 def torus_curvature_coefficient(model: PressureModel) -> float:
-    """(phi'(1) + phi(1)^2/lambda(1)) / lambda(1)^2; the curvature in the
-    shear section is this times int (div v)^2 dmu."""
-    lam1 = float(model.lam(1.0))
-    return float((model.dphi(1.0) + model.phi(1.0) ** 2 / lam1) / lam1**2)
+    """The model's curvature coefficient at rho = 1, phi'(1) + phi(1)^2 /
+    lambda(1), over lambda(1)^2; the curvature in the shear section is this
+    times int (div v)^2 dmu."""
+    return float(model.curvature_coefficient(1.0) / model.lam(1.0) ** 2)

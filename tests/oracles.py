@@ -125,7 +125,11 @@ class LambdaModel:
         h = 1e-6 * rho
         return (pressure(self, rho + h) - pressure(self, rho - h)) / (2 * h) / rho
 
-    curvature_coefficient = PressureModel.curvature_coefficient
+    def curvature_coefficient(self, x):
+        """x phi'(x) + phi(x)^2 / lambda(x) from this model's own phi, phi'
+        and lambda, not from the closed form under test."""
+        x = _check_rho(x)
+        return x * self.dphi(x) + self.phi(x) ** 2 / self.lam(x)
 
 
 def pressure(model, rho):

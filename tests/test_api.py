@@ -55,6 +55,13 @@ def test_every_public_name_is_used():
     assert unused == []
 
 
+def test_only_the_pressure_law_names_the_working_range():
+    # the density range is one decision, tested in pressure._check_rho
+    naming = {p.name for p in SRC.glob("*.py")
+              if re.search(r"\bRHO_M(IN|AX)\b", p.read_text())}
+    assert naming == {"pressure.py"}
+
+
 def test_allowed_names_are_defined_and_unused():
     # an allowed name that gains a caller, or goes, leaves the list
     public, referrers = _public_and_referrers()

@@ -215,6 +215,33 @@ class TestClosedFormKernels:
                 residual = chi + t * circle_interp(alpha0.values, chi) - x
                 assert np.max(np.abs(residual)) < 1e-13
 
+    def test_seed_is_the_periodic_interp_bitwise(self, monkeypatch):
+        # the seed interpolates the table xi = z + t a mod 2 pi, sorted by
+        # one rotation, where np.interp's period option argsorts it: from
+        # t = 0 to just below the shock time, at the grid nodes and at points
+        # off the period, the seeds must agree bit for bit
+        interp, seeds = np.interp, []
+
+        def recording_interp(*args, **kwargs):
+            seeds.append(interp(*args, **kwargs))
+            return seeds[-1]
+
+        monkeypatch.setattr(np, "interp", recording_interp)
+        x_off = np.random.default_rng(0).uniform(-10.0, 10.0, 40)
+        data = ensemble_invariants(101, 20) + ensemble_invariants(7, 5, n=128)
+        for alpha0 in data + [const(2.0), const(0.0)]:
+            flow = burgers.CharacteristicFlow(alpha0)
+            afine, tstar = flow._fine[0], flow.shock_time
+            z = np.linspace(0.0, 2 * np.pi, len(afine), endpoint=False)
+            times = [0.0, 0.7, 3.0] if tstar == np.inf else [
+                0.0, 0.2 * tstar, 0.9 * tstar, 0.99999 * tstar, np.nextafter(tstar, 0)]
+            for t in times:
+                for x in (alpha0.grid.x, x_off):
+                    seeds.clear()
+                    flow._invert(t, x)
+                    want = interp(x, z + t * afine, -t * afine, period=2 * np.pi)
+                    assert len(seeds) == 1 and seeds[0].tobytes() == want.tobytes()
+
     def test_invert_agrees_with_reference_inversion(self):
         for alpha0 in ensemble_invariants(101, 10) + ensemble_invariants(7, 3, n=128):
             flow = burgers.CharacteristicFlow(alpha0)

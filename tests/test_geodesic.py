@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baroflow import burgers, geodesic, grids, jacobi
+from baroflow import burgers, geodesic, grids, jacobi, pressure
 from baroflow.disc import DiscBackground
 from baroflow.errors import BaroflowError, DomainError, ShockError, StepSizeError, VacuumError
 from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
@@ -478,6 +478,86 @@ class TestRunLoopGuards:
         assert steps == 3
         assert err is ShockError and "working range" in msg
         assert guard == "state" and step == 3
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("row, value, why", [
+        (0, np.nan, "vector field has non-finite entries"),
+        (2, np.inf, "scalar field has non-finite entries"),
+        (1, np.nan, "scalar field has non-finite entries"),
+        (1, 0.0, "density must be positive"),
+        (1, -1.0, "density must be positive"),
+    ])
+    def test_state_rows(self, row, value, why, linearized, monkeypatch):
+        # the third step lands one entry of u (row 0), rho (1) or q (2) bad
+        state, model, v0 = run_case("circle")
+
+        def setup(m):
+            calls = []
+
+            def landing_rk4(rhs, y, dt, _rk4=geodesic.rk4):
+                calls.append(1)
+                out = _rk4(rhs, y, dt)
+                if len(calls) == 3:
+                    out[row, 5] = value
+                return out
+
+            m.setattr(geodesic, "rk4", landing_rk4)
+
+        steps, err, msg, guard, step = self.both(monkeypatch, state, model, 0.2, 0.01,
+                                                 linearized, v0, setup)
+        assert steps == 3
+        assert err is ShockError and msg == f"solution left the smooth regime: {why}"
+        assert guard == "state" and step == 3
+
+
+class TestDensityChecks:
+    """The working range is tested in pressure._check_rho alone, once per
+    density: the step loop checks the initial density on entry, and each
+    step the densities of its three later RK stages (the first stage is the
+    state it starts from) and of the state it lands."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        checked = []
+
+        def counting_check(rho, _check=pressure._check_rho):
+            checked.append(np.shape(rho))
+            return _check(rho)
+
+        monkeypatch.setattr(pressure, "_check_rho", counting_check)
+        return checked
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("case", ["circle", "torus"])
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_a_k_step_run_makes_one_plus_four_k_checks(self, k, case, linearized,
+                                                        monkeypatch):
+        state, model, v0 = run_case(case)
+        checked = self.count_checks(monkeypatch)
+        traj = run(linearized, state, model, 0.01 * k, 0.01, 1000, v0)
+        assert len(traj.times) == 2
+        assert checked == [state.grid.shape] * (1 + 4 * k)
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("rho", [5e-7, 2e6])
+    def test_out_of_range_initial_density_is_bad_input(self, rho, linearized):
+        state, model, v0 = run_case("circle")
+        g = state.grid
+        bad = geodesic.FluidState(state.u, ScalarField(g, np.full(g.shape, rho)), state.q)
+        fm = geodesic.identity_flowmap(bad.rho)
+
+        def one_step():
+            if linearized:
+                jacobi.linearized_step(jacobi.initial_jacobi(v0), bad, fm, model, 0.25)
+            else:
+                geodesic.step_geodesic(bad, fm, model, 0.25)
+
+        # dt = 0.25 is past the CFL bound: the entry check comes first
+        for fn in (lambda: run(linearized, bad, model, 0.5, 0.25, 1, v0), one_step):
+            with pytest.raises(DomainError, match="working range") as exc:
+                fn()
+            assert not isinstance(exc.value, ShockError)
+            assert (exc.value.guard, exc.value.step, exc.value.t) == (None, 1, 0.0)
 
 
 BAD_DT = [0.0, -0.01, np.nan, np.inf]

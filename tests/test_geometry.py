@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from baroflow import geometry, grids
+from baroflow import geometry, grids, pressure
 from baroflow.errors import DomainError
 from baroflow.geometry import TangentVector, curvature_sign_scan_1d, sectional_curvature
 from baroflow.grids import (
@@ -434,6 +434,22 @@ class TestBlockedCurvatureScan:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    @pytest.mark.parametrize("trials", [1, 32, 200])
+    def test_a_block_makes_at_most_three_density_checks(self, trials, monkeypatch):
+        # phi, lambda and the curvature coefficient each check their block's
+        # densities once; 32 trials fill one block at n = 128
+        checked = []
+
+        def counting_check(rho, _check=pressure._check_rho):
+            checked.append(np.shape(rho))
+            return _check(rho)
+
+        monkeypatch.setattr(pressure, "_check_rho", counting_check)
+        curvature_sign_scan_1d(polytropic(1.0, 2.0), trials, 7, 128)
+        blocks = -(-trials // 32)
+        assert 0 < len(checked) <= 3 * blocks
+        assert {shape[0] for shape in checked} <= {trials, 32, trials % 32}
 
 
 class TestJacobiMetricCurvature:

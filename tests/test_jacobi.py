@@ -283,7 +283,8 @@ class TestLinearizedStep:
             jacobi.linearized_step(jacobi.initial_jacobi(v0), state, fm, model, 0.01)
         else:
             geodesic.step_geodesic(state, fm, model, 0.01)
-        # the CFL bound's sound speed, then one check per RK stage
+        # the entry check, the three later RK stages (the first is the state
+        # itself) and the state the step lands
         assert checked == [(64,)] * 5
 
     def test_cfl_violation_raises_step_size_error(self):
