@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy
 
-from .errors import DomainError, ShockError
+from .errors import DomainError, GridMismatchError, ShockError
 from .geodesic import FluidState
 from .grids import (
     CircleGrid,
@@ -35,20 +35,17 @@ class RiemannData:
     def __post_init__(self):
         check_same_grid(self.alpha_plus, self.alpha_minus)
         if np.any(self.alpha_plus.values <= self.alpha_minus.values):
-            raise DomainError("alpha_plus must exceed alpha_minus (rho > 0)")
+            raise DomainError("density must be positive (alpha_plus must exceed alpha_minus)")
 
     @property
     def grid(self) -> CircleGrid:
         return self.alpha_plus.grid
 
 
-def riemann_invariants(u0: ScalarField | VectorField, rho0: ScalarField) -> RiemannData:
-    uvals = u0.values[0] if isinstance(u0, VectorField) else u0.values
-    if np.any(rho0.values <= 0):
-        raise DomainError("density must be positive pointwise")
-    g = rho0.grid
-    return RiemannData(ScalarField(g, uvals + rho0.values),
-                       ScalarField(g, uvals - rho0.values))
+def riemann_invariants(u0: ScalarField, rho0: ScalarField) -> RiemannData:
+    g = check_same_grid(u0, rho0)
+    return RiemannData(ScalarField(g, u0.values + rho0.values),
+                       ScalarField(g, u0.values - rho0.values))
 
 
 def shock_time(alpha0: ScalarField) -> float:
@@ -158,7 +155,7 @@ class CharacteristicFlow:
         return chi, np.real(_phases(chi.ravel(), len(a)) @ a)
 
 
-def _trace_back(u0: ScalarField | VectorField, rho0: ScalarField, t: float):
+def _trace_back(u0: ScalarField, rho0: ScalarField, t: float):
     """The feet chi_+, chi_- at time 0 of the characteristics through the
     grid nodes at time t, each with its Riemann invariant's value there:
     (grid, (chi_+, alpha_+), (chi_-, alpha_-))."""
@@ -167,7 +164,7 @@ def _trace_back(u0: ScalarField | VectorField, rho0: ScalarField, t: float):
     return inv.grid, _flow(inv.alpha_plus)._invert(t, x), _flow(inv.alpha_minus)._invert(t, x)
 
 
-def exact_state(u0: ScalarField | VectorField, rho0: ScalarField, t: float) -> FluidState:
+def exact_state(u0: ScalarField, rho0: ScalarField, t: float) -> FluidState:
     """Pre-shock solution by tracing both Riemann invariants back along their
     characteristics; returns the barotropic state (q = rho)."""
     g, (_, ap), (_, am) = _trace_back(u0, rho0, t)
@@ -176,18 +173,19 @@ def exact_state(u0: ScalarField | VectorField, rho0: ScalarField, t: float) -> F
     return FluidState(VectorField(g, u.values[None]), rho, ScalarField(g, rho.values.copy()))
 
 
-def exact_jacobi(u0: ScalarField | VectorField, rho0: ScalarField,
-                 v0: ScalarField | VectorField, t: float) -> VectorField:
+def exact_jacobi(u0: ScalarField, rho0: ScalarField, v0: ScalarField,
+                 t: float) -> VectorField:
     """Exact Jacobi field with J(0)=0, J'(0)=(v0, 0):
     rho(t,x) j(t,x) = (1/2) int_{chi_+(t,x)}^{chi_-(t,x)} v0(y) dy.
 
     The integral uses the exact antiderivative of the trigonometric
     interpolant of v0, with the inverse characteristics lifted to the real
     line so the endpoints are well defined for any t."""
-    vvals = v0.values[0] if isinstance(v0, VectorField) else v0.values
+    if not isinstance(v0, ScalarField):
+        raise GridMismatchError(f"v0 must be a ScalarField, got {type(v0).__name__}")
     g, (chi_p, ap), (chi_m, am) = _trace_back(u0, rho0, t)
     rho = 0.5 * (ap - am)
-    V = circle_interp_antideriv(vvals, np.concatenate([chi_m, chi_p]))
+    V = circle_interp_antideriv(v0.values, np.concatenate([chi_m, chi_p]))
     j = 0.5 * (V[: g.n] - V[g.n:]) / rho
     return VectorField(g, j[None])
 

@@ -148,7 +148,10 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValidationError(f"{path}:{lineno}: parameter {key!r} given twice")
+        values[key] = val.strip()
     return values
 
 
@@ -195,8 +198,9 @@ def _sine_background(cfg: ExperimentConfig):
     model = polytropic(cfg.a_coeff, cfg.gamma)
     g = CircleGrid(cfg.n_grid)
     u0 = VectorField(g, (cfg.amplitude * np.sin(g.x))[None])
-    rho0 = ScalarField(g, np.full(g.n, cfg.rho0))
-    return geodesic.barotropic_initializer(u0, rho0, model), g, model
+    state = geodesic.barotropic_initializer(u0, ScalarField(g, np.full(g.n, cfg.rho0)), model)
+    _check_dt(cfg, state, model)
+    return state, g, model, max(1, int(np.ceil(cfg.t_end / cfg.dt)) // cfg.n_samples)
 
 
 def _check_dt(cfg: ExperimentConfig, state, model) -> None:
@@ -208,9 +212,7 @@ def _check_dt(cfg: ExperimentConfig, state, model) -> None:
 
 
 def run_geodesic(cfg: ExperimentConfig):
-    state, g, model = _sine_background(cfg)
-    _check_dt(cfg, state, model)
-    store = max(1, int(np.ceil(cfg.t_end / cfg.dt)) // cfg.n_samples)
+    state, g, model, store = _sine_background(cfg)
     traj = geodesic.integrate_geodesic(state, model, cfg.t_end, cfg.dt,
                                        store_every=store)
     rows = []
@@ -224,10 +226,8 @@ def run_geodesic(cfg: ExperimentConfig):
 
 
 def run_jacobi(cfg: ExperimentConfig):
-    state, g, model = _sine_background(cfg)
-    _check_dt(cfg, state, model)
+    state, g, model, store = _sine_background(cfg)
     v0 = VectorField(g, np.cos(cfg.n_mode * g.x)[None])
-    store = max(1, int(np.ceil(cfg.t_end / cfg.dt)) // cfg.n_samples)
     traj = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
                                        cfg.t_end, cfg.dt, store_every=store)
     rep = jacobi.growth_report(traj.times, traj.jstates, v0)
@@ -380,6 +380,15 @@ class _JsonArgumentParser(argparse.ArgumentParser):
         sys.exit(_report_error({"error": "usage", "message": f"{self.prog}: {message}"}, 2))
 
 
+class _Once(argparse.Action):
+    """Stores a flag's value; a second flag for the same value is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {'/'.join(self.option_strings)}: given twice")
+        setattr(namespace, self.dest, value)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: every call returns the
@@ -392,10 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
         # no abbreviations: --n must not silently become --n-grid where
         # the experiment has no mode number
         p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
-        p.add_argument("--config", help="key=value config file; flags override it")
+        p.add_argument("--config", help="key=value config file; flags override it", action=_Once)
         for key in ("output_dir",) + experiment.params:
             flags = ["--" + key.replace("_", "-")] + (["--n"] if key == "n_mode" else [])
-            p.add_argument(*flags, dest=key, type=PARAMS[key].parse, help=PARAMS[key].help)
+            p.add_argument(*flags, dest=key, type=PARAMS[key].parse, help=PARAMS[key].help,
+                           action=_Once)
     return parser
 
 

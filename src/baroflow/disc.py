@@ -21,8 +21,11 @@ from .errors import (
     ProjectionResidualError,
     VacuumError,
 )
-from .geodesic import FluidState
-from .grids import DiscGrid, ScalarField, VectorField, _radial_nodes
+from .grids import DiscGrid, VectorField, _radial_nodes
+
+BESSEL_MAX_ORDER = 64  # the largest order that bessel_first_root takes
+RAYLEIGH_TOL = 1e-9  # how far lam_1n may fall below its Rayleigh bound by rounding
+RESIDUAL_TOL = 1e-6  # the largest relative remainder of v0 outside the eigenbasis
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,6 @@ class DiscBackground:
     def rho(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return self.a + self.b * r**2
-
-    def state(self, grid: DiscGrid) -> FluidState:
-        """The rotating background on `grid`, with q = rho."""
-        rho = ScalarField(grid, np.broadcast_to(self.rho(grid.r)[:, None], grid.shape).copy())
-        u = VectorField(grid, np.stack([np.zeros(grid.shape), np.full(grid.shape, self.omega)]))
-        return FluidState(u, rho, ScalarField(grid, rho.values.copy()))
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,6 @@ def characteristic_roots(lam: float, n: int, omega: float, c: float) -> np.ndarr
 # Bessel roots
 
 
-BESSEL_MAX_ORDER = 64
-
-
 def bessel_first_root(n: int) -> float:
     """First positive zero of the order-n Bessel function of the first kind
     (scipy.special.jn_zeros, after Zhang & Jin, Computation of Special
@@ -189,10 +183,10 @@ class BoundReport:
 
 
 def rayleigh_bound_check(background: DiscBackground, n_max: int,
-                         n_nodes: int = 400, tol: float = 1e-9) -> BoundReport:
-    """Check lam_{1n} >= a c_n^2 + b(n^2+1) and the downstream inequality
-    c^2 lam_{1n} > omega^2 (3 n^{2/3} - 4) for |n| <= n_max, plus the
-    arithmetic fact n^2 + 7 > 6 n^{2/3}."""
+                         n_nodes: int = 400) -> BoundReport:
+    """Check lam_{1n} >= a c_n^2 + b(n^2+1) (to RAYLEIGH_TOL) and the downstream
+    inequality c^2 lam_{1n} > omega^2 (3 n^{2/3} - 4) for |n| <= n_max, plus
+    the arithmetic fact n^2 + 7 > 6 n^{2/3}."""
     a, b, c, om = background.a, background.b, background.c, background.omega
     rows, bad = [], []
     for n in range(n_max + 1):
@@ -203,7 +197,7 @@ def rayleigh_bound_check(background: DiscBackground, n_max: int,
         down = c**2 * lam1 - om**2 * (3 * n ** (2 / 3) - 4)
         arith = n**2 + 7 > 6 * n ** (2 / 3)
         rows.append(BoundRow(n, lam1, bound, margin, down, arith))
-        if margin < -tol:
+        if margin < -RAYLEIGH_TOL:
             bad.append(f"n={n}: lam1={lam1:.6g} below Rayleigh bound {bound:.6g}")
         if down <= 0:
             bad.append(f"n={n}: c^2 lam1 fails the downstream inequality")
@@ -295,26 +289,26 @@ class Classification:
     modes: list[ModeEntry]
 
 
-def _project_profiles(background: DiscBackground, profile: np.ndarray, n: int,
+def _project_profiles(background: DiscBackground, profiles: np.ndarray, n: int,
                       k_max: int, n_nodes: int):
-    """Coefficients of a radial profile in the (weight r) orthonormal
-    eigenbasis, plus the unexplained L^2 remainder over interior nodes (the
-    basis itself enforces the boundary constraint at r=1)."""
+    """Coefficients (one row per profile) of radial profiles in the (weight r)
+    orthonormal eigenbasis of one eigensolve, plus each one's unexplained L^2
+    remainder over interior nodes (the basis enforces the boundary at r=1)."""
     pairs = sturm_liouville_eigs(background, n, k_max, n_nodes)
     h = 1.0 / n_nodes
     r = _radial_nodes(n_nodes)
-    coeffs = np.array([np.sum(profile * p.zeta * r) * h for p in pairs])
-    recon = sum(cf * p.zeta for cf, p in zip(coeffs, pairs))
-    resid = np.sqrt(np.sum((np.abs(profile - recon) ** 2 * r)[:-1]) * h)
+    zeta = np.array([p.zeta for p in pairs])
+    coeffs = np.sum(profiles[:, None] * zeta * r, axis=-1) * h
+    resid = np.sqrt(np.sum((np.abs(profiles - coeffs @ zeta) ** 2 * r)[:, :-1], axis=-1) * h)
     return pairs, coeffs, resid
 
 
 def synthesize_and_classify(v0: VectorField, background: DiscBackground,
-                            k_max: int = 12, n_max: int = 16,
-                            residual_tol: float = 1e-6) -> Classification:
+                            k_max: int = 12, n_max: int = 16) -> Classification:
     """Project rho v0 = grad f + sgrad g onto the eigenbasis via F = div(rho v0)
     and G = -curl(rho v0) (the sgrad orientation used here satisfies
-    curl(sgrad g) = -Delta g), evolve each mode exactly, and classify.
+    curl(sgrad g) = -Delta g), evolve each mode exactly, and classify; a
+    relative remainder above RESIDUAL_TOL is a ProjectionResidualError.
 
     The displacement is bounded iff the azimuthal average of curl(rho v0)
     vanishes at every radius: a zero frequency occurs only at n = 0, and the
@@ -327,8 +321,8 @@ def synthesize_and_classify(v0: VectorField, background: DiscBackground,
     P = VectorField(g, rho * v0.values)
     F0 = grids.div(P).values
     G0 = -grids.curl(P).values
-    F_hat = np.fft.fft(F0, axis=1) / g.n_theta
-    G_hat = np.fft.fft(G0, axis=1) / g.n_theta
+    FG_hat = np.fft.fft(np.stack([F0, G0]), axis=-1) / g.n_theta
+    F_hat, G_hat = FG_hat
 
     # boundedness criterion: n=0 azimuthal average of curl(rho v0)
     crit = float(np.max(np.abs(G_hat[:, 0])))
@@ -340,12 +334,10 @@ def synthesize_and_classify(v0: VectorField, background: DiscBackground,
     resid_sq = 0.0
     modes = []
     for n in range(-n_max, n_max + 1):
-        fprof = F_hat[:, n % g.n_theta]
-        gprof = G_hat[:, n % g.n_theta]
-        if np.max(np.abs(fprof)) + np.max(np.abs(gprof)) < 1e-14 * max(scale, 1.0):
+        profiles = FG_hat[:, :, n % g.n_theta]
+        if np.max(np.abs(profiles[0])) + np.max(np.abs(profiles[1])) < 1e-14 * max(scale, 1.0):
             continue
-        pairs, fc, fres = _project_profiles(background, fprof, n, k_max, n_nodes)
-        _, gc, gres = _project_profiles(background, gprof, n, k_max, n_nodes)
+        pairs, (fc, gc), (fres, gres) = _project_profiles(background, profiles, n, k_max, n_nodes)
         resid_sq += fres**2
         if n != 0:
             # the n=0 rotational profile rides the zero frequency and is
@@ -360,7 +352,7 @@ def synthesize_and_classify(v0: VectorField, background: DiscBackground,
             modes.append(ModeEntry(n, pair.k, pair.lam, ys,
                                    ModeCoefficients(0.0, fck, gck), has_zero))
     residual = float(np.sqrt(resid_sq / (total_sq + 1e-300)))
-    if total_sq > 0 and residual > residual_tol:
+    if total_sq > 0 and residual > RESIDUAL_TOL:
         raise ProjectionResidualError(
             f"initial data leaves relative residual {residual:.3e} outside the "
             f"truncated eigenbasis (boundary-incompatible or under-resolved)")

@@ -44,7 +44,7 @@ class FluidState:
     def __post_init__(self):
         check_same_grid(self.u, self.rho, self.q)
         if np.any(self.rho.values <= 0):
-            raise DomainError("density must be positive pointwise")
+            raise DomainError("density must be positive")
 
     @property
     def grid(self):

@@ -25,10 +25,6 @@ class TangentVector:
     def __post_init__(self):
         check_same_grid(self.u, self.f)
 
-    @property
-    def grid(self):
-        return self.f.grid
-
 
 @dataclass(frozen=True)
 class CurvatureReport:

@@ -55,15 +55,6 @@ def _radial_nodes(n_r: int) -> np.ndarray:
     return np.arange(1, n_r + 1) / n_r
 
 
-def _radial_deriv(values: np.ndarray, dr: float) -> np.ndarray:
-    """Second-order d/dr along axis 0, one-sided at both ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2 * dr)
-    out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dr)
-    out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dr)
-    return out
-
-
 def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """nabla_w v (flat), from the partials dv[c, a] = d_a v_c: one product per
     axis over every component at once, summed in axis order from the first
@@ -153,10 +144,6 @@ class CircleGrid(PeriodicGrid):
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
     @cached_property
-    def mesh(self):
-        return np.meshgrid(self.x, indexing="ij")
-
-    @cached_property
     def shape(self):
         return (self.n,)
 
@@ -242,7 +229,7 @@ class DiscGrid:
     ncomp = 2
 
     def _dr(self, f: np.ndarray) -> np.ndarray:
-        return _radial_deriv(f, self.dr)
+        return np.gradient(f, self.dr, axis=0, edge_order=2)
 
     def _dtheta(self, f: np.ndarray) -> np.ndarray:
         return _spectral_deriv(f, 1, self.n_theta)
@@ -311,8 +298,6 @@ class VectorField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if isinstance(self.grid, CircleGrid) and v.shape == self.grid.shape:
-            v = v[None, :]
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.ncomp,) + self.grid.shape:
             raise GridMismatchError(f"vector values {v.shape} vs grid {self.grid.shape}")
@@ -443,12 +428,12 @@ def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:
     return a
 
 
-def circle_interp(values: np.ndarray, xq, deriv: int = 0, out=None) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of grid samples (or its
-    derivative) at arbitrary points.  Samples of shape (n, k) are k functions
-    evaluated from one phase matrix; the result is then (len(xq), k), or is
-    written into out, a sequence of k arrays of len(xq), one per function."""
-    a = _interp_coeffs(values, deriv)
+def circle_interp(values: np.ndarray, xq, out=None) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of grid samples at arbitrary
+    points.  Samples of shape (n, k) are k functions evaluated from one phase
+    matrix; the result is then (len(xq), k), or is written into out, a
+    sequence of k arrays of len(xq), one per function."""
+    a = _interp_coeffs(values)
     xq = np.asarray(xq, dtype=float).ravel()
     phases = _phases(xq, len(a))
     if a.ndim == 1:

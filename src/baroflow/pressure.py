@@ -51,9 +51,6 @@ class PressureModel:
         rho = _check_rho(rho)
         return self._phi(rho, self._lam(rho))
 
-    def dphi(self, rho):
-        return self._dphi(_check_rho(rho))
-
     def curvature_coefficient(self, x):
         """x*phi'(x) + phi(x)^2/lambda(x); its sign controls the 1D curvature."""
         x = _check_rho(x)

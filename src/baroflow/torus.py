@@ -16,6 +16,8 @@ from .errors import DomainError
 from .grids import TorusGrid, VectorField, hodge_decompose, integrate
 from .pressure import PressureModel
 
+BOUNDED_TOL = 1e-10  # the divergence-free part's L^2 norm below which v0 is a gradient
+
 
 @dataclass(frozen=True)
 class TorusModeSolution:
@@ -63,8 +65,6 @@ class TorusModeSolution:
         return float(total) / (self.c * n_total)
 
 def synthesize(v0: VectorField, omega: float, c: float) -> TorusModeSolution:
-    if not isinstance(v0.grid, TorusGrid):
-        raise DomainError("torus mode solutions need a torus field")
     if c <= 0:
         raise DomainError("sound speed must be positive")
     f, z = hodge_decompose(v0)
@@ -78,12 +78,12 @@ class BoundednessReport:
     series_bound: float | None
 
 
-def classify_boundedness(sol: TorusModeSolution, tol: float = 1e-10) -> BoundednessReport:
+def classify_boundedness(sol: TorusModeSolution) -> BoundednessReport:
     """Bounded displacement iff v0 is a gradient: certificate is the L^2 norm
-    of the divergence-free Hodge part of the solution's v0, plus the analytic
-    sup bound when bounded; omega does not enter the report."""
+    of the divergence-free Hodge part of the solution's v0 (below
+    BOUNDED_TOL), plus the analytic sup bound when bounded; omega does not enter."""
     w_norm = float(np.sqrt(integrate(grids.inner(sol.z, sol.z))))
-    bounded = w_norm < tol
+    bounded = w_norm < BOUNDED_TOL
     return BoundednessReport(bounded, w_norm, sol.series_bound() if bounded else None)
 
 

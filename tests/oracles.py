@@ -33,7 +33,8 @@ from baroflow.grids import (
     ScalarField,
     TorusGrid,
     VectorField,
-    _radial_deriv,
+    _interp_coeffs,
+    _phases,
     _radial_nodes,
     circle_interp,
     derivative,
@@ -445,6 +446,15 @@ def stored_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
 # Burgers closed forms
 
 
+def interp_deriv(values: np.ndarray, xq, deriv: int = 1) -> np.ndarray:
+    """The deriv-th derivative of the trigonometric interpolant of 1D grid
+    samples at arbitrary points, summed as circle_interp sums the interpolant
+    itself: the coefficients grids._interp_coeffs(values, deriv), from which
+    the Burgers flow reads its slopes, against the phases grids._phases."""
+    a = _interp_coeffs(values, deriv)
+    return np.real(_phases(np.asarray(xq, dtype=float).ravel(), len(a)) @ a)
+
+
 def forward(flow: CharacteristicFlow, t: float, x) -> np.ndarray:
     """The characteristic map xi(t, x) = x + t alpha0(x)."""
     return np.asarray(x, dtype=float) + t * circle_interp(flow.alpha0.values, x)
@@ -466,7 +476,7 @@ def conjugate_G(n: int, t, x) -> np.ndarray:
     return (4.0 / (3 * n)) * np.sin(n * x) * np.sin(n * t / 2) ** 2
 
 
-def pde_residual(u0: ScalarField | VectorField, rho0: ScalarField, t: float,
+def pde_residual(u0: ScalarField, rho0: ScalarField, t: float,
                  dt: float = 1e-5) -> float:
     """Sup norm of u_t + u u_x + rho rho_x at time t (centered difference in
     time, spectral in space); a consistency check on exact_state."""
@@ -556,6 +566,13 @@ def displacement_amplitude(system: ModeSystem, coeffs0: ModeCoefficients,
     return abs(total)
 
 
+def disc_state(background: DiscBackground, grid: DiscGrid) -> FluidState:
+    """The rotating background on `grid`, with q = rho."""
+    rho = ScalarField(grid, np.broadcast_to(background.rho(grid.r)[:, None], grid.shape).copy())
+    u = VectorField(grid, np.stack([np.zeros(grid.shape), np.full(grid.shape, background.omega)]))
+    return FluidState(u, rho, ScalarField(grid, rho.values.copy()))
+
+
 def radial_poisson_gradient_mode(background: DiscBackground, pair: EigenPair):
     """Solve Delta_n f = zeta with f(1) = 0, using the same composite
     derivative stencil as the grid operators, so that div(grad(f e^{in theta}))
@@ -565,7 +582,7 @@ def radial_poisson_gradient_mode(background: DiscBackground, pair: EigenPair):
     n = pair.n
     n_nodes = len(pair.r)
     r = pair.r
-    D = _radial_deriv(np.eye(n_nodes), 1.0 / n_nodes)
+    D = np.gradient(np.eye(n_nodes), 1.0 / n_nodes, axis=0, edge_order=2)
     # Delta_n f = (1/r) d/dr(r df/dr) - n^2 f / r^2 through the grid stencil
     lap = (np.diag(1.0 / r) @ D @ np.diag(r) @ D
            - np.diag(n**2 / r**2))
@@ -595,7 +612,7 @@ def direct_mode_integration(background: DiscBackground, n: int,
     def flux_deriv(gv):
         """d/dr of an r-weighted flux that vanishes at the axis; using the
         known zero at r=0 keeps the stencil stable under the 1/r weight."""
-        out = _radial_deriv(gv, h)
+        out = np.gradient(gv, h, edge_order=2)
         out[0] = gv[1] / (2 * h)
         return out
 
@@ -605,7 +622,7 @@ def direct_mode_integration(background: DiscBackground, n: int,
         dsig = (-flux_deriv(r * rho * a) / r - 1j * n * rho * V / r
                 - 1j * n * om * sig)
         dsig[-1] = 0.0
-        da = -1j * n * om * a + 2 * om * V - c**2 * _radial_deriv(sig, h)
+        da = -1j * n * om * a + 2 * om * V - c**2 * np.gradient(sig, h, edge_order=2)
         dV = -1j * n * om * V - 2 * om * a - 1j * n * c**2 * sig / r
         return dsig, da, dV
 

@@ -7,6 +7,10 @@ perfbench/*.py, which also looks names up as strings (the tracer's span
 names).  Imports and re-exports do not count, and neither does a reference
 inside the definition's own body: a field function that calls the grid
 method of the same name does not keep itself in use.
+
+The same holds for the public methods and properties of public classes: a
+member is used if src/ refers to it as an attribute outside the member's own
+body, or if perfbench/*.py names it.
 """
 
 import ast
@@ -17,18 +21,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "baroflow"
 
-# public names that wait for a runtime caller
+# public names and members that wait for a runtime caller
 ALLOWED = {
     "disc.synthesize_and_classify": "ROADMAP item 6",
+    "disc.ModeSystem.evolve": "ROADMAP item 6",
     "torus.torus_curvature_coefficient": "ROADMAP item 6",
 }
 
 
-def _public_and_referrers() -> tuple[list[str], dict[str, set]]:
-    """The public module.name definitions of src/baroflow, and for every name
+def _definitions():
+    """The public module.name definitions of src/baroflow; the public methods
+    and properties module.Class.name of its public classes; for every name
     that src/ refers to, the top-level definitions (module.name; None for
-    module-level code) whose text refers to it."""
-    public, referrers = [], defaultdict(set)
+    module-level code) whose text refers to it; and for every attribute name,
+    the innermost definitions whose text refers to it as an attribute, where
+    a class's member counts as its own definition (module.Class.name)."""
+    public, members = [], []
+    referrers, attributes = defaultdict(set), defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = None
@@ -39,20 +48,56 @@ def _public_and_referrers() -> tuple[list[str], dict[str, set]]:
             for n in ast.walk(top):
                 if isinstance(n, (ast.Name, ast.Attribute)):
                     referrers[n.id if isinstance(n, ast.Name) else n.attr].add(owner)
-    return public, referrers
+            parts = [(top, owner)]
+            if isinstance(top, ast.ClassDef):
+                parts = [(n, f"{owner}.{n.name}" if isinstance(n, ast.FunctionDef) else owner)
+                         for n in top.body]
+                if not top.name.startswith("_"):
+                    members += [inner for n, inner in parts if isinstance(n, ast.FunctionDef)
+                                and not n.name.startswith("_")]
+            for part, inner in parts:
+                for n in ast.walk(part):
+                    if isinstance(n, ast.Attribute):
+                        attributes[n.attr].add(inner)
+    return public, members, referrers, attributes
+
+
+def _bench_text() -> str:
+    return "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+
+
+def _name(qualified: str) -> str:
+    return qualified.rsplit(".", 1)[1]
 
 
 def _referred_elsewhere(qualified: str, referrers) -> bool:
-    return bool(referrers[qualified.split(".", 1)[1]] - {qualified})
+    return bool(referrers[_name(qualified)] - {qualified})
 
 
 def test_every_public_name_is_used():
-    public, referrers = _public_and_referrers()
-    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    public, _, referrers, _ = _definitions()
+    bench = _bench_text()
     unused = [q for q in public if q not in ALLOWED
               and not _referred_elsewhere(q, referrers)
-              and not re.search(rf"\b{q.split('.', 1)[1]}\b", bench)]
+              and not re.search(rf"\b{_name(q)}\b", bench)]
     assert unused == []
+
+
+def test_every_public_member_is_used():
+    _, members, _, attributes = _definitions()
+    bench = _bench_text()
+    unused = [q for q in members if q not in ALLOWED
+              and not _referred_elsewhere(q, attributes)
+              and not re.search(rf"\b{_name(q)}\b", bench)]
+    assert unused == []
+
+
+def test_the_member_lint_sees_members():
+    # a sample of what it walks: a member used in src, and a property
+    _, members, _, attributes = _definitions()
+    assert {"torus.TorusModeSolution.j_at", "grids.DiscGrid.dr"} <= set(members)
+    assert _referred_elsewhere("grids.DiscGrid.dr", attributes)
+    assert not _referred_elsewhere("disc.ModeSystem.evolve", attributes)
 
 
 def test_only_the_pressure_law_names_the_working_range():
@@ -64,7 +109,8 @@ def test_only_the_pressure_law_names_the_working_range():
 
 def test_allowed_names_are_defined_and_unused():
     # an allowed name that gains a caller, or goes, leaves the list
-    public, referrers = _public_and_referrers()
+    public, members, referrers, attributes = _definitions()
     for qualified in ALLOWED:
-        assert qualified in public
-        assert not _referred_elsewhere(qualified, referrers)
+        is_member = qualified.count(".") == 2
+        assert qualified in (members if is_member else public)
+        assert not _referred_elsewhere(qualified, attributes if is_member else referrers)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from baroflow import burgers, grids
-from baroflow.errors import DomainError, ShockError
+from baroflow import burgers, grids, pressure
+from baroflow.geodesic import FluidState
+from baroflow.errors import DomainError, GridMismatchError, ShockError
 from baroflow.grids import CircleGrid, ScalarField, VectorField, circle_interp
-from oracles import conjugate_G, conjugate_j, forward, pde_residual
+from oracles import conjugate_G, conjugate_j, forward, interp_deriv, pde_residual
 
 G = CircleGrid(128)
 
@@ -33,15 +34,15 @@ def ensemble_invariants(key, count, n=64):
 
 
 def reference_shock_time(alpha0):
-    """The shock time as separate circle_interp calls on the fine grid and
-    at each minimizer point."""
+    """The shock time as separate slope evaluations on the fine grid and at
+    each minimizer point."""
     vals, n = alpha0.values, alpha0.grid.n
     fine = np.linspace(0.0, 2 * np.pi, 8 * n, endpoint=False)
-    slope = -circle_interp(vals, fine, deriv=1)
+    slope = -interp_deriv(vals, fine)
     k = int(np.argmax(slope))
     lo, hi = fine[k] - 2 * np.pi / (8 * n), fine[k] + 2 * np.pi / (8 * n)
     res = scipy.optimize.minimize_scalar(
-        lambda x: float(circle_interp(vals, x, deriv=1)[0]),
+        lambda x: float(interp_deriv(vals, x)[0]),
         bounds=(lo, hi), method="bounded", options={"xatol": 1e-13},
     )
     m = max(float(slope[k]), -float(res.fun))
@@ -65,7 +66,7 @@ def reference_invert(alpha0, t, x):
         hi = np.where(f > 0, chi, hi)
         if np.max(np.abs(f)) < 1e-13:
             break
-        fp = 1.0 + t * circle_interp(vals, chi, deriv=1)
+        fp = 1.0 + t * interp_deriv(vals, chi)
         step = np.where(fp > 1e-10, f / np.where(fp > 1e-10, fp, 1.0), 0.0)
         nxt = chi - step
         bad = (nxt <= lo) | (nxt >= hi) | (fp <= 1e-10)
@@ -105,9 +106,25 @@ class TestRiemannInvariants:
         assert np.allclose(0.5 * (ap + am), u0.values, atol=1e-15)
         assert np.allclose(0.5 * (ap - am), rho0.values, atol=1e-15)
 
-    def test_rejects_nonpositive_density(self):
-        with pytest.raises(DomainError):
-            burgers.riemann_invariants(const(0.0), const(-1.0))
+    @pytest.mark.parametrize("rho", [0.0, -1.0, -1e-300])
+    def test_rejects_nonpositive_density(self, rho):
+        # one test, alpha_plus > alpha_minus, which is rho0 > 0
+        rho0 = ScalarField(G, np.where(np.arange(G.n) == 5, rho, 1.0))
+        for u in (0.0, 2.0):
+            with pytest.raises(DomainError, match=r"^density must be positive \(alpha_plus"):
+                burgers.riemann_invariants(const(u), rho0)
+
+    def test_positivity_has_one_wording(self):
+        # the pressure law, the state and the Riemann data word it alike
+        messages = []
+        for call in (lambda: pressure._check_rho(np.array([1.0, 0.0])),
+                     lambda: FluidState(VectorField(G, np.zeros((1, G.n))), const(-1.0),
+                                        const(1.0)),
+                     lambda: burgers.riemann_invariants(const(0.0), const(-1.0))):
+            with pytest.raises(DomainError) as info:
+                call()
+            messages.append(str(info.value).split(" (")[0])
+        assert messages == ["density must be positive"] * 3
 
 
 class TestShockTime:
@@ -136,7 +153,7 @@ class TestShockTime:
         tstar = burgers.shock_time(a0)
 
         fine = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-        slope = circle_interp(a0vals, fine, deriv=1)
+        slope = interp_deriv(a0vals, fine)
 
         def monotone(t):
             return np.min(1.0 + t * slope) > 0
@@ -171,7 +188,7 @@ class TestClosedFormKernels:
         for alpha0 in ensemble_invariants(11, 2, n=n):
             values, minus_slope = burgers.CharacteristicFlow(alpha0)._fine
             for got, want in ((values, circle_interp(alpha0.values, fine)),
-                              (-minus_slope, circle_interp(alpha0.values, fine, deriv=1))):
+                              (-minus_slope, interp_deriv(alpha0.values, fine))):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_shock_time_keeps_no_dense_table(self):
@@ -337,11 +354,16 @@ class TestExactJacobi:
             ratio = np.max(np.abs(j.values)) / (t * np.max(np.abs(v0vals)))
             assert ratio <= 1 + 1e-9
 
-    def test_vector_field_inputs_accepted(self):
-        v0 = VectorField(G, np.cos(G.x)[None])
-        u0 = VectorField(G, np.zeros((1, G.n)))
-        j = burgers.exact_jacobi(u0, const(1.0), v0, 0.5)
-        assert j.values.shape == (1, G.n)
+    def test_vector_field_inputs_rejected(self):
+        # u0 and v0 are scalars on the circle; a (1, n) vector field is refused
+        u0, v0 = VectorField(G, np.zeros((1, G.n))), VectorField(G, np.cos(G.x)[None])
+        with pytest.raises(GridMismatchError, match="v0 must be a ScalarField"):
+            burgers.exact_jacobi(const(0.0), const(1.0), v0, 0.5)
+        for call in (lambda: burgers.riemann_invariants(u0, const(1.0)),
+                     lambda: burgers.exact_state(u0, const(1.0), 0.5),
+                     lambda: burgers.exact_jacobi(u0, const(1.0), const(1.0), 0.5)):
+            with pytest.raises(GridMismatchError, match="scalar values"):
+                call()
 
 
 class TestConjugate:

@@ -194,6 +194,39 @@ class TestPlumbing:
         assert manifest["parameters"]["gamma"] == 2.0  # from config
         assert manifest["parameters"]["seed"] == 3
 
+    @pytest.mark.parametrize("experiment, lines", [
+        ("geodesic", ["n-grid = 64", "n_grid = 32"]),
+        ("geodesic", ["n_grid = 64", "# the same value again", "n-grid = 64"]),
+        ("conjugate", ["n-mode = 2", "dt = 0.01", "n_mode = 1"])])
+    def test_config_key_given_twice_is_a_validation_error(self, experiment, lines, tmp_path,
+                                                          monkeypatch, capsys):
+        # the last value does not silently win
+        conf = tmp_path / "twice.conf"
+        conf.write_text("\n".join(lines) + "\n")
+        assert run([experiment, "--config", str(conf)], tmp_path, monkeypatch) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(f"{conf}:{len(lines)}: parameter ")
+        assert err["message"].endswith(" given twice")
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--n-grid", "64", "--n-grid", "32"],
+        ["geodesic", "--n-grid", "32", "--t-end", "0.1", "--n-grid", "32"],
+        ["conjugate", "--n", "2", "--n-mode", "1"],
+        ["conjugate", "--n-mode", "1", "--n", "1"],
+        ["jacobi", "--n", "1", "--n", "2"],
+        ["curvature-scan", "--config", "a.conf", "--config", "b.conf"],
+        ["curvature-scan", "--output-dir", "elsewhere"]])  # run() gives --output-dir again
+    def test_flag_given_twice_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, tmp_path, monkeypatch)
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert err["message"].endswith(": given twice")
+        assert not list(tmp_path.iterdir())
+
     def test_integer_config_values_are_exact(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("seed = 9007199254740993\ntrials = 1e2\n")

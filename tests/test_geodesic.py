@@ -8,6 +8,7 @@ from baroflow.grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorF
 from baroflow.pressure import polytropic
 from oracles import (
     compatibility_residual,
+    disc_state,
     state_f,
     steady_euler_residual,
     steady_shear_torus,
@@ -627,33 +628,49 @@ class TestSteadyShearTorus:
 class TestRigidRotationDisc:
     def test_zero_omega_constant_density(self):
         g = DiscGrid(32, 32)
-        st = DiscBackground(0.0, 1.0, 2.0).state(g)
+        st = disc_state(DiscBackground(0.0, 1.0, 2.0), g)
         assert np.allclose(st.rho.values, 2.0, atol=1e-14)
 
     def test_profile_values(self):
         g = DiscGrid(32, 32)
-        st = DiscBackground(1.0, 1.0, 1.0).state(g)
+        st = disc_state(DiscBackground(1.0, 1.0, 1.0), g)
         expect = 0.5 + g.r**2 / 2
         assert np.allclose(st.rho.values, expect[:, None], atol=1e-14)
         assert st.rho.values[-1, 0] == pytest.approx(1.0)
 
     def test_density_slope(self):
-        from baroflow.grids import _radial_deriv
         g = DiscGrid(64, 16)
         om, c = 0.8, 1.3
-        st = DiscBackground(om, c, 2.0).state(g)
-        slope = _radial_deriv(st.rho.values, g.dr)
+        st = disc_state(DiscBackground(om, c, 2.0), g)
+        slope = np.gradient(st.rho.values, g.dr, axis=0, edge_order=2)
         assert np.allclose(slope, (om**2 * g.r / c**2)[:, None], atol=1e-10)
 
     def test_steady_residual(self):
         g = DiscGrid(64, 16)
         om, c = 0.8, 1.3
         m = polytropic(c**2 / 2, 2.0)
-        st = DiscBackground(om, c, 2.0).state(g)
+        st = disc_state(DiscBackground(om, c, 2.0), g)
         mom, cont = steady_euler_residual(st, m)
         assert mom < 1e-10 and cont < 1e-10
 
     def test_vacuum_error(self):
         g = DiscGrid(32, 32)
         with pytest.raises(VacuumError):
-            DiscBackground(2.0, 1.0, 1.0).state(g)
+            disc_state(DiscBackground(2.0, 1.0, 1.0), g)
+
+    @pytest.mark.parametrize("run", ["geodesic", "linearized", "one_step"])
+    def test_stepping_is_refused_at_step_one(self, run):
+        # the CFL bound asks the grid for its spacing, which the disc refuses:
+        # a bad-input DomainError at step 1, t = 0, that names no guard
+        g = DiscGrid(16, 16)
+        m = polytropic(0.5, 2.0)
+        st = disc_state(DiscBackground(0.5, 1.0, 2.0), g)
+        v0 = VectorField(g, np.ones((2,) + g.shape))
+        calls = {"geodesic": lambda: geodesic.integrate_geodesic(st, m, t_end=0.1, dt=0.01),
+                 "linearized": lambda: jacobi.integrate_linearized(
+                     st, jacobi.initial_jacobi(v0), m, t_end=0.1, dt=0.01),
+                 "one_step": lambda: geodesic.step_geodesic(st, None, m, 0.01)}
+        with pytest.raises(DomainError, match="supported on periodic grids") as info:
+            calls[run]()
+        assert type(info.value) is DomainError
+        assert (info.value.step, info.value.t, info.value.guard) == (1, 0.0, None)

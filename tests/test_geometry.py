@@ -280,7 +280,7 @@ def curvature_formula(U, V, rho, model):
     """The four integrals through the field operators, normalized by the Gram
     determinant of the metric."""
     g, rv = rho.grid, rho.values
-    phi, lam, dphi = model.phi(rv), model.lam(rv), model.dphi(rv)
+    phi, lam, dphi = model.phi(rv), model.lam(rv), model._dphi(rv)
     f, gg = U.f.values, V.f.values
     div_u, div_v = grids.div(U.u).values, grids.div(V.u).values
     coef = rv * dphi + phi**2 / lam

@@ -24,6 +24,7 @@ from baroflow.grids import (
     integrate,
 )
 from oracles import (
+    interp_deriv,
     random_band_limited,
     random_band_limited_1d,
     random_band_limited_vector,
@@ -50,6 +51,13 @@ class TestConstructors:
             ScalarField(g, np.full(8, np.nan))
         with pytest.raises(DomainError):
             VectorField(g, np.full((1, 8), np.inf))
+
+    def test_circle_vector_field_takes_one_component_row(self):
+        # a circle vector is (1, n); a bare (n,) row is a shape mismatch
+        g = CircleGrid(8)
+        assert VectorField(g, np.ones((1, 8))).values.shape == (1, 8)
+        with pytest.raises(GridMismatchError, match=r"vector values \(8,\)"):
+            VectorField(g, np.ones(8))
 
 
 class TestCircleDerivative:
@@ -130,6 +138,17 @@ class TestDiscOperators:
         u = VectorField(g, np.stack([np.zeros(g.shape), 0.7 * np.ones(g.shape)]))
         assert np.max(np.abs(curl(u).values - 1.4)) < 1e-10
 
+    @pytest.mark.parametrize("n_r", [8, 64, 401])
+    def test_radial_derivative_is_the_second_order_stencil(self, n_r):
+        # centered in the interior (bitwise), one-sided second order at both ends
+        g = DiscGrid(n_r, 16)
+        f = rng(n_r).standard_normal(g.shape)
+        dr = g.dr
+        got = g._dr(f)
+        assert np.array_equal(got[1:-1], (f[2:] - f[:-2]) / (2 * dr))
+        ends = [(-3 * f[0] + 4 * f[1] - f[2]) / (2 * dr), (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dr)]
+        assert np.max(np.abs(got[[0, -1]] - ends)) <= 1e-14 * np.max(np.abs(ends))
+
 
 class TestIntegrate:
     def test_cos2_circle(self):
@@ -195,7 +214,9 @@ class TestInterp:
         g = CircleGrid(32)
         vals = np.sin(2 * g.x)
         xq = np.array([0.1, 1.7, 4.0])
-        assert np.max(np.abs(circle_interp(vals, xq, deriv=1) - 2 * np.cos(2 * xq))) < 1e-12
+        assert np.max(np.abs(interp_deriv(vals, xq) - 2 * np.cos(2 * xq))) < 1e-12
+        with pytest.raises(TypeError):
+            circle_interp(vals, xq, deriv=1)  # the slope is not circle_interp's
 
     def test_antiderivative(self):
         g = CircleGrid(32)
@@ -241,15 +262,6 @@ def spectral_d(values, axis):
     shape = [1] * values.ndim
     shape[axis] = n // 2 + 1
     return np.fft.irfft(ik.reshape(shape) * np.fft.rfft(values, axis=axis), n, axis=axis)
-
-
-def radial_d(values, dr):
-    """Second-order d/dr along axis 0, one-sided at both ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2 * dr)
-    out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dr)
-    out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dr)
-    return out
 
 
 def random_fields(g, seed):
@@ -305,8 +317,8 @@ class TestKernelEquivalence:
         (a, b), (c, e) = u.values, v.values
         fv, r = f.values, g.r[:, None]
 
-        def dr(x):
-            return radial_d(x, g.dr)
+        def dr(x):  # the stencil itself: test_radial_derivative_is_the_second_order_stencil
+            return np.gradient(x, g.dr, axis=0, edge_order=2)
 
         def dt(x):
             return spectral_d(x, 1)
@@ -444,7 +456,8 @@ class TestKernelEquivalence:
         vals = r.standard_normal(n)
         xq = r.uniform(-20 * np.pi, 20 * np.pi, 300)
         expect, scale = dense_interp(vals, xq, deriv)
-        assert np.max(np.abs(circle_interp(vals, xq, deriv=deriv) - expect)) <= 1e-12 * scale
+        got = interp_deriv(vals, xq, deriv) if deriv else circle_interp(vals, xq)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 9, 33, 65, 1025])
     def test_phases_of_a_point_are_the_same_alone_and_in_a_batch(self, m):
@@ -459,25 +472,24 @@ class TestKernelEquivalence:
     def test_odd_sample_counts_are_rejected(self, n):
         vals = np.cos(4 * 2 * np.pi * np.arange(n) / n)
         for call in (lambda: circle_interp(vals, [0.5]),
-                     lambda: circle_interp(vals, [0.5], deriv=1),
+                     lambda: interp_deriv(vals, [0.5]),
                      lambda: circle_interp(np.stack([vals, vals], axis=1), [0.5]),
                      lambda: circle_interp_antideriv(vals, [0.5])):
             with pytest.raises(DomainError, match="even sample count"):
                 call()
 
-    @pytest.mark.parametrize("deriv", [0, 1])
-    def test_interp_of_columns_matches_each_column(self, deriv):
-        r = rng(25 + deriv)
+    def test_interp_of_columns_matches_each_column(self):
+        r = rng(25)
         vals = r.standard_normal((64, 3))
         xq = r.uniform(-10.0, 10.0, 40)
-        got = circle_interp(vals, xq, deriv=deriv)
+        got = circle_interp(vals, xq)
         assert got.shape == (40, 3)
         for c in range(3):
-            assert np.array_equal(got[:, c], circle_interp(vals[:, c].copy(), xq, deriv=deriv))
+            assert np.array_equal(got[:, c], circle_interp(vals[:, c].copy(), xq))
         # the transpose of a (k, n) row stack, written row by row into out
         out = np.full((3, 40), np.nan)
         rows = np.ascontiguousarray(vals.T)
-        assert circle_interp(rows.T, xq, deriv=deriv, out=out) is out
+        assert circle_interp(rows.T, xq, out=out) is out
         assert np.array_equal(out, got.T)
 
     def test_circle_derivative_and_grad(self):

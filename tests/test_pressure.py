@@ -144,7 +144,7 @@ class TestCurvatureCoefficient:
         for gamma in (1.4, 2.0, 3.0):
             m = polytropic(1.0, gamma)
             generic = lambda_model(1.0, gamma)
-            assert np.allclose(generic.dphi(RHO), m.dphi(RHO), rtol=1e-6)
+            assert np.allclose(generic.dphi(RHO), m._dphi(RHO), rtol=1e-6)
 
 
 class TestDerivedCoefficients:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from baroflow import geometry, torus
-from baroflow.errors import DomainError
+from baroflow.errors import GridMismatchError
 from baroflow.grids import (
     ScalarField,
     TorusGrid,
@@ -149,7 +149,8 @@ class TestClassify:
     def test_rejects_non_torus(self):
         from baroflow.grids import CircleGrid
         g = CircleGrid(16)
-        with pytest.raises(DomainError):
+        # the Hodge decomposition owns the grid check
+        with pytest.raises(GridMismatchError, match="expects a torus field"):
             torus.synthesize(VectorField(g, np.zeros((1, 16))), 0.0, 1.0)
 
 
