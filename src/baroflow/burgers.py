@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy
 
 from .errors import DomainError, GridMismatchError, ShockError
 from .geodesic import FluidState
@@ -19,6 +18,7 @@ from .grids import (
     ScalarField,
     VectorField,
     _interp_coeffs,
+    _minimize_bounded,
     _phases,
     check_same_grid,
     circle_interp_antideriv,
@@ -97,18 +97,17 @@ class CharacteristicFlow:
     @cached_property
     def shock_time(self) -> float:
         """1/max_x(-alpha0'(x)) over the continuum: the fine-grid maximum,
-        refined by bounded scalar minimization; +inf if alpha0 is
-        nondecreasing."""
+        refined over the cells either side of it by grids._minimize_bounded
+        (Brent's method, xatol 1e-13; bitwise scipy's bounded
+        minimize_scalar); +inf if alpha0 is nondecreasing."""
         da = self._coeffs[1]
         slope = self._fine[1]
         k = int(np.argmax(slope))
         h = 2 * np.pi / len(slope)
-        lo, hi = k * h - h, k * h + h
-        res = scipy.optimize.minimize_scalar(
+        _, fmin = _minimize_bounded(
             lambda x: float(np.real(_phases(np.array([x], dtype=float), len(da)) @ da)[0]),
-            bounds=(lo, hi), method="bounded", options={"xatol": 1e-13},
-        )
-        m = max(float(slope[k]), -float(res.fun))
+            k * h - h, k * h + h, 1e-13)
+        m = max(float(slope[k]), -fmin)
         if m <= 1e-13:
             return float("inf")
         return 1.0 / m

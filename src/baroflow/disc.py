@@ -17,6 +17,7 @@ import scipy
 from . import grids
 from .errors import (
     DomainError,
+    GridMismatchError,
     InstabilityFlagError,
     ProjectionResidualError,
     VacuumError,
@@ -315,7 +316,7 @@ def synthesize_and_classify(v0: VectorField, background: DiscBackground,
     n = 0 rotational component rides it."""
     g = v0.grid
     if not isinstance(g, DiscGrid):
-        raise DomainError("disc classification needs a disc field")
+        raise GridMismatchError("disc classification needs a disc field")
     n_nodes = g.n_r
     rho = background.rho(g.r)[:, None]
     P = VectorField(g, rho * v0.values)

@@ -485,3 +485,60 @@ def _band_limited_1d(n: int, ab: np.ndarray, mean: float) -> np.ndarray:
         term += np.multiply(ab[..., k, 1:], sin, out=sin_term)
         out += term
     return out
+
+
+# ---------------------------------------------------------------------------
+# Bounded scalar minimization
+
+
+def _minimize_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Brent's minimizer of f on [lo, hi] (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), returning the best point
+    x and f(x): parabolic steps through the three best points, golden-section
+    steps where no parabola is acceptable, until the bracket lies within
+    2 (sqrt(eps) |x| + xatol / 3) of x or f has been called 500 times.  Step
+    for step scipy.optimize's _minimize_scalar_bounded, so the bits agree
+    (BSD-3-Clause, (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers)."""
+    sqrt_eps, golden_mean = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500 or not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            return xf, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (1.0 if xm >= xf else -1.0)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu

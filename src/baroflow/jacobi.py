@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import DomainError
 from .geodesic import (
@@ -24,7 +23,7 @@ from .geodesic import (
     _parts,
     _steps,
 )
-from .grids import ScalarField, VectorField, check_same_grid
+from .grids import ScalarField, VectorField, _minimize_bounded, check_same_grid
 from .pressure import PressureModel
 
 
@@ -109,7 +108,9 @@ def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
                            t_max: float, dt: float) -> list[float]:
     """Times where the Jacobi norm ||(j, G)|| vanishes: each local minimum
     of the per-step norm below CONJUGATE_REL_TOL times the largest, refined
-    by bounded minimization with re-integration from the step before it.  The
+    over the steps either side of it by grids._minimize_bounded (Brent's
+    method, xatol 1e-10; bitwise scipy's bounded minimize_scalar), each
+    evaluation re-integrating from the step before it.  The
     norm is read off each stepped array, and the array of step k-1 is kept
     only when step k is a candidate minimum (norm no larger than at k-1,
     smaller than at k+1), so no trajectory is stored."""
@@ -143,10 +144,7 @@ def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
     zeros = []
     for k, y in candidates:
         if norms2[k] < CONJUGATE_REL_TOL**2 * scale2:
-            res = scipy.optimize.minimize_scalar(
-                lambda time: norm2_at(time, k - 1, y),
-                bounds=(times[k - 1], times[k + 1]), method="bounded",
-                options={"xatol": 1e-10},
-            )
-            zeros.append(float(res.x))
+            time, _ = _minimize_bounded(lambda time: norm2_at(time, k - 1, y),
+                                        times[k - 1], times[k + 1], 1e-10)
+            zeros.append(float(time))
     return zeros

@@ -405,11 +405,11 @@ class TestFlowCache:
     def test_one_refinement_per_invariant_across_times(self, monkeypatch):
         calls = []
 
-        def counting(*args, _minimize=scipy.optimize.minimize_scalar, **kwargs):
+        def counting(*args, _minimize=burgers._minimize_bounded):
             calls.append(1)
-            return _minimize(*args, **kwargs)
+            return _minimize(*args)
 
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", counting)
+        monkeypatch.setattr(burgers, "_minimize_bounded", counting)
         burgers._cached_flow.cache_clear()
         u0, rho0, v0 = self.datum(0)
         inv = burgers.riemann_invariants(u0, rho0)

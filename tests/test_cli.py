@@ -308,13 +308,26 @@ class TestPlumbing:
         assert man1 == man2
 
     def test_import_leaves_scipy_submodules_unloaded(self):
-        # only the shock-time and conjugate-time refinements need
-        # scipy.optimize, and only disc-spectrum scipy.linalg and scipy.special
+        # only disc-spectrum needs scipy.linalg and scipy.special, and no
+        # experiment needs scipy.optimize
         out = subprocess.run(
             [sys.executable, "-c", "import sys, baroflow.cli; print(sorted(m for m in "
              "('scipy.linalg', 'scipy.optimize', 'scipy.special') if m in sys.modules))"],
             capture_output=True, text=True, check=True, env=SRC_ENV)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [a for a in TINY_RUNS if a[0] in
+                                      ("burgers-exact", "conjugate", "geodesic", "jacobi")],
+                             ids=lambda argv: argv[0])
+    def test_run_leaves_scipy_submodules_unloaded(self, argv, tmp_path):
+        # the shock-time and conjugate-time refinements use the library's own
+        # bounded minimizer; the tiny conjugate run refines one time
+        script = ("import sys, baroflow.cli; rc = baroflow.cli.main(sys.argv[1:]); "
+                  "print(rc, sorted(m for m in ('scipy.linalg', 'scipy.optimize', "
+                  "'scipy.special') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", script, *argv, "--output-dir", str(tmp_path)],
+                             capture_output=True, text=True, check=True, env=SRC_ENV)
+        assert out.stdout.splitlines()[-1] == "0 []"
 
     def test_disc_spectrum_loads_scipy_at_call_time(self, tmp_path, monkeypatch):
         # this process has loaded scipy.linalg already; a fresh one has not

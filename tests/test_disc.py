@@ -5,11 +5,12 @@ import scipy.linalg
 from baroflow import disc
 from baroflow.errors import (
     DomainError,
+    GridMismatchError,
     InstabilityFlagError,
     ProjectionResidualError,
     VacuumError,
 )
-from baroflow.grids import DiscGrid, VectorField
+from baroflow.grids import DiscGrid, TorusGrid, VectorField
 from oracles import (
     direct_mode_integration,
     displacement_amplitude,
@@ -265,6 +266,13 @@ class TestSynthesizeAndClassify:
         P = grad(ScalarField(grid, fvals))
         v0 = VectorField(grid, P.values / rho)
         with pytest.raises(ProjectionResidualError):
+            disc.synthesize_and_classify(v0, BG, k_max=8, n_max=4)
+
+    def test_off_disc_field_is_a_grid_mismatch(self):
+        # the grid operators refuse a field on the wrong grid the same way
+        g = TorusGrid(16, 16)
+        v0 = VectorField(g, np.stack([np.sin(g.mesh[1]), np.zeros(g.shape)]))
+        with pytest.raises(GridMismatchError, match="disc field"):
             disc.synthesize_and_classify(v0, BG, k_max=8, n_max=4)
 
     def test_reconstruction_vs_direct_integration(self):

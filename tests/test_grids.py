@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -518,3 +519,67 @@ class TestKernelEquivalence:
     def test_nyquist_mode_has_zero_derivative(self, n):
         g = CircleGrid(n)
         assert np.max(np.abs(derivative(ScalarField(g, np.cos(n // 2 * g.x))).values)) < 1e-12
+
+
+def assert_same_as_scipy(f, lo, hi, xatol):
+    """grids._minimize_bounded evaluates f at the points scipy's bounded
+    minimize_scalar does, in the same order, and returns its x and f(x), all
+    bit for bit (NaN included); returns the points and the result."""
+    ref_xs, xs = [], []
+    ref = scipy.optimize.minimize_scalar(lambda x: (ref_xs.append(x), f(x))[1], bounds=(lo, hi),
+                                         method="bounded", options={"xatol": xatol})
+    res = grids._minimize_bounded(lambda x: (xs.append(x), f(x))[1], lo, hi, xatol)
+    bits = lambda vals: np.array(vals, dtype=float).tobytes()  # noqa: E731
+    assert len(xs) == len(ref_xs) == ref.nfev
+    assert bits(xs) == bits(ref_xs)
+    assert bits(res) == bits((ref.x, ref.fun))
+    return xs, res
+
+
+class TestMinimizeBounded:
+    """grids._minimize_bounded is scipy's bounded Brent search bit for bit:
+    the same evaluation points, the same result and the same count."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    def test_shock_time_objective(self, n):
+        g = CircleGrid(n)
+        for seed in range(4):
+            da = grids._interp_coeffs(random_band_limited_1d(g, rng(seed)).values, 1)
+            fine, h = np.linspace(0.0, 2 * np.pi, 8 * n, endpoint=False, retstep=True)
+            k = int(np.argmax(-np.real(grids._phases(fine, len(da)) @ da)))
+            assert_same_as_scipy(
+                lambda x: float(np.real(grids._phases(np.array([x], dtype=float), len(da)) @ da)[0]),
+                fine[k] - h, fine[k] + h, 1e-13)
+
+    @pytest.mark.parametrize("center", [3.1316, 3.14159, 3.1416, 3.145])
+    def test_quartic_near_a_double_zero(self, center):
+        # the squared Jacobi norm near a conjugate time pi, on a bracket of
+        # two steps of 0.005 (the first one ends short of pi)
+        def quartic(x):
+            d = x - np.pi
+            return d * d * (1.0 + 0.3 * d * d)
+        assert_same_as_scipy(quartic, center - 0.005, center + 0.005, 1e-10)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_minimum_at_a_bound(self, sign):
+        _, (x, _) = assert_same_as_scipy(lambda x: sign * x, 0.25, 2.0, 1e-10)
+        assert x == pytest.approx(0.25 if sign > 0 else 2.0, abs=1e-7)
+
+    def test_plateaus(self):
+        # a staircase makes ties between a new point and the kept ones
+        assert_same_as_scipy(lambda x: float(np.floor(25 * abs(x - 0.7))), 0.0, 1.0, 1e-10)
+
+    def test_constant(self):
+        assert_same_as_scipy(lambda x: 1.0, -1.0, 3.0, 1e-13)
+
+    @pytest.mark.parametrize("where", [lambda x: True, lambda x: x > 0.6],
+                             ids=["everywhere", "right_part"])
+    def test_nan(self, where):
+        assert_same_as_scipy(lambda x: float("nan") if where(x) else (x - 0.7) ** 2,
+                             0.0, 1.0, 1e-10)
+
+    def test_evaluation_cap(self):
+        # a line admits no parabola, and golden sections toward 0 would take
+        # some 1,400 evaluations to meet the tolerance there
+        xs, _ = assert_same_as_scipy(lambda x: x, 0.0, 1.0, 1e-300)
+        assert len(xs) == 500

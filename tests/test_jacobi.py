@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.optimize  # noqa: F401  loaded here, so its import is no detector's memory
 
 from baroflow import burgers, geodesic, grids, jacobi, pressure
 from baroflow.errors import DomainError, StepSizeError
