@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,11 +71,7 @@ class FlowMap:
 
     def jacobian(self) -> np.ndarray:
         """d eta / dx, spectral on the periodic displacement eta - x."""
-        return _jacobian(self.grid, self.eta)
-
-
-def _jacobian(grid: CircleGrid, eta: np.ndarray) -> np.ndarray:
-    return 1.0 + grid._d(eta - grid.x, 0)
+        return 1.0 + self.grid._d(self.eta - self.grid.x, 0)
 
 
 @dataclass(frozen=True)
@@ -154,17 +151,23 @@ def cfl_dt_max(state: FluidState, model: PressureModel) -> float:
     return _cfl_bound(state.grid, state.u.values, model.sound_speed(state.rho.values))
 
 
+@lru_cache(maxsize=None)
+def _layout(nrows: int, ncomp: int) -> tuple[int, int, int]:
+    """(has Jacobi rows, has a flow map, first scalar row) for nrows rows."""
+    jac, flow = divmod(nrows - ncomp - 2, 2 * ncomp + 2)
+    return jac, flow, (1 + 2 * jac) * ncomp
+
+
 def _parts(y: np.ndarray, ncomp: int):
     """Views of the parts of a stacked state y: u, rho, q, eta (None without a
-    flow map) and the Jacobi (v, sigma, j, G) (empty without).  u, v and j
-    take one row per component, every other part one row, in that order, so
+    flow map) and the Jacobi (v, sigma, j, G) (empty without).  The rows go
+    by kind: vectors (u, v, j) one row per component, scalars (rho, q,
+    sigma), the Lagrangian pair (eta, G); parts a state lacks drop out.  So
     the row count fixes the layout: ncomp + 2 rows, one more for a flow map
     and 2 ncomp + 2 more for a Jacobi state."""
-    jac, flow = divmod(len(y) - ncomp - 2, 2 * ncomp + 2)
-    b = ncomp + 2 + flow
-    jrows = (y[b:b + ncomp], y[b + ncomp], y[b + ncomp + 1:b + 2 * ncomp + 1],
-             y[b + 2 * ncomp + 1]) if jac else ()
-    return y[:ncomp], y[ncomp], y[ncomp + 1], y[ncomp + 2] if flow else None, jrows
+    jac, flow, s = _layout(len(y), ncomp)
+    jrows = (y[ncomp:2 * ncomp], y[s + 2], y[2 * ncomp:s], y[-1]) if jac else ()
+    return y[:ncomp], y[s], y[s + 1], y[s + 2 + jac] if flow else None, jrows
 
 
 def _rhs(y: np.ndarray, grid, model, check: bool = True) -> np.ndarray:
@@ -172,55 +175,54 @@ def _rhs(y: np.ndarray, grid, model, check: bool = True) -> np.ndarray:
     (u, rho, q[, eta]) and of the Jacobi state, if any, at the same stage, as
     one new array shaped like y, with u_t = -nabla_u u - (1/rho) grad(q^2
     phi/lambda^2), q_t = -div(qu), rho_t = -div(rho u), eta_t = u(eta) and
-    the equations of jacobi.linearized_step.  The derivative operands are
-    written into one stack for one stacked transform, and u and g are
-    interpolated at eta from one phase matrix."""
+    the equations of jacobi.linearized_step.  One stacked transform takes
+    the operands [U, V, J | rho u, q u, sigma u | rho v | P, HS, RL] (the
+    Jacobi ones with Jacobi rows only), and each operator family is one call
+    over a block of rows.  u and g are interpolated at eta from one phase
+    matrix."""
     nc = grid.ncomp
+    jac, flow, s = _layout(len(y), nc)
+    u, rho, q, scalars = y[:nc], y[s], y[s + 1], y[s:s + 2 + jac]
     out = np.empty_like(y)
-    u, rho, q, eta, jrows = _parts(y, nc)
-    du, drho, dq, deta, djrows = _parts(out, nc)
     lam = model.lam(rho) if check else model._lam(rho)  # check: the stage guard
     phi = model._phi(rho, lam)
     lam2 = lam**2
-    # the operand rows: u, q^2 phi/lambda^2, qu, rho u, then the Jacobi
-    # state's sigma u, rho v, v, h' sigma, j, rho/lambda from row b
-    b = 3 * nc + 1
-    U, P, QU, RU = slice(0, nc), nc, slice(nc + 1, 2 * nc + 1), slice(2 * nc + 1, b)
-    SU, RV, V = slice(b, b + nc), slice(b + nc, b + 2 * nc), slice(b + 2 * nc, b + 3 * nc)
-    HS, J, RL = b + 3 * nc, slice(b + 3 * nc + 1, b + 4 * nc + 1), b + 4 * nc + 1
-    ops = np.empty((RL + 1 if jrows else RU.stop,) + rho.shape)
-    ops[U] = u
-    np.divide(q**2 * phi, lam2, out=ops[P])
-    np.multiply(q, u, out=ops[QU])
-    np.multiply(rho, u, out=ops[RU])
-    if jrows:
-        (v, sigma, j, _), (dv, dsigma, dj, dG) = jrows, djrows
-        np.multiply(sigma, u, out=ops[SU])
-        np.multiply(rho, v, out=ops[RV])
-        ops[V] = v
-        np.multiply(model._h_prime(rho), sigma, out=ops[HS])
-        ops[J] = j
-        np.divide(rho, lam, out=ops[RL])
+    # operand rows: the vectors to s, the scalars times u to m, rho v to p,
+    # then P = q^2 phi/lambda^2, h' sigma and rho/lambda
+    m = s + len(scalars) * nc
+    p = m + jac * nc
+    ops = np.empty((p + 1 + 2 * jac,) + rho.shape)
+    ops[:s] = y[:s]
+    np.multiply(scalars[:, None], u, out=ops[s:m].reshape((len(scalars), nc) + rho.shape))
+    np.divide(q**2 * phi, lam2, out=ops[p])
+    if jac:
+        v, sigma, j = y[nc:2 * nc], y[s + 2], y[2 * nc:s]
+        np.multiply(rho, v, out=ops[m:p])
+        np.multiply(model._h_prime(rho), sigma, out=ops[p + 1])
+        np.divide(rho, lam, out=ops[p + 2])
     d = grid.partials(ops)
-    np.negative(_nabla(u, d[U]) + d[P] / rho, out=du)
-    np.negative(_div(d[QU]), out=dq)
-    np.negative(_div(d[RU]), out=drho)
-    if not jrows:
-        if eta is not None:
-            deta[...] = circle_interp(u[0], eta)
-        return out
-    np.negative(_div(d[SU]) + _div(d[RV]), out=dsigma)
-    np.negative(_nabla(u, d[V]) + _nabla(v, d[U]) + d[HS], out=dv)
-    # [u, j] = nabla_u j - nabla_j u (flat M)
-    np.subtract(v, _nabla(u, d[J]) - _nabla(j, d[U]), out=dj)
-    if eta is None:
-        dG[...] = 0.0
-        return out
-    # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)), taken along
-    # eta, goes to the free pressure row: u and g are then adjacent rows
-    np.divide(2 * phi * sigma, lam2, out=ops[P])
-    ops[P] += _nabla(j, d[RL:])[0]
-    circle_interp(ops[:2].T, eta, out=(deta, dG))
+    nabla = _nabla(u, d[:s])  # nabla_u of each vector
+    # div of each of rho u, q u[, sigma u, rho v]: (component, axis) first
+    div = _div(d[s:p].reshape((-1, nc) + d.shape[1:]).swapaxes(0, 1).swapaxes(1, 2))
+    np.negative(nabla[:nc] + d[p] / rho, out=out[:nc])
+    np.negative(div[:2], out=out[s:s + 2])
+    if jac:
+        # (nabla_v u, nabla_j u), the components of v and j first
+        vj = _nabla(y[nc:s].reshape((2, nc, 1) + rho.shape).swapaxes(0, 1), d[:nc])
+        np.negative(div[2] + div[3], out=out[s + 2])
+        np.negative(nabla[nc:2 * nc] + vj[0] + d[p + 1], out=out[nc:2 * nc])
+        # [u, j] = nabla_u j - nabla_j u (flat M)
+        np.subtract(v, nabla[2 * nc:] - vj[1], out=out[2 * nc:s])
+    if flow:
+        # g = 2 phi(rho) sigma / lambda(rho)^2 + j(rho / lambda(rho)) goes to
+        # the free V row, so u [and g] are adjacent rows, taken along eta
+        # into the Lagrangian rows
+        if jac:
+            np.divide(2 * phi * sigma, lam2, out=ops[1])
+            ops[1] += _nabla(j, d[p + 2:])[0]
+        circle_interp(ops[:1 + jac].T, y[s + 2 + jac], out=out[s + 2 + jac:])
+    elif jac:
+        out[-1] = 0.0  # G_t without a flow map
     return out
 
 
@@ -242,12 +244,13 @@ def rk4(rhs, y: np.ndarray, dt: float) -> np.ndarray:
 def _pack(state: FluidState, flowmap: FlowMap | None,
           jstate: JacobiState | None = None) -> np.ndarray:
     """The stacked state of _parts, as a new array."""
-    rows = [state.u.values, state.rho.values[None], state.q.values[None]]
-    rows += [flowmap.eta[None]] if flowmap is not None else []
+    vectors, scalars = [state.u.values], [state.rho.values, state.q.values]
+    lagrangian = [] if flowmap is None else [flowmap.eta]
     if jstate is not None:
-        rows += [jstate.v.values, jstate.sigma.values[None], jstate.j.values,
-                 jstate.G.values[None]]
-    return np.concatenate(rows)
+        vectors += [jstate.v.values, jstate.j.values]
+        scalars.append(jstate.sigma.values)
+        lagrangian.append(jstate.G.values)
+    return np.concatenate(vectors + [row[None] for row in scalars + lagrangian])
 
 
 def _unpack(y: np.ndarray, grid, rho0: ScalarField | None):
@@ -273,9 +276,11 @@ def _step(y: np.ndarray, grid, model: PressureModel, dt: float) -> np.ndarray:
     that is not finite or whose density is out of range ("state", ShockError);
     the flow-map Jacobian floor ("jacobian_floor", ShockError); non-finite
     Jacobi rows ("jacobi_finite", DomainError).  Failures are worded as the
-    fields word them."""
-    b = grid.ncomp
-    bound = _cfl_bound(grid, y[:b], model._sound_speed(y[b]))
+    fields word them; the finiteness guards look at their rows only when
+    one test over the whole state fails."""
+    nc = grid.ncomp
+    jac, flow, s = _layout(len(y), nc)
+    bound = _cfl_bound(grid, y[:nc], model._sound_speed(y[s]))
     if dt > bound:
         raise StepSizeError(f"dt={dt} exceeds the CFL bound {bound:.3e}", guard="cfl")
     guard = "stage_density"
@@ -283,18 +288,20 @@ def _step(y: np.ndarray, grid, model: PressureModel, dt: float) -> np.ndarray:
         # the first stage is at y, whose density is checked already
         y = rk4(lambda z: _rhs(z, grid, model, z is not y), y, dt)
         guard = "state"
-        _check_finite("vector", y[:b])
-        _check_finite("scalar", y[b:b + 2])
-        pressure._check_rho(y[b])
+        finite = np.isfinite(y).all()
+        if not finite:
+            _check_finite("vector", y[:nc])
+            _check_finite("scalar", y[s:s + 2])
+        pressure._check_rho(y[s])
     except DomainError as exc:
         # gradient blow-up at the shock shows up as loss of positivity or of
         # finiteness once the grid can no longer resolve the steepening
         raise ShockError(f"solution left the smooth regime: {exc}", guard=guard) from exc
-    _, _, _, eta, jrows = _parts(y, b)
-    if eta is not None and float(_jacobian(grid, eta).min()) <= SHOCK_JACOBIAN_FLOOR:
+    # min(1 + D(eta - x)) is 1 + min D(eta - x): rounding is monotone
+    if flow and 1.0 + float(grid._d(y[s + 2 + jac] - grid.x, 0).min()) <= SHOCK_JACOBIAN_FLOOR:
         raise ShockError("flow map lost monotonicity (shock reached)", guard="jacobian_floor")
-    if jrows and not np.isfinite(y[-(2 * b + 2):]).all():
-        for kind, rows in zip(("vector", "scalar") * 2, jrows):
+    if jac and not finite:
+        for kind, rows in zip(("vector", "scalar") * 2, _parts(y, nc)[4]):
             _check_finite(kind, rows, "jacobi_finite")
     return y
 
@@ -337,7 +344,7 @@ def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float):
         h = min(dt, t_end - t)
         try:
             if k == 1:  # y's density; each step checks the densities it makes
-                pressure._check_rho(y[grid.ncomp])
+                pressure._check_rho(_parts(y, grid.ncomp)[1])
             y = _step(y, grid, model, h)
         except BaroflowError as exc:
             exc.t, exc.step = t, k

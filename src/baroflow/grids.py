@@ -215,14 +215,6 @@ class DiscGrid:
         return 1.0 / self.n_r
 
     @cached_property
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
-    @cached_property
-    def mesh(self):
-        return np.meshgrid(self.r, self.theta, indexing="ij")
-
-    @cached_property
     def shape(self):
         return (self.n_r, self.n_theta)
 
@@ -409,6 +401,16 @@ def _phases(xq: np.ndarray, m: int) -> np.ndarray:
     return out.T
 
 
+@lru_cache(maxsize=None)
+def _coeff_weights(n: int) -> np.ndarray:
+    """Read-only (n, n/2, ..., n/2, n), n even: an rfft over them is rfft / n with the
+    interior modes doubled, bit for bit above the subnormal range."""
+    w = np.full(n // 2 + 1, n / 2)
+    w[[0, -1]] = n
+    w.flags.writeable = False
+    return w
+
+
 def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:
     """The coefficients a_k, k = 0..n/2, that circle_interp sums against the
     phases: those of the trigonometric interpolant Re sum_k a_k e^{ikx} of
@@ -419,9 +421,9 @@ def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:
     if len(values) % 2:
         raise DomainError(f"trigonometric interpolation needs an even sample count, "
                           f"got {len(values)}")
-    a = np.fft.rfft(values.T).T
-    a /= len(values)
-    a[1:-1] *= 2.0
+    a = np.fft.rfft(values.T)
+    a /= _coeff_weights(len(values))
+    a = a.T
     if deriv:
         a = (a.T * (1j * np.arange(len(a))) ** deriv).T
         a[-1] = 0.0  # Nyquist mode has no odd derivative

@@ -19,8 +19,8 @@ RHO_MAX = 1e6
 
 def _check_rho(rho):
     rho = np.asarray(rho, dtype=float)
-    # one range test that NaN fails; the message says which side was left
-    if not ((rho >= RHO_MIN) & (rho <= RHO_MAX)).all():
+    # min and max, which NaN fails (an empty array passes); the message names the side left
+    if not (rho.min(initial=RHO_MAX) >= RHO_MIN and rho.max(initial=RHO_MIN) <= RHO_MAX):
         if (rho <= 0).any():
             raise DomainError("density must be positive")
         raise DomainError(f"density outside working range [{RHO_MIN}, {RHO_MAX}]")

@@ -566,6 +566,16 @@ def displacement_amplitude(system: ModeSystem, coeffs0: ModeCoefficients,
     return abs(total)
 
 
+def disc_theta(grid: DiscGrid) -> np.ndarray:
+    """The uniform angles of a disc grid."""
+    return 2.0 * np.pi * np.arange(grid.n_theta) / grid.n_theta
+
+
+def disc_mesh(grid: DiscGrid):
+    """The (r, theta) node arrays of a disc grid, each shaped like the grid."""
+    return np.meshgrid(grid.r, disc_theta(grid), indexing="ij")
+
+
 def disc_state(background: DiscBackground, grid: DiscGrid) -> FluidState:
     """The rotating background on `grid`, with q = rho."""
     rho = ScalarField(grid, np.broadcast_to(background.rho(grid.r)[:, None], grid.shape).copy())

@@ -21,6 +21,7 @@ from baroflow.grids import (
 from baroflow.pressure import polytropic
 from oracles import (
     deviation_oracle,
+    disc_theta,
     displacement_amplitude,
     j_along_flow,
     q_operator,
@@ -263,7 +264,7 @@ class TestDiscJacobiCriterion:
         pair = disc.sturm_liouville_eigs(self.BG, 2, 1, n_nodes=grid.n_r)[-1]
         f, a, b = radial_poisson_gradient_mode(self.BG, pair)
         rho = self.BG.rho(grid.r)
-        phase = np.exp(1j * 2 * grid.theta)[None, :]
+        phase = np.exp(1j * 2 * disc_theta(grid))[None, :]
         v0 = VectorField(grid, np.stack([
             np.real(a[:, None] * phase) / rho[:, None],
             np.real(b[:, None] * phase) / rho[:, None]]))

@@ -13,6 +13,7 @@ from baroflow.errors import (
 from baroflow.grids import DiscGrid, TorusGrid, VectorField
 from oracles import (
     direct_mode_integration,
+    disc_theta,
     displacement_amplitude,
     evolve_rk4,
     radial_poisson_gradient_mode,
@@ -222,7 +223,7 @@ def gradient_mode_field(bg, grid, n, k):
     pair = pairs[-1]
     f, a, b = radial_poisson_gradient_mode(bg, pair)
     rho = bg.rho(grid.r)
-    phase = np.exp(1j * n * grid.theta)[None, :]
+    phase = np.exp(1j * n * disc_theta(grid))[None, :]
     vr = np.real(a[:, None] * phase) / rho[:, None]
     vt = np.real(b[:, None] * phase) / rho[:, None]
     return VectorField(grid, np.stack([vr, vt])), pair
@@ -261,7 +262,7 @@ class TestSynthesizeAndClassify:
         grid = DiscGrid(200, 16)
         rho = BG.rho(grid.r)[:, None]
         # rho v0 = grad(r^2 cos(theta)): div has a boundary-incompatible profile
-        fvals = (grid.r**2)[:, None] * np.cos(grid.theta)[None, :]
+        fvals = (grid.r**2)[:, None] * np.cos(disc_theta(grid))[None, :]
         from baroflow.grids import ScalarField, grad
         P = grad(ScalarField(grid, fvals))
         v0 = VectorField(grid, P.values / rho)

@@ -438,7 +438,7 @@ class TestRunLoopGuards:
     @pytest.mark.parametrize("case", ["circle", "torus"])
     def test_non_finite_jacobi_rows(self, case, monkeypatch):
         state, model, v0 = run_case(case)
-        nbg = 3 * state.grid.ncomp + 1  # the background's operands come first
+        nc = state.grid.ncomp  # the operands of v and j are rows nc to 3 nc
 
         def setup(m):
             calls = []
@@ -446,8 +446,10 @@ class TestRunLoopGuards:
             def nan_jacobi_partials(self, ops, _partials=grids.PeriodicGrid.partials):
                 calls.append(1)
                 d = _partials(self, ops)
-                if len(calls) == 13 and len(ops) > nbg:  # the fourth step
-                    d[nbg:] = np.nan
+                # the fourth step, in a stage with Jacobi rows (the background
+                # alone has 3 nc + 1 operands)
+                if len(calls) == 13 and len(ops) > 3 * nc + 1:
+                    d[nc:3 * nc] = np.nan
                 return d
 
             m.setattr(grids.PeriodicGrid, "partials", nan_jacobi_partials)
@@ -489,7 +491,8 @@ class TestRunLoopGuards:
         (1, -1.0, "density must be positive"),
     ])
     def test_state_rows(self, row, value, why, linearized, monkeypatch):
-        # the third step lands one entry of u (row 0), rho (1) or q (2) bad
+        # the third step lands one entry of u (part 0 of _parts), rho (1) or
+        # q (2) bad
         state, model, v0 = run_case("circle")
 
         def setup(m):
@@ -499,7 +502,7 @@ class TestRunLoopGuards:
                 calls.append(1)
                 out = _rk4(rhs, y, dt)
                 if len(calls) == 3:
-                    out[row, 5] = value
+                    geodesic._parts(out, 1)[row].reshape(-1)[5] = value
                 return out
 
             m.setattr(geodesic, "rk4", landing_rk4)

@@ -25,6 +25,7 @@ from baroflow.grids import (
     integrate,
 )
 from oracles import (
+    disc_mesh,
     interp_deriv,
     random_band_limited,
     random_band_limited_1d,
@@ -123,7 +124,7 @@ class TestTorusOperators:
 class TestDiscOperators:
     def test_grad_polar(self):
         g = DiscGrid(128, 32)
-        R, T = g.mesh
+        R, T = disc_mesh(g)
         v = grad(ScalarField(g, R**2 * np.cos(T)))
         assert np.max(np.abs(v.values[0] - 2 * R * np.cos(T))) < 1e-10
         assert np.max(np.abs(v.values[1] + np.sin(T))) < 1e-10
@@ -163,7 +164,7 @@ class TestIntegrate:
     def test_r2_disc(self):
         # int_0^2pi int_0^1 r^3 dr dtheta = pi/2
         g = DiscGrid(400, 16)
-        R, _ = g.mesh
+        R, _ = disc_mesh(g)
         assert integrate(ScalarField(g, R**2)) == pytest.approx(np.pi / 2, rel=1e-5)
 
     def test_closed_divergence_integral(self):
@@ -468,6 +469,19 @@ class TestKernelEquivalence:
         for i in range(len(xq)):
             assert np.array_equal(grids._phases(xq[i:i + 1], m)[0], batch[i]), i
         assert np.array_equal(grids._phases(xq[5:9], m), batch[5:9])
+
+    def test_weighted_divide_is_the_scaled_transform_bitwise(self):
+        # one divide by (n, n/2, ..., n/2, n) against rfft / n with the
+        # interior modes doubled, compared as raw bits (signed zeros too),
+        # for one function and for the transpose of a row stack
+        for n in list(range(8, 301, 2)) + [2046, 2048]:
+            for vals in (rng(n).standard_normal(n), rng(n + 1).standard_normal((2, n)).T):
+                want = np.fft.rfft(vals.T).T
+                want /= n
+                want[1:-1] *= 2.0
+                got = grids._interp_coeffs(vals)
+                assert got.shape == want.shape
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), n
 
     @pytest.mark.parametrize("n", [9, 15, 63])
     def test_odd_sample_counts_are_rejected(self, n):

@@ -13,6 +13,7 @@ from oracles import (
     deviation_oracle,
     j_along_flow,
     linearization_coefficient,
+    random_band_limited_1d,
     steady_shear_torus,
     stored_conjugate_times,
     tuple_rk4,
@@ -36,7 +37,15 @@ def sine_background(n=128, amp=0.5):
 def stage_case(case):
     """(state, flow map, model, v0) for the circle with a flow map
     ("circle64"), the circle without one ("circle64_nomap": the 3- and 7-row
-    layouts) or the torus shear."""
+    layouts), a seeded band-limited state on the circle with a flow map
+    ("band0") or the torus shear."""
+    if case.startswith("band"):
+        g = CircleGrid(64)
+        r = np.random.default_rng(int(case[len("band"):]))
+        u, rho, v0 = (random_band_limited_1d(g, r).values for _ in range(3))
+        state = geodesic.barotropic_initializer(
+            VectorField(g, 0.05 * u[None]), ScalarField(g, 1.0 + 0.03 * rho), GAMMA3)
+        return state, geodesic.identity_flowmap(state.rho), GAMMA3, VectorField(g, v0[None])
     if case.startswith("circle"):
         n, nomap, _ = case[len("circle"):].partition("_nomap")
         state, g = sine_background(int(n))
@@ -180,7 +189,8 @@ class TestLinearizedStep:
         assert len(built) <= 7, built
 
     @pytest.mark.parametrize("case", ["circle64", "circle128", "circle64_nomap",
-                                      "circle128_nomap", "torus_shear"])
+                                      "circle128_nomap", "circle96", "circle130",
+                                      "band0", "band1", "band2", "torus_shear"])
     def test_fused_stage_matches_separate_formulas(self, case):
         state, fm, model, v0 = stage_case(case)
         g = state.grid
@@ -260,10 +270,10 @@ class TestLinearizedStep:
         monkeypatch.setattr(grids, "_phases", counting_phases)
         if step == "linearized_step":
             jacobi.linearized_step(jacobi.initial_jacobi(v0), state, fm, model, 0.01)
-            n_ops = 10  # u, q^2 phi/lambda^2, qu, rho u, sigma u, rho v, v, h' sigma, j, rho/lambda
+            n_ops = 10  # u, v, j, rho u, q u, sigma u, rho v, q^2 phi/lambda^2, h' sigma, rho/lambda
         else:
             geodesic.step_geodesic(state, fm, model, 0.01)
-            n_ops = 4  # u, q^2 phi/lambda^2, qu, rho u
+            n_ops = 4  # u, rho u, q u, q^2 phi/lambda^2
         # one stacked transform per RK stage, then the flow-map Jacobian's own
         assert transforms == [(n_ops, 64)] * 4 + [(64,)]
         assert phase_builds == [64] * 4

@@ -56,6 +56,11 @@ class TestDensityGuard:
     @pytest.mark.parametrize("rho, message", [
         ([1.0, 0.0], "must be positive"), ([1.0, -2.0, np.nan], "must be positive"),
         ([1.0, 1e-7], "working range"), ([1.0, 1e7], "working range"),
+        ([1.0, np.inf], "working range"), ([-np.inf, 1.0], "must be positive"),
+        # a (trials x n) block
+        ([[1.0, 2.0], [1.0, 0.0]], "must be positive"),
+        ([[1.0, 2.0], [1e7, 1.0]], "working range"),
+        ([[1.0, np.nan], [1.0, 1.0]], "working range"),
     ])
     def test_messages_name_the_violation(self, rho, message):
         with pytest.raises(DomainError, match=message):
@@ -64,6 +69,8 @@ class TestDensityGuard:
     def test_range_ends_are_accepted(self):
         m = polytropic(1 / 3, 3.0)
         assert np.all(np.isfinite(m.lam([1e-6, 1e6])))
+        assert np.all(np.isfinite(m.lam([[1e-6, 1.0], [2.0, 1e6]])))
+        assert m.lam(np.empty(0)).shape == (0,)
 
 
 class TestPressure:
