@@ -6,10 +6,16 @@ steppers call on RK stage arrays.  The circle and the torus share one
 periodic implementation of real-FFT derivatives along each axis (exact for
 band-limited fields): grad, u(h) and nabla_u v are reductions of one stack
 of partials and div takes d_a v_a alone, the axis terms summed in axis
-order from the first term.  The disc uses second-order centered differences in r, one-sided at
-both ends (r=0 is excluded; the consumers handle regularity mode-wise), and
-a spectral derivative in theta.  The field functions (grad, div, ...) are the
-public API: they validate their fields, then call the grid method.
+order from the first term.  The disc uses second-order centered differences
+in r, one-sided at both ends (r=0 is excluded; the consumers handle
+regularity mode-wise), and a spectral derivative in theta.  The field
+functions (grad, div, ...) are the public API: they validate their fields,
+then call the grid method.
+
+The per-step transforms (derivatives, interpolation coefficients) call the
+pocketfft kernels of numpy.fft with np.fft's factors: np.fft's bits without
+its Python layer, about 3 us a call, more than the kernel takes on a
+128-point row.  Transforms made once per call stay on np.fft.
 
 Vector fields are stored in coordinate components: (u_x, u_y) on the torus,
 (u^r, u^theta) on the disc, where u = u^r d/dr + u^theta d/dtheta.  Note the
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import DomainError, GridMismatchError
 
@@ -44,10 +51,23 @@ def _ik(n: int, ndim: int, axis: int) -> np.ndarray:
     return ik
 
 
+def _rfft(values: np.ndarray, axis: int) -> np.ndarray:
+    """np.fft.rfft(values, axis=axis) of an even-length axis, by the kernel
+    call it makes, into the half spectrum it would allocate."""
+    shape = list(values.shape)
+    shape[axis] = shape[axis] // 2 + 1
+    out = np.empty_like(values, shape=shape, dtype=complex)
+    return _pfu.rfft_n_even(values, 1, axes=[(axis,), (), (axis,)], out=out)
+
+
 def _spectral_deriv(values: np.ndarray, axis: int, n: int,
                     out: np.ndarray | None = None) -> np.ndarray:
-    hat = np.fft.rfft(values, axis=axis)
-    return np.fft.irfft(_ik(n, values.ndim, axis) * hat, n, axis=axis, out=out)
+    """d/dx along `axis` of length-n data (n even): the rfft times i*k, then
+    the irfft scaled by 1/n, bit for bit np.fft.irfft(ik * np.fft.rfft(...))."""
+    hat = _ik(n, values.ndim, axis) * _rfft(values, axis)
+    if out is None:
+        out = np.empty_like(hat, shape=values.shape, dtype=float)
+    return _pfu.irfft(hat, 1.0 / n, axes=[(axis,), (), (axis,)], out=out)
 
 
 def _radial_nodes(n_r: int) -> np.ndarray:
@@ -421,7 +441,7 @@ def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:
     if len(values) % 2:
         raise DomainError(f"trigonometric interpolation needs an even sample count, "
                           f"got {len(values)}")
-    a = np.fft.rfft(values.T)
+    a = _rfft(values.T, -1)
     a /= _coeff_weights(len(values))
     a = a.T
     if deriv:
@@ -430,21 +450,17 @@ def _interp_coeffs(values: np.ndarray, deriv: int = 0) -> np.ndarray:
     return a
 
 
-def circle_interp(values: np.ndarray, xq, out=None) -> np.ndarray:
+def circle_interp(values: np.ndarray, xq, out) -> np.ndarray:
     """Evaluate the trigonometric interpolant of grid samples at arbitrary
-    points.  Samples of shape (n, k) are k functions evaluated from one phase
-    matrix; the result is then (len(xq), k), or is written into out, a
-    sequence of k arrays of len(xq), one per function."""
+    points: samples of shape (n, k) are k functions evaluated from one phase
+    matrix and written into out, a sequence of k arrays of len(xq), one per
+    function."""
     a = _interp_coeffs(values)
-    xq = np.asarray(xq, dtype=float).ravel()
-    phases = _phases(xq, len(a))
-    if a.ndim == 1:
-        return np.real(phases @ a)
+    phases = _phases(np.asarray(xq, dtype=float).ravel(), len(a))
     # one matvec per function: an (m, k) matmat is not bitwise equal to them
-    rows = np.empty((a.shape[1], len(xq))) if out is None else out
-    for row, col in zip(rows, a.T):
+    for row, col in zip(out, a.T):
         row[...] = (phases @ col).real
-    return rows.T if out is None else out
+    return out
 
 
 def circle_interp_antideriv(values: np.ndarray, xq) -> np.ndarray:

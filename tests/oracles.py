@@ -363,7 +363,7 @@ def steady_euler_residual(state: FluidState, model: PressureModel) -> tuple[floa
 
 def compatibility_residual(flowmap: FlowMap, rho: ScalarField) -> float:
     """sup norm of rho(eta) * Jac(eta) - rho0."""
-    rho_at_eta = circle_interp(rho.values, flowmap.eta)
+    rho_at_eta = interp(rho.values, flowmap.eta)
     return float(np.max(np.abs(rho_at_eta * flowmap.jacobian() - flowmap.rho0.values)))
 
 
@@ -392,7 +392,7 @@ def deviation_oracle(u0: VectorField, rho0: ScalarField, v0: VectorField,
 
 def j_along_flow(jstate: JacobiState, flowmap: FlowMap) -> np.ndarray:
     """j(t, eta(t,x)) per reference node, for comparison with the oracle."""
-    return circle_interp(jstate.j.values[0], flowmap.eta)
+    return interp(jstate.j.values[0], flowmap.eta)
 
 
 def jacobi_norm_sq(jstate: JacobiState) -> float:
@@ -446,6 +446,13 @@ def stored_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
 # Burgers closed forms
 
 
+def interp(values: np.ndarray, xq) -> np.ndarray:
+    """The trigonometric interpolant of 1D grid samples at arbitrary points:
+    circle_interp of the one-column stack, written into one row."""
+    xq = np.asarray(xq, dtype=float).ravel()
+    return circle_interp(np.asarray(values)[:, None], xq, out=np.empty((1, len(xq))))[0]
+
+
 def interp_deriv(values: np.ndarray, xq, deriv: int = 1) -> np.ndarray:
     """The deriv-th derivative of the trigonometric interpolant of 1D grid
     samples at arbitrary points, summed as circle_interp sums the interpolant
@@ -457,7 +464,7 @@ def interp_deriv(values: np.ndarray, xq, deriv: int = 1) -> np.ndarray:
 
 def forward(flow: CharacteristicFlow, t: float, x) -> np.ndarray:
     """The characteristic map xi(t, x) = x + t alpha0(x)."""
-    return np.asarray(x, dtype=float) + t * circle_interp(flow.alpha0.values, x)
+    return np.asarray(x, dtype=float) + t * interp(flow.alpha0.values, x)
 
 
 def conjugate_j(n: int, t, x) -> np.ndarray:

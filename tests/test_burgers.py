@@ -7,8 +7,8 @@ import scipy.optimize
 from baroflow import burgers, grids, pressure
 from baroflow.geodesic import FluidState
 from baroflow.errors import DomainError, GridMismatchError, ShockError
-from baroflow.grids import CircleGrid, ScalarField, VectorField, circle_interp
-from oracles import conjugate_G, conjugate_j, forward, interp_deriv, pde_residual
+from baroflow.grids import CircleGrid, ScalarField, VectorField
+from oracles import conjugate_G, conjugate_j, forward, interp, interp_deriv, pde_residual
 
 G = CircleGrid(128)
 
@@ -55,13 +55,13 @@ def reference_invert(alpha0, t, x):
     bracket."""
     vals = alpha0.values
     fine = np.linspace(0.0, 2 * np.pi, 8 * len(vals), endpoint=False)
-    afine = circle_interp(vals, fine)
+    afine = interp(vals, fine)
     pad = 1e-2 * float(np.max(afine) - np.min(afine)) + 1e-9
     lo = x - t * (float(np.max(afine)) + pad)
     hi = x - t * (float(np.min(afine)) - pad)
-    chi = np.clip(x - t * circle_interp(vals, x), lo, hi)
+    chi = np.clip(x - t * interp(vals, x), lo, hi)
     for _ in range(100):
-        f = chi + t * circle_interp(vals, chi) - x
+        f = chi + t * interp(vals, chi) - x
         lo = np.where(f < 0, chi, lo)
         hi = np.where(f > 0, chi, hi)
         if np.max(np.abs(f)) < 1e-13:
@@ -187,7 +187,7 @@ class TestClosedFormKernels:
         fine = np.linspace(0.0, 2 * np.pi, 8 * n, endpoint=False)
         for alpha0 in ensemble_invariants(11, 2, n=n):
             values, minus_slope = burgers.CharacteristicFlow(alpha0)._fine
-            for got, want in ((values, circle_interp(alpha0.values, fine)),
+            for got, want in ((values, interp(alpha0.values, fine)),
                               (-minus_slope, interp_deriv(alpha0.values, fine))):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -229,7 +229,7 @@ class TestClosedFormKernels:
                 builds.clear()
                 chi = flow._invert(t, x)[0]
                 assert len(builds) <= 4
-                residual = chi + t * circle_interp(alpha0.values, chi) - x
+                residual = chi + t * interp(alpha0.values, chi) - x
                 assert np.max(np.abs(residual)) < 1e-13
 
     def test_seed_is_the_periodic_interp_bitwise(self, monkeypatch):

@@ -316,6 +316,22 @@ class TestPlumbing:
             capture_output=True, text=True, check=True, env=SRC_ENV)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("preset, first, want", [(None, "", "1"), ("3", "", "3"),
+                                                     (None, "import numpy; ", "None")],
+                             ids=["unset", "user_set", "numpy_first"])
+    def test_import_pins_blas_threads_unless_set_or_numpy_first(self, preset, first, want):
+        # baroflow as the process's first numpy user pins OpenBLAS to one
+        # thread; a count the user set wins, and a process that loaded numpy
+        # first keeps its own pool
+        env = {k: v for k, v in SRC_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run(
+            [sys.executable, "-c", first + "import os, baroflow.cli; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+            capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == want
+
     @pytest.mark.parametrize("argv", [a for a in TINY_RUNS if a[0] in
                                       ("burgers-exact", "conjugate", "geodesic", "jacobi")],
                              ids=lambda argv: argv[0])

@@ -9,6 +9,7 @@ from baroflow.pressure import polytropic
 from oracles import (
     compatibility_residual,
     disc_state,
+    interp,
     state_f,
     steady_euler_residual,
     steady_shear_torus,
@@ -224,10 +225,9 @@ class TestFlowMapAndTransport:
         traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.5, dt=0.002,
                                            store_every=50)
         # s = log(q/rho) should be advected: s(t, eta(t,x)) = s0(x)
-        from baroflow.grids import circle_interp
         for st, fm in zip(traj.states[1:], traj.flowmaps[1:]):
             s = np.log(st.q.values / st.rho.values)
-            s_at_eta = circle_interp(s, fm.eta)
+            s_at_eta = interp(s, fm.eta)
             assert np.max(np.abs(s_at_eta - s0.values)) < 5e-5
 
 

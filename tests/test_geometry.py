@@ -14,7 +14,6 @@ from baroflow.grids import (
     ScalarField,
     TorusGrid,
     VectorField,
-    circle_interp,
 )
 from baroflow.pressure import polytropic
 from oracles import (
@@ -25,6 +24,7 @@ from oracles import (
     curvature_scan_1d,
     density_functional_derivative,
     from_catalog,
+    interp,
     jacobi_metric_curvature_1d,
     linearization_coefficient,
     metric_inner,
@@ -151,7 +151,7 @@ def flow_map_functional(alpha, phi_fn, rho, w, s, substeps=64):
     wv = w.values[0]
 
     def vel(x):
-        return circle_interp(wv, x)
+        return interp(wv, x)
 
     for _ in range(substeps):
         k1 = vel(eta)
@@ -160,7 +160,7 @@ def flow_map_functional(alpha, phi_fn, rho, w, s, substeps=64):
         k4 = vel(eta + ds * k3)
         eta = eta + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     jac = grids.derivative(ScalarField(g, eta - g.x)).values + 1.0
-    dens = circle_interp(alpha.values, eta) * np.asarray(phi_fn(rho.values / jac)) * jac
+    dens = interp(alpha.values, eta) * np.asarray(phi_fn(rho.values / jac)) * jac
     return grids.integrate(ScalarField(g, dens))
 
 

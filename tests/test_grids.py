@@ -26,6 +26,7 @@ from baroflow.grids import (
 )
 from oracles import (
     disc_mesh,
+    interp,
     interp_deriv,
     random_band_limited,
     random_band_limited_1d,
@@ -210,7 +211,7 @@ class TestInterp:
         vals = np.sin(2 * g.x) + 0.3 * np.cos(5 * g.x)
         xq = np.linspace(0, 2 * np.pi, 101)
         expect = np.sin(2 * xq) + 0.3 * np.cos(5 * xq)
-        assert np.max(np.abs(circle_interp(vals, xq) - expect)) < 1e-12
+        assert np.max(np.abs(interp(vals, xq) - expect)) < 1e-12
 
     def test_derivative_eval(self):
         g = CircleGrid(32)
@@ -218,7 +219,8 @@ class TestInterp:
         xq = np.array([0.1, 1.7, 4.0])
         assert np.max(np.abs(interp_deriv(vals, xq) - 2 * np.cos(2 * xq))) < 1e-12
         with pytest.raises(TypeError):
-            circle_interp(vals, xq, deriv=1)  # the slope is not circle_interp's
+            # the slope is not circle_interp's
+            circle_interp(vals[:, None], xq, out=np.empty((1, 3)), deriv=1)
 
     def test_antiderivative(self):
         g = CircleGrid(32)
@@ -325,6 +327,8 @@ class TestKernelEquivalence:
         def dt(x):
             return spectral_d(x, 1)
 
+        for x in (fv, c, e):  # raw bytes, signed zeros too
+            assert g._dtheta(x).tobytes() == dt(x).tobytes()
         ring = fv.mean(axis=1) * 2 * np.pi * g.r
         assert_all_equal({
             "grad": (grad(f).values, np.stack([dr(fv), dt(fv) / r**2])),
@@ -342,15 +346,21 @@ class TestKernelEquivalence:
         })
 
     @pytest.mark.parametrize("g", [CircleGrid(8), CircleGrid(64), CircleGrid(128),
-                                   TorusGrid(16, 24)],
-                             ids=["circle8", "circle64", "circle128", "torus16x24"])
+                                   CircleGrid(2048), TorusGrid(16, 24)],
+                             ids=["circle8", "circle64", "circle128", "circle2048",
+                                  "torus16x24"])
     def test_stacked_partials_match_single_operand_derivatives(self, g):
-        ops = rng(24).standard_normal((7,) + g.shape)
-        d = g.partials(ops)
-        assert d.shape == (7, g.ncomp) + g.shape
-        for k in range(7):
-            for a in range(g.ncomp):
-                assert np.array_equal(d[k, a], g._d(ops[k], a)), (k, a)
+        # raw bytes (signed zeros too) against spectral_d, which goes through
+        # np.fft, on every grid axis, without and with a leading batch axis
+        for batch in ((), (3,)):
+            ops = rng(24).standard_normal((7,) + batch + g.shape)
+            d = g.partials(ops)
+            assert d.shape == (7, g.ncomp) + batch + g.shape
+            for k in range(7):
+                for a in range(g.ncomp):
+                    want = spectral_d(ops[k], a - g.ncomp).tobytes()
+                    assert d[k, a].tobytes() == want, (batch, k, a)
+                    assert g._d(ops[k], a).tobytes() == want, (batch, k, a)
 
     @pytest.mark.parametrize("g", [CircleGrid(64), TorusGrid(64, 64), TorusGrid(16, 24)],
                              ids=["circle64", "torus64x64", "torus16x24"])
@@ -458,7 +468,7 @@ class TestKernelEquivalence:
         vals = r.standard_normal(n)
         xq = r.uniform(-20 * np.pi, 20 * np.pi, 300)
         expect, scale = dense_interp(vals, xq, deriv)
-        got = interp_deriv(vals, xq, deriv) if deriv else circle_interp(vals, xq)
+        got = interp_deriv(vals, xq, deriv) if deriv else interp(vals, xq)
         assert np.max(np.abs(got - expect)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 9, 33, 65, 1025])
@@ -486,26 +496,25 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("n", [9, 15, 63])
     def test_odd_sample_counts_are_rejected(self, n):
         vals = np.cos(4 * 2 * np.pi * np.arange(n) / n)
-        for call in (lambda: circle_interp(vals, [0.5]),
+        for call in (lambda: interp(vals, [0.5]),
                      lambda: interp_deriv(vals, [0.5]),
-                     lambda: circle_interp(np.stack([vals, vals], axis=1), [0.5]),
+                     lambda: circle_interp(np.stack([vals, vals], axis=1), [0.5],
+                                           out=np.empty((2, 1))),
                      lambda: circle_interp_antideriv(vals, [0.5])):
             with pytest.raises(DomainError, match="even sample count"):
                 call()
 
     def test_interp_of_columns_matches_each_column(self):
+        # a column stack and the transpose of a (k, n) row stack, written row
+        # by row into out: each row is its column's one-function interpolant
         r = rng(25)
         vals = r.standard_normal((64, 3))
         xq = r.uniform(-10.0, 10.0, 40)
-        got = circle_interp(vals, xq)
-        assert got.shape == (40, 3)
-        for c in range(3):
-            assert np.array_equal(got[:, c], circle_interp(vals[:, c].copy(), xq))
-        # the transpose of a (k, n) row stack, written row by row into out
-        out = np.full((3, 40), np.nan)
-        rows = np.ascontiguousarray(vals.T)
-        assert circle_interp(rows.T, xq, out=out) is out
-        assert np.array_equal(out, got.T)
+        for stack in (vals, np.ascontiguousarray(vals.T).T):
+            out = np.full((3, 40), np.nan)
+            assert circle_interp(stack, xq, out=out) is out
+            for c in range(3):
+                assert np.array_equal(out[c], interp(vals[:, c].copy(), xq)), c
 
     def test_circle_derivative_and_grad(self):
         g = CircleGrid(64)

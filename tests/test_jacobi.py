@@ -5,12 +5,13 @@ import pytest
 
 from baroflow import burgers, geodesic, grids, jacobi, pressure
 from baroflow.errors import DomainError, StepSizeError
-from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField, circle_interp
+from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField
 from baroflow.pressure import polytropic
 from oracles import (
     conjugate_G,
     conjugate_j,
     deviation_oracle,
+    interp,
     j_along_flow,
     linearization_coefficient,
     random_band_limited_1d,
@@ -66,7 +67,7 @@ def separate_rhs(u, rho, q, eta, jac, g, model):
     du = -(g.covariant_derivative(u, u) + g.grad(q**2 * phi / lam**2) / rho)
     dq = -g.div(q * u)
     drho = -g.div(rho * u)
-    out = (du, drho, dq) + (() if eta is None else (circle_interp(u[0], eta),))
+    out = (du, drho, dq) + (() if eta is None else (interp(u[0], eta),))
     if not jac:
         return out
     v, sigma, j, _ = jac
@@ -77,7 +78,7 @@ def separate_rhs(u, rho, q, eta, jac, g, model):
     if eta is None:
         return out + (dv, dsig, dj, np.zeros(g.shape))
     gval = 2 * phi * sigma / lam**2 + g.directional(j, rho / lam)
-    return out + (dv, dsig, dj, circle_interp(gval, eta))
+    return out + (dv, dsig, dj, interp(gval, eta))
 
 
 class TestLinearizedStep:
@@ -238,8 +239,8 @@ class TestLinearizedStep:
                 handed_out.append(np.full(shape, np.nan, dtype=dtype))
                 return handed_out[-1]
 
-            def empty_like(self, a):
-                handed_out.append(np.full_like(a, np.nan))
+            def empty_like(self, a, **kwargs):
+                handed_out.append(np.full_like(a, np.nan, **kwargs))
                 return handed_out[-1]
 
         for module in (geodesic, grids):
