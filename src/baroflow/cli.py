@@ -320,17 +320,18 @@ def run_torus_modes(cfg: ExperimentConfig):
 
 def run_disc_spectrum(cfg: ExperimentConfig):
     bg = disc.DiscBackground(cfg.omega, cfg.c, cfg.rho0)
-    rows = []
+    rows, lam1 = [], []
     min_margin = float("inf")
     for n in range(0, cfg.n_max + 1):
-        pairs = disc.sturm_liouville_eigs(bg, n, cfg.k_max, cfg.n_nodes)
-        for pair in pairs:
-            p, q = disc.characteristic_cubic_pq(pair.lam, n, cfg.omega, cfg.c)
-            roots = disc.characteristic_roots(pair.lam, n, cfg.omega, cfg.c)
+        lams = disc.sturm_liouville_eigs(bg, n, cfg.k_max, cfg.n_nodes).tolist()
+        lam1.append(lams[0])
+        for k, lam in enumerate(lams, 1):
+            p, q = disc.characteristic_cubic_pq(lam, n, cfg.omega, cfg.c)
+            roots = disc.characteristic_roots(lam, n, cfg.omega, cfg.c)
             margin = p**3 - q**2
             min_margin = min(min_margin, margin)
-            rows.append([n, pair.k, pair.lam, roots[0], roots[1], roots[2], margin])
-    bounds = disc.rayleigh_bound_check(bg, cfg.n_max, cfg.n_nodes)
+            rows.append([n, k, lam, roots[0], roots[1], roots[2], margin])
+    bounds = disc.rayleigh_bound_check(bg, lam1)
     summary = {"all_bounds_hold": bounds.all_hold,
                "falsifications": bounds.falsifications,
                "min_discriminant_margin": min_margin}

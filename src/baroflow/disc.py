@@ -72,24 +72,14 @@ class EigenPair:
     zeta: np.ndarray
 
 
-def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
-                         n_nodes: int = 400) -> list[EigenPair]:
-    """Solve -(1/r)(r rho zeta')' + n^2 rho zeta / r^2 = lam zeta on (0,1)
-    with zeta(1) = 0, by a symmetrized second-order finite-difference scheme.
-
-    Multiplying by r gives the generalized symmetric problem A zeta =
-    lam R zeta with A = -d/dr(r rho d/dr) + n^2 rho / r and R = diag(r);
-    the similarity transform by R^{1/2} reduces it to an ordinary symmetric
-    tridiagonal eigenproblem, so the computed spectrum is real by
-    construction.  Regularity at the origin: zero flux through r=0 for n=0
-    (the profile is even), homogeneous Dirichlet proxy for |n| >= 1
-    (zeta ~ r^{|n|}).  The n_nodes - 1 interior nodes carry at most that
-    many eigenpairs."""
+def _sturm_liouville_matrix(background: DiscBackground, n: int, k_max: int,
+                            n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric tridiagonal (diagonal, off-diagonal) whose k_max smallest
+    eigenvalues the two solvers take, after checking n_nodes and k_max."""
     if n_nodes < 16:
         raise DomainError("radial resolution too coarse")
     h = 1.0 / n_nodes
-    r = _radial_nodes(n_nodes)
-    ri = r[:-1]  # interior nodes, Dirichlet at r=1
+    ri = _radial_nodes(n_nodes)[:-1]  # interior nodes, Dirichlet at r=1
     m = len(ri)
     if not (isinstance(k_max, numbers.Integral) and 1 <= k_max <= m):
         raise DomainError(f"k_max must be an integer between 1 and the {m} interior nodes, "
@@ -103,13 +93,42 @@ def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
         diag[0] -= flux_lo[0]  # zero flux through the origin
     off = -flux_hi[:-1]
     # similarity by diag(sqrt(r)) symmetrizes the weight
-    diag_t = diag / ri
-    off_t = off / np.sqrt(ri[:-1] * ri[1:])
-    vals, vecs = scipy.linalg.eigh_tridiagonal(diag_t, off_t,
-                                               select="i", select_range=(0, k_max - 1))
+    return diag / ri, off / np.sqrt(ri[:-1] * ri[1:])
+
+
+def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
+                         n_nodes: int = 400) -> np.ndarray:
+    """The k_max smallest eigenvalues, ascending, of -(1/r)(r rho zeta')' +
+    n^2 rho zeta / r^2 = lam zeta on (0,1) with zeta(1) = 0, by a
+    symmetrized second-order finite-difference scheme.
+
+    Multiplying by r gives the generalized symmetric problem A zeta =
+    lam R zeta with A = -d/dr(r rho d/dr) + n^2 rho / r and R = diag(r);
+    the similarity transform by R^{1/2} reduces it to an ordinary symmetric
+    tridiagonal eigenproblem, so the computed spectrum is real by
+    construction.  Regularity at the origin: zero flux through r=0 for n=0
+    (the profile is even), homogeneous Dirichlet proxy for |n| >= 1
+    (zeta ~ r^{|n|}).  The n_nodes - 1 interior nodes carry at most that
+    many eigenvalues.  The values come from the bisection (LAPACK stebz)
+    that sturm_liouville_modes runs too, so both give the same bits."""
+    diag, off = _sturm_liouville_matrix(background, n, k_max, n_nodes)
+    return scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+                                             select_range=(0, k_max - 1))
+
+
+def sturm_liouville_modes(background: DiscBackground, n: int, k_max: int,
+                          n_nodes: int = 400) -> list[EigenPair]:
+    """The eigenpairs of sturm_liouville_eigs' problem, each radial profile
+    on the nodes r = j/n_nodes, j = 1..n_nodes, with unit L^2 norm in the
+    weight r dr and its largest entry positive."""
+    diag, off = _sturm_liouville_matrix(background, n, k_max, n_nodes)
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                               select_range=(0, k_max - 1))
+    h = 1.0 / n_nodes
+    r = _radial_nodes(n_nodes)
     pairs = []
     for k in range(k_max):
-        zt = vecs[:, k] / np.sqrt(ri)  # undo the similarity scaling
+        zt = vecs[:, k] / np.sqrt(r[:-1])  # undo the similarity scaling
         zeta = np.concatenate([zt, [0.0]])
         norm = np.sqrt(np.sum(zeta**2 * r) * h)
         zeta = zeta / norm
@@ -183,23 +202,25 @@ class BoundReport:
         return not self.falsifications
 
 
-def rayleigh_bound_check(background: DiscBackground, n_max: int,
-                         n_nodes: int = 400) -> BoundReport:
+def rayleigh_bound_check(background: DiscBackground, lam1) -> BoundReport:
     """Check lam_{1n} >= a c_n^2 + b(n^2+1) (to RAYLEIGH_TOL) and the downstream
-    inequality c^2 lam_{1n} > omega^2 (3 n^{2/3} - 4) for |n| <= n_max, plus
-    the arithmetic fact n^2 + 7 > 6 n^{2/3}."""
+    inequality c^2 lam_{1n} > omega^2 (3 n^{2/3} - 4), plus the arithmetic
+    fact n^2 + 7 > 6 n^{2/3}, for the first eigenvalues lam1[n] of
+    n = 0..len(lam1) - 1 (sturm_liouville_eigs' first values)."""
+    lam1 = np.asarray(lam1, dtype=float)
+    if lam1.ndim != 1 or not lam1.size or not np.all(np.isfinite(lam1) & (lam1 > 0)):
+        raise DomainError("lam1 must be a nonempty 1-D array of finite positive eigenvalues")
     a, b, c, om = background.a, background.b, background.c, background.omega
     rows, bad = [], []
-    for n in range(n_max + 1):
-        lam1 = sturm_liouville_eigs(background, n, 1, n_nodes)[0].lam
+    for n, lam in enumerate(lam1.tolist()):
         cn = bessel_first_root(n)
         bound = a * cn**2 + b * (n**2 + 1)
-        margin = lam1 - bound
-        down = c**2 * lam1 - om**2 * (3 * n ** (2 / 3) - 4)
+        margin = lam - bound
+        down = c**2 * lam - om**2 * (3 * n ** (2 / 3) - 4)
         arith = n**2 + 7 > 6 * n ** (2 / 3)
-        rows.append(BoundRow(n, lam1, bound, margin, down, arith))
+        rows.append(BoundRow(n, lam, bound, margin, down, arith))
         if margin < -RAYLEIGH_TOL:
-            bad.append(f"n={n}: lam1={lam1:.6g} below Rayleigh bound {bound:.6g}")
+            bad.append(f"n={n}: lam1={lam:.6g} below Rayleigh bound {bound:.6g}")
         if down <= 0:
             bad.append(f"n={n}: c^2 lam1 fails the downstream inequality")
         if not arith:
@@ -295,7 +316,7 @@ def _project_profiles(background: DiscBackground, profiles: np.ndarray, n: int,
     """Coefficients (one row per profile) of radial profiles in the (weight r)
     orthonormal eigenbasis of one eigensolve, plus each one's unexplained L^2
     remainder over interior nodes (the basis enforces the boundary at r=1)."""
-    pairs = sturm_liouville_eigs(background, n, k_max, n_nodes)
+    pairs = sturm_liouville_modes(background, n, k_max, n_nodes)
     h = 1.0 / n_nodes
     r = _radial_nodes(n_nodes)
     zeta = np.array([p.zeta for p in pairs])

@@ -12,7 +12,8 @@ regularity mode-wise), and a spectral derivative in theta.  The field
 functions (grad, div, ...) are the public API: they validate their fields,
 then call the grid method.
 
-The per-step transforms (derivatives, interpolation coefficients) call the
+The per-step and per-sample transforms (derivatives, interpolation
+coefficients, the torus Jacobi field at each sample time) call the
 pocketfft kernels of numpy.fft with np.fft's factors: np.fft's bits without
 its Python layer, about 3 us a call, more than the kernel takes on a
 128-point row.  Transforms made once per call stay on np.fft.
@@ -68,6 +69,15 @@ def _spectral_deriv(values: np.ndarray, axis: int, n: int,
     if out is None:
         out = np.empty_like(hat, shape=values.shape, dtype=float)
     return _pfu.irfft(hat, 1.0 / n, axes=[(axis,), (), (axis,)], out=out)
+
+
+def _irfft2(hat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """np.fft.irfft2(hat, s=shape) over the last two axes (even counts), by
+    the kernel calls it makes: ifft along x with 1/nx, then irfft along y."""
+    nx, ny = shape
+    mixed = _pfu.ifft(hat, 1.0 / nx, axes=[(-2,), (), (-2,)], out=np.empty_like(hat))
+    out = np.empty_like(mixed, shape=hat.shape[:-1] + (ny,), dtype=float)
+    return _pfu.irfft(mixed, 1.0 / ny, axes=[(-1,), (), (-1,)], out=out)
 
 
 def _radial_nodes(n_r: int) -> np.ndarray:

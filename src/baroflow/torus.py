@@ -13,7 +13,7 @@ import numpy as np
 
 from . import grids
 from .errors import DomainError
-from .grids import TorusGrid, VectorField, hodge_decompose, integrate
+from .grids import TorusGrid, VectorField, _irfft2, hodge_decompose, integrate
 from .pressure import PressureModel
 
 BOUNDED_TOL = 1e-10  # the divergence-free part's L^2 norm below which v0 is a gradient
@@ -34,8 +34,9 @@ class TorusModeSolution:
     def _half_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """On the half spectrum along y (ny//2 + 1 columns): the gradient
         part's components i k_a f_hat / (c|k|), zero at k = 0; rfft2 of z;
-        c|k|; and the ky row.  The x derivative is zeroed on the kx Nyquist
-        row (the grid counts are even), where i kx is anti-Hermitian: the
+        c|k| on the kx rows 0..nx/2, which row nx - k repeats bit for bit;
+        and the ky row.  The x derivative is zeroed on the kx Nyquist row
+        (the grid counts are even), where i kx is anti-Hermitian: the
         full-spectrum real part drops it, so the half spectrum must too."""
         g = self.grid
         h = g.ny // 2 + 1
@@ -47,16 +48,18 @@ class TorusModeSolution:
         dx = 1j * kx
         dx[g.nx // 2] = 0.0
         grad_hat = np.stack([dx * osc, 1j * ky * osc])
-        return grad_hat, np.fft.rfft2(self.z.values), ck, ky
+        return grad_hat, np.fft.rfft2(self.z.values), ck[:g.nx // 2 + 1], ky
 
     def j_at(self, t: float) -> VectorField:
         """j(t) = sum_k (a_k sin(c|k|t)/(c|k|)) grad phi_k(x, y - omega t)
-        + t z(x, y - omega t), by one half-spectrum inverse transform."""
+        + t z(x, y - omega t), by one half-spectrum inverse transform, with
+        one sine per kx row 0..nx/2, mirrored onto rows nx/2 + 1..nx - 1."""
         grad_hat, z_hat, ck, ky = self._half_spectra
-        spec = np.sin(ck * t) * grad_hat
+        sines = np.sin(ck * t)
+        spec = np.concatenate([sines, sines[-2:0:-1]]) * grad_hat
         spec += t * z_hat
         spec *= np.exp(-1j * ky * self.omega * t)
-        return VectorField(self.grid, np.fft.irfft2(spec, s=self.grid.shape))
+        return VectorField(self.grid, _irfft2(spec, self.grid.shape))
 
     def series_bound(self) -> float:
         """sup_t ||gradient part of j(t)||_inf <= sum_k |f_hat_k| / (c N)."""

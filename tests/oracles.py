@@ -501,6 +501,17 @@ def pde_residual(u0: ScalarField, rho0: ScalarField, t: float,
 # Torus shear modes
 
 
+def j_at_every_row(sol: TorusModeSolution, t: float) -> np.ndarray:
+    """j(t) of TorusModeSolution.j_at by the plain route, for a byte
+    comparison: sin(c|k|t) taken on every kx row and np.fft.irfft2."""
+    grad_hat, z_hat, _, ky = sol._half_spectra
+    kx = sol.grid.wavenumbers[0]
+    spec = np.sin(sol.c * np.sqrt(kx**2 + ky**2) * t) * grad_hat
+    spec += t * z_hat
+    spec *= np.exp(-1j * ky * sol.omega * t)
+    return np.fft.irfft2(spec, s=sol.grid.shape)
+
+
 def z_sup_norm(sol: TorusModeSolution) -> float:
     mag = np.sqrt(grids.inner(sol.z, sol.z).values)
     return float(np.max(mag))

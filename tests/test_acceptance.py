@@ -224,13 +224,13 @@ class TestDiscSpectrum:
 
     def test_cubics_and_vieta(self):
         for n_abs in range(self.N_MAX + 1):
-            pairs = disc.sturm_liouville_eigs(self.BG, n_abs, self.K_MAX,
-                                              self.NODES)
-            for pair in pairs:
+            lams = disc.sturm_liouville_eigs(self.BG, n_abs, self.K_MAX,
+                                             self.NODES).tolist()
+            for lam in lams:
                 for n in {n_abs, -n_abs}:
-                    p, q = disc.characteristic_cubic_pq(pair.lam, n, 1.0, 1.0)
+                    p, q = disc.characteristic_cubic_pq(lam, n, 1.0, 1.0)
                     assert p > 0 and q**2 < p**3
-                    roots = disc.characteristic_roots(pair.lam, n, 1.0, 1.0)
+                    roots = disc.characteristic_roots(lam, n, 1.0, 1.0)
                     assert np.min(np.diff(np.sort(roots))) > 1e-6
                     scale = max(1.0, float(np.max(np.abs(roots))) ** 2)
                     assert abs(np.sum(roots)) < 1e-9 * scale
@@ -239,7 +239,9 @@ class TestDiscSpectrum:
                     assert abs(pairsum + 3 * p) < 1e-9 * scale
 
     def test_rayleigh_and_downstream_bounds(self):
-        rep = disc.rayleigh_bound_check(self.BG, self.N_MAX, self.NODES)
+        lam1 = [disc.sturm_liouville_eigs(self.BG, n, self.K_MAX, self.NODES)[0]
+                for n in range(self.N_MAX + 1)]
+        rep = disc.rayleigh_bound_check(self.BG, lam1)
         assert rep.all_hold
         for row in rep.rows:
             assert row.rayleigh_margin > 0
@@ -261,7 +263,7 @@ class TestDiscJacobiCriterion:
 
     def test_pure_gradient_bounded(self):
         grid = DiscGrid(200, 16)
-        pair = disc.sturm_liouville_eigs(self.BG, 2, 1, n_nodes=grid.n_r)[-1]
+        pair = disc.sturm_liouville_modes(self.BG, 2, 1, n_nodes=grid.n_r)[-1]
         f, a, b = radial_poisson_gradient_mode(self.BG, pair)
         rho = self.BG.rho(grid.r)
         phase = np.exp(1j * 2 * disc_theta(grid))[None, :]

@@ -10,10 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from baroflow import cli, jacobi
+from baroflow import cli, disc, jacobi
 from oracles import stored_conjugate_times
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -459,6 +460,33 @@ class TestExperiments:
         _, manifest = read_outputs(tmp_path, "disc-spectrum")
         assert manifest["summary"]["all_bounds_hold"] is True
         assert manifest["summary"]["min_discriminant_margin"] > 0
+
+    def test_disc_spectrum_solves_each_mode_once(self, tmp_path, monkeypatch):
+        # one values-only solve per azimuthal mode, whose first value is the
+        # lam_1n that the bound check reads
+        calls = {"eigvalsh_tridiagonal": 0, "eigh_tridiagonal": 0}
+        for name in calls:
+            def counted(*args, _name=name, _solve=getattr(scipy.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, name, counted)
+        checked, bound_check = [], disc.rayleigh_bound_check
+        def check(bg, lam1):
+            checked.append(np.array(lam1))
+            return bound_check(bg, lam1)
+        monkeypatch.setattr(disc, "rayleigh_bound_check", check)
+        assert run(["disc-spectrum", "--n-max", "16", "--k-max", "12"],
+                   tmp_path, monkeypatch) == 0
+        assert calls == {"eigvalsh_tridiagonal": 17, "eigh_tridiagonal": 0}
+        csv_text, manifest = read_outputs(tmp_path, "disc-spectrum")
+        rows = [r.split(",") for r in csv_text.decode().strip().splitlines()[1:]]
+        lam1 = np.array([float(r[2]) for r in rows if r[1] == "1"])
+        assert len(checked) == 1 and checked[0].tobytes() == lam1.tobytes()
+        par = manifest["parameters"]
+        report = bound_check(
+            disc.DiscBackground(par["omega"], par["c"], par["rho0"]), lam1)
+        assert manifest["summary"]["all_bounds_hold"] is report.all_hold
+        assert manifest["summary"]["falsifications"] == report.falsifications
 
     @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
     def test_manifest_parameters_are_the_ones_read(self, argv, tmp_path, monkeypatch):

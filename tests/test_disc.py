@@ -42,25 +42,24 @@ class TestSturmLiouville:
     def test_constant_density_limit_matches_bessel(self):
         rho0 = 2.0
         bg = disc.DiscBackground(0.0, 1.0, rho0)
-        lam = disc.sturm_liouville_eigs(bg, 0, 1, n_nodes=400)[0].lam
+        lam = disc.sturm_liouville_eigs(bg, 0, 1, n_nodes=400)[0]
         c0 = disc.bessel_first_root(0)
         assert lam == pytest.approx(rho0 * c0**2, rel=1e-3)
 
     def test_eigenvalues_positive_and_increasing(self):
         for n in (0, 1, 3):
-            pairs = disc.sturm_liouville_eigs(BG, n, 6, n_nodes=300)
-            lams = [p.lam for p in pairs]
+            lams = disc.sturm_liouville_eigs(BG, n, 6, n_nodes=300).tolist()
             assert all(l > 0 for l in lams)
             assert all(a < b for a, b in zip(lams, lams[1:]))
 
     def test_richardson_refinement(self):
         for n in (0, 2):
-            lam1 = disc.sturm_liouville_eigs(BG, n, 1, n_nodes=400)[0].lam
-            lam2 = disc.sturm_liouville_eigs(BG, n, 1, n_nodes=800)[0].lam
+            lam1 = disc.sturm_liouville_eigs(BG, n, 1, n_nodes=400)[0]
+            lam2 = disc.sturm_liouville_eigs(BG, n, 1, n_nodes=800)[0]
             assert abs(lam2 - lam1) / lam1 < 1e-4
 
     def test_normalization_and_boundary(self):
-        pairs = disc.sturm_liouville_eigs(BG, 1, 3, n_nodes=200)
+        pairs = disc.sturm_liouville_modes(BG, 1, 3, n_nodes=200)
         h = 1.0 / 200
         for p in pairs:
             assert p.zeta[-1] == 0.0
@@ -68,7 +67,7 @@ class TestSturmLiouville:
 
     def test_k_max_is_bounded_by_the_interior_nodes(self):
         # n_nodes = 16 leaves 15 interior nodes, so 15 eigenpairs at most
-        assert [p.k for p in disc.sturm_liouville_eigs(BG, 1, 15, n_nodes=16)] == \
+        assert [p.k for p in disc.sturm_liouville_modes(BG, 1, 15, n_nodes=16)] == \
             list(range(1, 16))
         for k_max in (16, 0, -1):
             with pytest.raises(DomainError, match="15 interior nodes"):
@@ -79,14 +78,40 @@ class TestSturmLiouville:
     def test_rejects_fractional_k_max(self, monkeypatch):
         # rejected before the eigensolver runs
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
-        with pytest.raises(DomainError, match="k_max must be an integer"):
-            disc.sturm_liouville_eigs(BG, 1, 2.5)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", None)
+        for solve in (disc.sturm_liouville_eigs, disc.sturm_liouville_modes):
+            with pytest.raises(DomainError, match="k_max must be an integer"):
+                solve(BG, 1, 2.5)
+
+    @pytest.mark.parametrize("k_max, n_nodes", [(0, 16), (16, 16), (300, 300), (2.0, 16),
+                                                (np.float64(3), 200), (1, 15)],
+                             ids=["k0", "k16of15", "k300of299", "k2.0", "k3.0np", "nodes15"])
+    def test_both_solvers_refuse_alike(self, k_max, n_nodes):
+        errors = []
+        for solve in (disc.sturm_liouville_eigs, disc.sturm_liouville_modes):
+            with pytest.raises(DomainError) as exc:
+                solve(BG, 1, k_max, n_nodes=n_nodes)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("bg", [BG, disc.DiscBackground(1.0, 1.0, 0.5 + 1e-3)],
+                             ids=["reference", "near_vacuum"])
+    @pytest.mark.parametrize("n_nodes", [16, 201, 300, 400])
+    def test_values_are_the_modes_lam_bitwise(self, bg, n_nodes):
+        # one bisection behind both: the values-only solve that the CLI runs
+        # gives the bits of the eigenpairs' lam
+        for n in range(17):
+            for k_max in (1, 6, 12):
+                vals = disc.sturm_liouville_eigs(bg, n, k_max, n_nodes)
+                lams = np.array([p.lam for p in disc.sturm_liouville_modes(bg, n, k_max,
+                                                                           n_nodes)])
+                assert vals.dtype == lams.dtype and vals.tobytes() == lams.tobytes()
 
     def test_spectrum_depends_on_abs_n(self):
         lp = disc.sturm_liouville_eigs(BG, 2, 2, n_nodes=200)
         lm = disc.sturm_liouville_eigs(BG, -2, 2, n_nodes=200)
         for a, b in zip(lp, lm):
-            assert a.lam == pytest.approx(b.lam, rel=1e-13)
+            assert a == pytest.approx(b, rel=1e-13)
 
 
 class TestCharacteristicRoots:
@@ -102,13 +127,13 @@ class TestCharacteristicRoots:
         assert np.allclose(roots, [-c * np.sqrt(lam), 0.0, c * np.sqrt(lam)], atol=1e-12)
 
     def test_distinct_roots_from_eigensolver(self):
-        lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=300)[0].lam
+        lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=300)[0]
         roots = disc.characteristic_roots(lam, 1, 1.0, 1.0)
         gaps = np.diff(roots)
         assert np.all(gaps > 1e-6)
 
     def test_vieta(self):
-        lam = disc.sturm_liouville_eigs(BG, 2, 1, n_nodes=300)[0].lam
+        lam = disc.sturm_liouville_eigs(BG, 2, 1, n_nodes=300)[0]
         p, q = disc.characteristic_cubic_pq(lam, 2, 1.0, 1.0)
         y = disc.characteristic_roots(lam, 2, 1.0, 1.0)
         assert abs(y.sum()) < 1e-9
@@ -145,24 +170,36 @@ class TestBesselRoots:
             disc.bessel_first_root(-1)
 
 
+def first_eigenvalues(bg, n_max, n_nodes):
+    """lam_1n for n = 0..n_max, each from its own one-value solve."""
+    return [disc.sturm_liouville_eigs(bg, n, 1, n_nodes)[0] for n in range(n_max + 1)]
+
+
 class TestRayleighBounds:
     def test_reference_background(self):
-        rep = disc.rayleigh_bound_check(BG, n_max=16, n_nodes=400)
+        rep = disc.rayleigh_bound_check(BG, first_eigenvalues(BG, n_max=16, n_nodes=400))
         assert rep.all_hold
         assert all(row.rayleigh_margin > 0 for row in rep.rows)
         assert all(row.downstream_margin > 0 for row in rep.rows)
         assert all(row.arithmetic_ok for row in rep.rows)
 
     def test_n0_reduction(self):
-        rep = disc.rayleigh_bound_check(BG, n_max=0, n_nodes=400)
+        rep = disc.rayleigh_bound_check(BG, first_eigenvalues(BG, n_max=0, n_nodes=400))
         row = rep.rows[0]
         c0 = disc.bessel_first_root(0)
         assert row.rayleigh_bound == pytest.approx(BG.a * c0**2 + BG.b)
 
     def test_near_vacuum(self):
         bg = disc.DiscBackground(1.0, 1.0, 0.5 + 1e-3)
-        rep = disc.rayleigh_bound_check(bg, n_max=8, n_nodes=400)
+        rep = disc.rayleigh_bound_check(bg, first_eigenvalues(bg, n_max=8, n_nodes=400))
         assert rep.all_hold
+
+    @pytest.mark.parametrize("lam1", [[], [[5.0, 6.0]], [5.0, np.nan], [np.inf],
+                                      [5.0, 0.0], [-1.0]],
+                             ids=["empty", "2d", "nan", "inf", "zero", "negative"])
+    def test_rejects_a_lam1_that_is_no_spectrum(self, lam1):
+        with pytest.raises(DomainError, match="lam1"):
+            disc.rayleigh_bound_check(BG, lam1)
 
 
 class TestModeEvolution:
@@ -171,7 +208,7 @@ class TestModeEvolution:
         assert abs(out.sigma) + abs(out.F) + abs(out.G) == 0.0
 
     def test_eig_vs_rk4(self):
-        lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=200)[0].lam
+        lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=200)[0]
         sys = disc.ModeSystem(lam, 1, 1.0, 1.0)
         c0 = disc.ModeCoefficients(0.3, -0.2 + 0.1j, 0.7)
         exact = sys.evolve(c0, 10.0)
@@ -180,7 +217,7 @@ class TestModeEvolution:
         assert gap < 1e-8
 
     def test_n0_sigma_bounded(self):
-        lam = disc.sturm_liouville_eigs(BG, 0, 1, n_nodes=200)[0].lam
+        lam = disc.sturm_liouville_eigs(BG, 0, 1, n_nodes=200)[0]
         sys = disc.ModeSystem(lam, 0, 1.0, 1.0)
         c0 = disc.ModeCoefficients(1.0, 0.0, 0.0)
         sigmas = [abs(sys.evolve(c0, t).sigma) for t in np.linspace(0, 50, 200)]
@@ -188,7 +225,7 @@ class TestModeEvolution:
 
     def test_no_secular_growth_nonzero_n(self):
         for n in (1, 3):
-            lam = disc.sturm_liouville_eigs(BG, n, 1, n_nodes=200)[0].lam
+            lam = disc.sturm_liouville_eigs(BG, n, 1, n_nodes=200)[0]
             sys = disc.ModeSystem(lam, n, 1.0, 1.0)
             c0 = disc.ModeCoefficients(0.0, 1.0, 0.5j)
             e0 = None
@@ -200,14 +237,14 @@ class TestModeEvolution:
                 assert e < 50 * e0
 
     def test_displacement_bounded_iff_no_zero_frequency(self):
-        lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=200)[0].lam
+        lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=200)[0]
         sys = disc.ModeSystem(lam, 1, 1.0, 1.0)
         c0 = disc.ModeCoefficients(0.0, 1.0, 0.0)
         amp_early = displacement_amplitude(sys, c0, 50.0)
         amp_late = displacement_amplitude(sys, c0, 500.0)
         assert amp_late < 10 * max(amp_early, 1e-3)
 
-        lam0 = disc.sturm_liouville_eigs(BG, 0, 1, n_nodes=200)[0].lam
+        lam0 = disc.sturm_liouville_eigs(BG, 0, 1, n_nodes=200)[0]
         sys0 = disc.ModeSystem(lam0, 0, 1.0, 1.0)
         # put weight on the zero-frequency eigenvector
         vals, vecs = np.linalg.eig(disc.mode_matrix(lam0, 0, 1.0, 1.0))
@@ -219,7 +256,7 @@ class TestModeEvolution:
 
 
 def gradient_mode_field(bg, grid, n, k):
-    pairs = disc.sturm_liouville_eigs(bg, n, k, n_nodes=grid.n_r)
+    pairs = disc.sturm_liouville_modes(bg, n, k, n_nodes=grid.n_r)
     pair = pairs[-1]
     f, a, b = radial_poisson_gradient_mode(bg, pair)
     rho = bg.rho(grid.r)

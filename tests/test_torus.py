@@ -9,10 +9,16 @@ from baroflow.grids import (
     VectorField,
     div,
     grad,
+    hodge_decompose,
     integrate,
 )
 from baroflow.pressure import polytropic
-from oracles import mode_numeric_crosscheck, random_band_limited_vector, z_sup_norm
+from oracles import (
+    j_at_every_row,
+    mode_numeric_crosscheck,
+    random_band_limited_vector,
+    z_sup_norm,
+)
 
 G = TorusGrid(32, 32)
 X, Y = G.mesh
@@ -124,6 +130,25 @@ def test_j_at_matches_formula_on_white_noise(shape):
     sol = torus.synthesize(VectorField(g, rng.standard_normal((2,) + shape)),
                            omega=0.7, c=1.3)
     assert max_rel_gap(sol, np.linspace(-3.0, 60.0, 10)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["gradient", "divfree", "mixed"])
+@pytest.mark.parametrize("shape", [(16, 24), (24, 16), (32, 32), (128, 128)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_j_at_matches_the_every_row_route_bitwise(shape, kind):
+    # white noise fills every row, the kx Nyquist row included; j_at takes
+    # each sine once and mirrors it onto row nx - k
+    g = TorusGrid(*shape)
+    rng = np.random.Generator(np.random.Philox(key=shape[0] * shape[1]))
+    v = VectorField(g, rng.standard_normal((2,) + shape))
+    z = hodge_decompose(v)[1].values
+    v0 = {"gradient": v.values - z, "divfree": z, "mixed": v.values}[kind]
+    sol = torus.synthesize(VectorField(g, v0), omega=0.7, c=1.3)
+    for t in (0.0, 0.37, -1.5, 60.0):
+        j = sol.j_at(t).values
+        want = j_at_every_row(sol, t)
+        assert j.dtype == want.dtype and j.shape == want.shape
+        assert j.tobytes() == want.tobytes()
 
 
 class TestClassify:
