@@ -19,12 +19,11 @@ from .errors import (
     DomainError,
     GridMismatchError,
     InstabilityFlagError,
-    ProjectionResidualError,
     ShockError,
     StepSizeError,
     VacuumError,
 )
-from .grids import CircleGrid, DiscGrid, ScalarField, TorusGrid, VectorField
+from .grids import CircleGrid, ScalarField, TorusGrid, VectorField
 from .pressure import PressureModel, polytropic
 
 __all__ = [
@@ -32,8 +31,7 @@ __all__ = [
     "burgers", "disc", "geodesic", "geometry", "grids", "jacobi",
     "pressure", "torus",
     "BaroflowError", "DomainError", "GridMismatchError",
-    "InstabilityFlagError", "ProjectionResidualError",
-    "ShockError", "StepSizeError", "VacuumError",
-    "CircleGrid", "DiscGrid", "ScalarField", "TorusGrid", "VectorField",
+    "InstabilityFlagError", "ShockError", "StepSizeError", "VacuumError",
+    "CircleGrid", "ScalarField", "TorusGrid", "VectorField",
     "PressureModel", "polytropic",
 ]

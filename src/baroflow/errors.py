@@ -37,6 +37,3 @@ class VacuumError(BaroflowError, ValueError):
 class InstabilityFlagError(BaroflowError, RuntimeError):
     """A spectral quantity violates the boundedness criterion it was supposed to satisfy."""
 
-
-class ProjectionResidualError(BaroflowError, ValueError):
-    """A field cannot be represented in the truncated eigenbasis to tolerance."""

@@ -1,16 +1,13 @@
-"""Discrete geometry substrate: grids on S^1, the flat 2-torus and the unit
-disc, fields on them, and their differential operators and quadrature.
+"""Discrete geometry substrate: grids on S^1 and the flat 2-torus, fields
+on them, and their differential operators and quadrature.
 
 Each grid owns its operators as methods on raw arrays, which the time
 steppers call on RK stage arrays.  The circle and the torus share one
 periodic implementation of real-FFT derivatives along each axis (exact for
 band-limited fields): grad, u(h) and nabla_u v are reductions of one stack
 of partials and div takes d_a v_a alone, the axis terms summed in axis
-order from the first term.  The disc uses second-order centered differences
-in r, one-sided at both ends (r=0 is excluded; the consumers handle
-regularity mode-wise), and a spectral derivative in theta.  The field
-functions (grad, div, ...) are the public API: they validate their fields,
-then call the grid method.
+order from the first term.  The field functions (grad, div, ...) are the
+public API: they validate their fields, then call the grid method.
 
 The per-step and per-sample transforms (derivatives, interpolation
 coefficients, the torus Jacobi field at each sample time) call the
@@ -18,9 +15,8 @@ pocketfft kernels of numpy.fft with np.fft's factors: np.fft's bits without
 its Python layer, about 3 us a call, more than the kernel takes on a
 128-point row.  Transforms made once per call stay on np.fft.
 
-Vector fields are stored in coordinate components: (u_x, u_y) on the torus,
-(u^r, u^theta) on the disc, where u = u^r d/dr + u^theta d/dtheta.  Note the
-disc components are coordinate, not physical: |d/dtheta| = r.
+Vector fields are stored in coordinate components: (u_x,) on the circle,
+(u_x, u_y) on the torus.
 """
 
 from __future__ import annotations
@@ -78,11 +74,6 @@ def _irfft2(hat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     mixed = _pfu.ifft(hat, 1.0 / nx, axes=[(-2,), (), (-2,)], out=np.empty_like(hat))
     out = np.empty_like(mixed, shape=hat.shape[:-1] + (ny,), dtype=float)
     return _pfu.irfft(mixed, 1.0 / ny, axes=[(-1,), (), (-1,)], out=out)
-
-
-def _radial_nodes(n_r: int) -> np.ndarray:
-    """Radial nodes j/n_r for j = 1..n_r: r = 0 is excluded, r = 1 included."""
-    return np.arange(1, n_r + 1) / n_r
 
 
 def _nabla(w: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -222,78 +213,7 @@ class TorusGrid(PeriodicGrid):
         return self._d(v[1], 0) - self._d(v[0], 1)
 
 
-@dataclass(frozen=True)
-class DiscGrid:
-    """Polar grid on the unit disc: radial nodes j/n_r for j=1..n_r (so the last
-    node sits on the boundary and r=0 is excluded), uniform angles."""
-
-    n_r: int
-    n_theta: int
-
-    def __post_init__(self):
-        if self.n_r < 8:
-            raise DomainError(f"disc grid needs n_r >= 8, got {self.n_r}")
-        if self.n_theta < 8 or self.n_theta % 2:
-            raise DomainError(f"disc grid needs n_theta >= 8 and even, got {self.n_theta}")
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return _radial_nodes(self.n_r)
-
-    @property
-    def dr(self) -> float:
-        return 1.0 / self.n_r
-
-    @cached_property
-    def shape(self):
-        return (self.n_r, self.n_theta)
-
-    ncomp = 2
-
-    def _dr(self, f: np.ndarray) -> np.ndarray:
-        return np.gradient(f, self.dr, axis=0, edge_order=2)
-
-    def _dtheta(self, f: np.ndarray) -> np.ndarray:
-        return _spectral_deriv(f, 1, self.n_theta)
-
-    def grad(self, f: np.ndarray) -> np.ndarray:
-        """grad f = f_r d/dr + (f_theta / r^2) d/dtheta."""
-        return np.array([self._dr(f), self._dtheta(f) / self.r[:, None] ** 2])
-
-    def div(self, v: np.ndarray) -> np.ndarray:
-        r = self.r[:, None]
-        return self._dr(r * v[0]) / r + self._dtheta(v[1])
-
-    def curl(self, v: np.ndarray) -> np.ndarray:
-        r = self.r[:, None]
-        return (self._dr(r**2 * v[1]) - self._dtheta(v[0])) / r
-
-    def directional(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return u[0] * self._dr(h) + u[1] * self._dtheta(h)
-
-    def covariant_derivative(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Flat nabla_u v with the polar Christoffel symbols."""
-        au, bu = u
-        av, bv = v
-        r = self.r[:, None]
-        return np.array([self.directional(u, av) - r * bu * bv,
-                         self.directional(u, bv) + (au * bv + bu * av) / r])
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return u[0] * v[0] + self.r[:, None] ** 2 * u[1] * v[1]
-
-    def integrate(self, f: np.ndarray) -> float:
-        """int f r dr dtheta; the integrand r*f vanishes at r=0."""
-        ring = f.mean(axis=1) * 2 * np.pi * self.r
-        return float(np.trapezoid(np.concatenate([[0.0], ring]),
-                                  np.concatenate([[0.0], self.r])))
-
-    @property
-    def cfl_spacing(self) -> float:
-        raise DomainError("time stepping is supported on periodic grids")
-
-
-Grid = CircleGrid | TorusGrid | DiscGrid
+Grid = CircleGrid | TorusGrid
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +293,7 @@ def directional(u: VectorField, h: ScalarField) -> ScalarField:
 
 
 def covariant_derivative(u: VectorField, v: VectorField) -> VectorField:
-    """nabla_u v in the flat metric (polar Christoffel symbols on the disc)."""
+    """nabla_u v in the flat metric."""
     g = check_same_grid(u, v)
     return VectorField(g, g.covariant_derivative(u.values, v.values))
 

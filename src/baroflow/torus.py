@@ -14,7 +14,6 @@ import numpy as np
 from . import grids
 from .errors import DomainError
 from .grids import TorusGrid, VectorField, _irfft2, hodge_decompose, integrate
-from .pressure import PressureModel
 
 BOUNDED_TOL = 1e-10  # the divergence-free part's L^2 norm below which v0 is a gradient
 
@@ -89,9 +88,3 @@ def classify_boundedness(sol: TorusModeSolution) -> BoundednessReport:
     bounded = w_norm < BOUNDED_TOL
     return BoundednessReport(bounded, w_norm, sol.series_bound() if bounded else None)
 
-
-def torus_curvature_coefficient(model: PressureModel) -> float:
-    """The model's curvature coefficient at rho = 1, phi'(1) + phi(1)^2 /
-    lambda(1), over lambda(1)^2; the curvature in the shear section is this
-    times int (div v)^2 dmu."""
-    return float(model.curvature_coefficient(1.0) / model.lam(1.0) ** 2)

@@ -4,38 +4,40 @@ computes its answer by a route other than the code under test (a centered
 difference of perturbed geodesics, a direct method-of-lines integration, a
 PDE residual), so a test that compares the two checks something.  The
 general pressure law (any lambda(rho)) and the metric formulas that no
-experiment uses live here too, beside the polytropic law the library runs.
+experiment uses live here too, beside the polytropic law the library runs,
+and so do the rotating disc's polar grid, its eigenpairs, the exact mode
+evolution and the boundedness classification of disc perturbations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from baroflow import geometry, grids, jacobi
 from baroflow.burgers import CharacteristicFlow, exact_state
-from baroflow.disc import (
-    DiscBackground,
-    EigenPair,
-    ModeCoefficients,
-    ModeSystem,
-    mode_matrix,
+from baroflow.disc import DiscBackground, _sturm_liouville_matrix, characteristic_roots
+from baroflow.errors import (
+    BaroflowError,
+    DomainError,
+    GridMismatchError,
+    InstabilityFlagError,
+    ShockError,
 )
-from baroflow.errors import BaroflowError, DomainError, GridMismatchError, ShockError
 from baroflow.geometry import ScanReport, ScanTrial, TangentVector, sectional_curvature
 from baroflow.geodesic import FlowMap, FluidState, barotropic_initializer, integrate_geodesic
 from baroflow.grids import (
     CircleGrid,
-    DiscGrid,
     ScalarField,
     TorusGrid,
     VectorField,
     _interp_coeffs,
     _phases,
-    _radial_nodes,
     circle_interp,
     derivative,
     integrate,
@@ -517,6 +519,13 @@ def z_sup_norm(sol: TorusModeSolution) -> float:
     return float(np.max(mag))
 
 
+def torus_curvature_coefficient(model: PressureModel) -> float:
+    """The model's curvature coefficient at rho = 1, phi'(1) + phi(1)^2 /
+    lambda(1), over lambda(1)^2; the curvature in the shear section is this
+    times int (div v)^2 dmu."""
+    return float(model.curvature_coefficient(1.0) / model.lam(1.0) ** 2)
+
+
 @dataclass(frozen=True)
 class CrosscheckReport:
     times: list[float]
@@ -553,6 +562,301 @@ def mode_numeric_crosscheck(v0: VectorField, omega: float, c: float,
 
 
 # ---------------------------------------------------------------------------
+# Rotating disc: the polar grid
+
+
+def _radial_nodes(n_r: int) -> np.ndarray:
+    """Radial nodes j/n_r for j = 1..n_r: r = 0 is excluded, r = 1 included."""
+    return np.arange(1, n_r + 1) / n_r
+
+
+@dataclass(frozen=True)
+class DiscGrid:
+    """Polar grid on the unit disc: radial nodes j/n_r for j=1..n_r (so the last
+    node sits on the boundary and r=0 is excluded), uniform angles.  Its
+    operators take the library's grid-method names, so the field functions
+    of baroflow.grids and the curvature quadrature run on it: second-order
+    differences in r, one-sided at both ends, and a spectral derivative in
+    theta.  Vector fields hold the coordinate components (u^r, u^theta) of
+    u = u^r d/dr + u^theta d/dtheta, not the physical ones: |d/dtheta| = r.
+    It refuses the CFL spacing, so stepping a disc state fails at step 1."""
+
+    n_r: int
+    n_theta: int
+
+    def __post_init__(self):
+        if self.n_r < 8:
+            raise DomainError(f"disc grid needs n_r >= 8, got {self.n_r}")
+        if self.n_theta < 8 or self.n_theta % 2:
+            raise DomainError(f"disc grid needs n_theta >= 8 and even, got {self.n_theta}")
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return _radial_nodes(self.n_r)
+
+    @property
+    def dr(self) -> float:
+        return 1.0 / self.n_r
+
+    @cached_property
+    def shape(self):
+        return (self.n_r, self.n_theta)
+
+    ncomp = 2
+
+    def _dr(self, f: np.ndarray) -> np.ndarray:
+        return np.gradient(f, self.dr, axis=0, edge_order=2)
+
+    def _dtheta(self, f: np.ndarray) -> np.ndarray:
+        return grids._spectral_deriv(f, 1, self.n_theta)
+
+    def grad(self, f: np.ndarray) -> np.ndarray:
+        """grad f = f_r d/dr + (f_theta / r^2) d/dtheta."""
+        return np.array([self._dr(f), self._dtheta(f) / self.r[:, None] ** 2])
+
+    def div(self, v: np.ndarray) -> np.ndarray:
+        r = self.r[:, None]
+        return self._dr(r * v[0]) / r + self._dtheta(v[1])
+
+    def curl(self, v: np.ndarray) -> np.ndarray:
+        r = self.r[:, None]
+        return (self._dr(r**2 * v[1]) - self._dtheta(v[0])) / r
+
+    def directional(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return u[0] * self._dr(h) + u[1] * self._dtheta(h)
+
+    def covariant_derivative(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Flat nabla_u v with the polar Christoffel symbols."""
+        au, bu = u
+        av, bv = v
+        r = self.r[:, None]
+        return np.array([self.directional(u, av) - r * bu * bv,
+                         self.directional(u, bv) + (au * bv + bu * av) / r])
+
+    def inner(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return u[0] * v[0] + self.r[:, None] ** 2 * u[1] * v[1]
+
+    def integrate(self, f: np.ndarray) -> float:
+        """int f r dr dtheta; the integrand r*f vanishes at r=0."""
+        ring = f.mean(axis=1) * 2 * np.pi * self.r
+        return float(np.trapezoid(np.concatenate([[0.0], ring]),
+                                  np.concatenate([[0.0], self.r])))
+
+    @property
+    def cfl_spacing(self) -> float:
+        raise DomainError("time stepping is supported on periodic grids")
+
+
+def disc_theta(grid: DiscGrid) -> np.ndarray:
+    """The uniform angles of a disc grid."""
+    return 2.0 * np.pi * np.arange(grid.n_theta) / grid.n_theta
+
+
+def disc_mesh(grid: DiscGrid):
+    """The (r, theta) node arrays of a disc grid, each shaped like the grid."""
+    return np.meshgrid(grid.r, disc_theta(grid), indexing="ij")
+
+
+def disc_state(background: DiscBackground, grid: DiscGrid) -> FluidState:
+    """The rotating background on `grid`, with q = rho."""
+    rho = ScalarField(grid, np.broadcast_to(background.rho(grid.r)[:, None], grid.shape).copy())
+    u = VectorField(grid, np.stack([np.zeros(grid.shape), np.full(grid.shape, background.omega)]))
+    return FluidState(u, rho, ScalarField(grid, rho.values.copy()))
+
+
+# ---------------------------------------------------------------------------
+# Rotating disc: eigenpairs, exact mode evolution and classification
+
+RESIDUAL_TOL = 1e-6  # the largest relative remainder of v0 outside the eigenbasis
+
+
+class ProjectionResidualError(BaroflowError, ValueError):
+    """A field cannot be represented in the truncated eigenbasis to tolerance."""
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    """Eigenpair of Lambda sigma = div(rho grad sigma) restricted to the
+    azimuthal mode n: radial profile zeta with zeta(1)=0, eigenvalue lam > 0,
+    normalized to unit L^2 norm with weight r dr."""
+
+    n: int
+    k: int
+    lam: float
+    r: np.ndarray
+    zeta: np.ndarray
+
+
+def sturm_liouville_modes(background: DiscBackground, n: int, k_max: int,
+                          n_nodes: int = 400) -> list[EigenPair]:
+    """The eigenpairs of disc.sturm_liouville_eigs' problem, each radial
+    profile on the nodes r = j/n_nodes, j = 1..n_nodes, with unit L^2 norm in
+    the weight r dr and its largest entry positive.  The same matrix and
+    check, and the same bisection for the values, so the two agree bit for
+    bit."""
+    diag, off = _sturm_liouville_matrix(background, n, k_max, n_nodes)
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                               select_range=(0, k_max - 1))
+    h = 1.0 / n_nodes
+    r = _radial_nodes(n_nodes)
+    pairs = []
+    for k in range(k_max):
+        zt = vecs[:, k] / np.sqrt(r[:-1])  # undo the similarity scaling
+        zeta = np.concatenate([zt, [0.0]])
+        norm = np.sqrt(np.sum(zeta**2 * r) * h)
+        zeta = zeta / norm
+        if zeta[np.argmax(np.abs(zeta))] < 0:
+            zeta = -zeta
+        pairs.append(EigenPair(n, k + 1, float(vals[k]), r, zeta))
+    return pairs
+
+
+@dataclass(frozen=True)
+class ModeCoefficients:
+    """Amplitudes of (sigma, F, G) for one (k, n) mode in the rotating frame
+    e^{in(theta - omega t)}."""
+
+    sigma: complex
+    F: complex
+    G: complex
+
+
+def mode_matrix(lam: float, n: int, omega: float, c: float) -> np.ndarray:
+    """d/dt (sigma, F, G) = M (sigma, F, G) for sigma' + F = 0,
+    F' + 2 omega G - c^2 lam sigma = 0, G' - 2 omega F - i n omega^2 sigma = 0.
+
+    The sign of the i n omega^2 coupling follows from taking the curl of the
+    momentum equation with the orientation G = -curl(rho v); the tests verify
+    it against a direct method-of-lines integration of the primitive
+    linearized equations (direct_mode_integration below)."""
+    return np.array([
+        [0.0, -1.0, 0.0],
+        [c**2 * lam, 0.0, -2 * omega],
+        [1j * n * omega**2, 2 * omega, 0.0],
+    ], dtype=complex)
+
+
+@dataclass(frozen=True)
+class ModeSystem:
+    lam: float
+    n: int
+    omega: float
+    c: float
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """Oscillation frequencies iy of the mode matrix; these are the
+        negatives of the characteristic cubic roots (the cubic is stated for
+        the reflected mode -n)."""
+        return np.sort(-characteristic_roots(self.lam, self.n, self.omega, self.c))
+
+    @cached_property
+    def _eig(self):
+        M = mode_matrix(self.lam, self.n, self.omega, self.c)
+        vals, vecs = np.linalg.eig(M)
+        ys = np.sort(np.imag(vals))
+        if np.max(np.abs(ys - self.frequencies)) > 1e-8 * max(1.0, np.max(np.abs(ys))):
+            raise InstabilityFlagError("matrix spectrum disagrees with the cubic")
+        if np.linalg.cond(vecs) > 1e8:
+            raise DomainError("mode system is numerically defective")
+        return vals, vecs, np.linalg.inv(vecs)
+
+    def evolve(self, coeffs0: ModeCoefficients, t: float) -> ModeCoefficients:
+        vals, vecs, inv = self._eig
+        y0 = np.array([coeffs0.sigma, coeffs0.F, coeffs0.G], dtype=complex)
+        yt = vecs @ (np.exp(vals * t) * (inv @ y0))
+        return ModeCoefficients(yt[0], yt[1], yt[2])
+
+
+@dataclass(frozen=True)
+class ModeEntry:
+    n: int
+    k: int
+    lam: float
+    frequencies: np.ndarray
+    coeffs: ModeCoefficients
+    has_zero_frequency: bool
+
+
+@dataclass(frozen=True)
+class Classification:
+    bounded: bool
+    criterion_value: float
+    projection_residual: float
+    modes: list[ModeEntry]
+
+
+def _project_profiles(background: DiscBackground, profiles: np.ndarray, n: int,
+                      k_max: int, n_nodes: int):
+    """Coefficients (one row per profile) of radial profiles in the (weight r)
+    orthonormal eigenbasis of one eigensolve, plus each one's unexplained L^2
+    remainder over interior nodes (the basis enforces the boundary at r=1)."""
+    pairs = sturm_liouville_modes(background, n, k_max, n_nodes)
+    h = 1.0 / n_nodes
+    r = _radial_nodes(n_nodes)
+    zeta = np.array([p.zeta for p in pairs])
+    coeffs = np.sum(profiles[:, None] * zeta * r, axis=-1) * h
+    resid = np.sqrt(np.sum((np.abs(profiles - coeffs @ zeta) ** 2 * r)[:, :-1], axis=-1) * h)
+    return pairs, coeffs, resid
+
+
+def synthesize_and_classify(v0: VectorField, background: DiscBackground,
+                            k_max: int = 12, n_max: int = 16) -> Classification:
+    """Project rho v0 = grad f + sgrad g onto the eigenbasis via F = div(rho v0)
+    and G = -curl(rho v0) (the sgrad orientation used here satisfies
+    curl(sgrad g) = -Delta g), evolve each mode exactly, and classify; a
+    relative remainder above RESIDUAL_TOL is a ProjectionResidualError.
+
+    The displacement is bounded iff the azimuthal average of curl(rho v0)
+    vanishes at every radius: a zero frequency occurs only at n = 0, and the
+    n = 0 rotational component rides it."""
+    g = v0.grid
+    if not isinstance(g, DiscGrid):
+        raise GridMismatchError("disc classification needs a disc field")
+    n_nodes = g.n_r
+    rho = background.rho(g.r)[:, None]
+    P = VectorField(g, rho * v0.values)
+    F0 = grids.div(P).values
+    G0 = -grids.curl(P).values
+    FG_hat = np.fft.fft(np.stack([F0, G0]), axis=-1) / g.n_theta
+    F_hat, G_hat = FG_hat
+
+    # boundedness criterion: n=0 azimuthal average of curl(rho v0)
+    crit = float(np.max(np.abs(G_hat[:, 0])))
+    scale = float(np.max(np.abs(G0))) + float(np.max(np.abs(F0))) + 1e-300
+    bounded = crit < 1e-10 * max(scale, 1.0)
+
+    total_sq = float(np.sum((np.abs(F_hat) ** 2 + np.abs(G_hat) ** 2)
+                            * g.r[:, None]) / n_nodes)
+    resid_sq = 0.0
+    modes = []
+    for n in range(-n_max, n_max + 1):
+        profiles = FG_hat[:, :, n % g.n_theta]
+        if np.max(np.abs(profiles[0])) + np.max(np.abs(profiles[1])) < 1e-14 * max(scale, 1.0):
+            continue
+        pairs, (fc, gc), (fres, gres) = _project_profiles(background, profiles, n, k_max, n_nodes)
+        resid_sq += fres**2
+        if n != 0:
+            # the n=0 rotational profile rides the zero frequency and is
+            # handled in closed form by the curl criterion, not the basis
+            resid_sq += gres**2
+        for pair, fck, gck in zip(pairs, fc, gc):
+            if abs(fck) + abs(gck) < 1e-12 * max(scale, 1.0):
+                continue
+            sys = ModeSystem(pair.lam, n, background.omega, background.c)
+            ys = sys.frequencies
+            has_zero = bool(np.any(np.abs(ys) < 1e-12))
+            modes.append(ModeEntry(n, pair.k, pair.lam, ys,
+                                   ModeCoefficients(0.0, fck, gck), has_zero))
+    residual = float(np.sqrt(resid_sq / (total_sq + 1e-300)))
+    if total_sq > 0 and residual > RESIDUAL_TOL:
+        raise ProjectionResidualError(
+            f"initial data leaves relative residual {residual:.3e} outside the "
+            f"truncated eigenbasis (boundary-incompatible or under-resolved)")
+    return Classification(bounded, crit, residual, modes)
+
+
+# ---------------------------------------------------------------------------
 # Rotating disc: mode evolution and a direct radial integration
 
 
@@ -582,23 +886,6 @@ def displacement_amplitude(system: ModeSystem, coeffs0: ModeCoefficients,
         else:
             total += amp * (np.exp(val * t) - 1.0) / val
     return abs(total)
-
-
-def disc_theta(grid: DiscGrid) -> np.ndarray:
-    """The uniform angles of a disc grid."""
-    return 2.0 * np.pi * np.arange(grid.n_theta) / grid.n_theta
-
-
-def disc_mesh(grid: DiscGrid):
-    """The (r, theta) node arrays of a disc grid, each shaped like the grid."""
-    return np.meshgrid(grid.r, disc_theta(grid), indexing="ij")
-
-
-def disc_state(background: DiscBackground, grid: DiscGrid) -> FluidState:
-    """The rotating background on `grid`, with q = rho."""
-    rho = ScalarField(grid, np.broadcast_to(background.rho(grid.r)[:, None], grid.shape).copy())
-    u = VectorField(grid, np.stack([np.zeros(grid.shape), np.full(grid.shape, background.omega)]))
-    return FluidState(u, rho, ScalarField(grid, rho.values.copy()))
 
 
 def radial_poisson_gradient_mode(background: DiscBackground, pair: EigenPair):

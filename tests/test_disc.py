@@ -3,20 +3,21 @@ import pytest
 import scipy.linalg
 
 from baroflow import disc
-from baroflow.errors import (
-    DomainError,
-    GridMismatchError,
-    InstabilityFlagError,
-    ProjectionResidualError,
-    VacuumError,
-)
-from baroflow.grids import DiscGrid, TorusGrid, VectorField
+from baroflow.errors import DomainError, GridMismatchError, InstabilityFlagError, VacuumError
+from baroflow.grids import TorusGrid, VectorField
 from oracles import (
+    DiscGrid,
+    ModeCoefficients,
+    ModeSystem,
+    ProjectionResidualError,
     direct_mode_integration,
     disc_theta,
     displacement_amplitude,
     evolve_rk4,
+    mode_matrix,
     radial_poisson_gradient_mode,
+    sturm_liouville_modes,
+    synthesize_and_classify,
 )
 
 BG = disc.DiscBackground(omega=1.0, c=1.0, rho0=1.0)
@@ -59,7 +60,7 @@ class TestSturmLiouville:
             assert abs(lam2 - lam1) / lam1 < 1e-4
 
     def test_normalization_and_boundary(self):
-        pairs = disc.sturm_liouville_modes(BG, 1, 3, n_nodes=200)
+        pairs = sturm_liouville_modes(BG, 1, 3, n_nodes=200)
         h = 1.0 / 200
         for p in pairs:
             assert p.zeta[-1] == 0.0
@@ -67,7 +68,7 @@ class TestSturmLiouville:
 
     def test_k_max_is_bounded_by_the_interior_nodes(self):
         # n_nodes = 16 leaves 15 interior nodes, so 15 eigenpairs at most
-        assert [p.k for p in disc.sturm_liouville_modes(BG, 1, 15, n_nodes=16)] == \
+        assert [p.k for p in sturm_liouville_modes(BG, 1, 15, n_nodes=16)] == \
             list(range(1, 16))
         for k_max in (16, 0, -1):
             with pytest.raises(DomainError, match="15 interior nodes"):
@@ -79,7 +80,7 @@ class TestSturmLiouville:
         # rejected before the eigensolver runs
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", None)
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", None)
-        for solve in (disc.sturm_liouville_eigs, disc.sturm_liouville_modes):
+        for solve in (disc.sturm_liouville_eigs, sturm_liouville_modes):
             with pytest.raises(DomainError, match="k_max must be an integer"):
                 solve(BG, 1, 2.5)
 
@@ -88,7 +89,7 @@ class TestSturmLiouville:
                              ids=["k0", "k16of15", "k300of299", "k2.0", "k3.0np", "nodes15"])
     def test_both_solvers_refuse_alike(self, k_max, n_nodes):
         errors = []
-        for solve in (disc.sturm_liouville_eigs, disc.sturm_liouville_modes):
+        for solve in (disc.sturm_liouville_eigs, sturm_liouville_modes):
             with pytest.raises(DomainError) as exc:
                 solve(BG, 1, k_max, n_nodes=n_nodes)
             errors.append(str(exc.value))
@@ -103,7 +104,7 @@ class TestSturmLiouville:
         for n in range(17):
             for k_max in (1, 6, 12):
                 vals = disc.sturm_liouville_eigs(bg, n, k_max, n_nodes)
-                lams = np.array([p.lam for p in disc.sturm_liouville_modes(bg, n, k_max,
+                lams = np.array([p.lam for p in sturm_liouville_modes(bg, n, k_max,
                                                                            n_nodes)])
                 assert vals.dtype == lams.dtype and vals.tobytes() == lams.tobytes()
 
@@ -204,13 +205,13 @@ class TestRayleighBounds:
 
 class TestModeEvolution:
     def test_zero_stays_zero(self):
-        out = disc.ModeSystem(5.0, 1, 1.0, 1.0).evolve(disc.ModeCoefficients(0, 0, 0), 10.0)
+        out = ModeSystem(5.0, 1, 1.0, 1.0).evolve(ModeCoefficients(0, 0, 0), 10.0)
         assert abs(out.sigma) + abs(out.F) + abs(out.G) == 0.0
 
     def test_eig_vs_rk4(self):
         lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=200)[0]
-        sys = disc.ModeSystem(lam, 1, 1.0, 1.0)
-        c0 = disc.ModeCoefficients(0.3, -0.2 + 0.1j, 0.7)
+        sys = ModeSystem(lam, 1, 1.0, 1.0)
+        c0 = ModeCoefficients(0.3, -0.2 + 0.1j, 0.7)
         exact = sys.evolve(c0, 10.0)
         rk = evolve_rk4(sys, c0, 10.0, dt=5e-4)
         gap = max(abs(exact.sigma - rk.sigma), abs(exact.F - rk.F), abs(exact.G - rk.G))
@@ -218,16 +219,16 @@ class TestModeEvolution:
 
     def test_n0_sigma_bounded(self):
         lam = disc.sturm_liouville_eigs(BG, 0, 1, n_nodes=200)[0]
-        sys = disc.ModeSystem(lam, 0, 1.0, 1.0)
-        c0 = disc.ModeCoefficients(1.0, 0.0, 0.0)
+        sys = ModeSystem(lam, 0, 1.0, 1.0)
+        c0 = ModeCoefficients(1.0, 0.0, 0.0)
         sigmas = [abs(sys.evolve(c0, t).sigma) for t in np.linspace(0, 50, 200)]
         assert max(sigmas) < 10.0
 
     def test_no_secular_growth_nonzero_n(self):
         for n in (1, 3):
             lam = disc.sturm_liouville_eigs(BG, n, 1, n_nodes=200)[0]
-            sys = disc.ModeSystem(lam, n, 1.0, 1.0)
-            c0 = disc.ModeCoefficients(0.0, 1.0, 0.5j)
+            sys = ModeSystem(lam, n, 1.0, 1.0)
+            c0 = ModeCoefficients(0.0, 1.0, 0.5j)
             e0 = None
             for t in np.linspace(0.0, 100.0, 101):
                 out = sys.evolve(c0, t)
@@ -238,25 +239,25 @@ class TestModeEvolution:
 
     def test_displacement_bounded_iff_no_zero_frequency(self):
         lam = disc.sturm_liouville_eigs(BG, 1, 1, n_nodes=200)[0]
-        sys = disc.ModeSystem(lam, 1, 1.0, 1.0)
-        c0 = disc.ModeCoefficients(0.0, 1.0, 0.0)
+        sys = ModeSystem(lam, 1, 1.0, 1.0)
+        c0 = ModeCoefficients(0.0, 1.0, 0.0)
         amp_early = displacement_amplitude(sys, c0, 50.0)
         amp_late = displacement_amplitude(sys, c0, 500.0)
         assert amp_late < 10 * max(amp_early, 1e-3)
 
         lam0 = disc.sturm_liouville_eigs(BG, 0, 1, n_nodes=200)[0]
-        sys0 = disc.ModeSystem(lam0, 0, 1.0, 1.0)
+        sys0 = ModeSystem(lam0, 0, 1.0, 1.0)
         # put weight on the zero-frequency eigenvector
-        vals, vecs = np.linalg.eig(disc.mode_matrix(lam0, 0, 1.0, 1.0))
+        vals, vecs = np.linalg.eig(mode_matrix(lam0, 0, 1.0, 1.0))
         vec0 = vecs[:, np.argmin(np.abs(vals))]
-        czero = disc.ModeCoefficients(*vec0)
+        czero = ModeCoefficients(*vec0)
         a1 = displacement_amplitude(sys0, czero, 100.0)
         a2 = displacement_amplitude(sys0, czero, 200.0)
         assert a2 == pytest.approx(2 * a1, rel=1e-6)
 
 
 def gradient_mode_field(bg, grid, n, k):
-    pairs = disc.sturm_liouville_modes(bg, n, k, n_nodes=grid.n_r)
+    pairs = sturm_liouville_modes(bg, n, k, n_nodes=grid.n_r)
     pair = pairs[-1]
     f, a, b = radial_poisson_gradient_mode(bg, pair)
     rho = bg.rho(grid.r)
@@ -270,7 +271,7 @@ class TestSynthesizeAndClassify:
     def test_pure_gradient_bounded(self):
         grid = DiscGrid(200, 16)
         v0, pair = gradient_mode_field(BG, grid, 2, 1)
-        cls = disc.synthesize_and_classify(v0, BG, k_max=8, n_max=4)
+        cls = synthesize_and_classify(v0, BG, k_max=8, n_max=4)
         assert cls.bounded
         assert cls.projection_residual < 1e-6
         assert cls.modes
@@ -284,13 +285,13 @@ class TestSynthesizeAndClassify:
         # rho v0 = sgrad(1 - r^2) = 2 d/dtheta
         v0 = VectorField(grid, np.stack([np.zeros(grid.shape),
                                          2.0 / rho * np.ones(grid.shape)]))
-        cls = disc.synthesize_and_classify(v0, BG, k_max=8, n_max=2)
+        cls = synthesize_and_classify(v0, BG, k_max=8, n_max=2)
         assert not cls.bounded
         assert cls.criterion_value > 1.0
         zero_modes = [m for m in cls.modes if m.has_zero_frequency]
         assert zero_modes and all(m.n == 0 for m in zero_modes)
         m = zero_modes[0]
-        sys = disc.ModeSystem(m.lam, m.n, BG.omega, BG.c)
+        sys = ModeSystem(m.lam, m.n, BG.omega, BG.c)
         a1 = displacement_amplitude(sys, m.coeffs, 100.0)
         a2 = displacement_amplitude(sys, m.coeffs, 200.0)
         assert a2 > 1.5 * a1
@@ -304,14 +305,14 @@ class TestSynthesizeAndClassify:
         P = grad(ScalarField(grid, fvals))
         v0 = VectorField(grid, P.values / rho)
         with pytest.raises(ProjectionResidualError):
-            disc.synthesize_and_classify(v0, BG, k_max=8, n_max=4)
+            synthesize_and_classify(v0, BG, k_max=8, n_max=4)
 
     def test_off_disc_field_is_a_grid_mismatch(self):
         # the grid operators refuse a field on the wrong grid the same way
         g = TorusGrid(16, 16)
         v0 = VectorField(g, np.stack([np.sin(g.mesh[1]), np.zeros(g.shape)]))
         with pytest.raises(GridMismatchError, match="disc field"):
-            disc.synthesize_and_classify(v0, BG, k_max=8, n_max=4)
+            synthesize_and_classify(v0, BG, k_max=8, n_max=4)
 
     def test_reconstruction_vs_direct_integration(self):
         grid = DiscGrid(200, 16)
@@ -323,8 +324,8 @@ class TestSynthesizeAndClassify:
         sig, _, _ = direct_mode_integration(
             BG, n, np.zeros(len(pair.r), dtype=complex), a / rho, b / rho,
             t_end, dt=1e-3)
-        sys = disc.ModeSystem(pair.lam, n, BG.omega, BG.c)
-        coeff = sys.evolve(disc.ModeCoefficients(0.0, 1.0, 0.0), t_end)
+        sys = ModeSystem(pair.lam, n, BG.omega, BG.c)
+        coeff = sys.evolve(ModeCoefficients(0.0, 1.0, 0.0), t_end)
         recon = coeff.sigma * np.exp(-1j * n * BG.omega * t_end) * pair.zeta
         num = np.sqrt(np.sum(np.abs(sig - recon) ** 2 * pair.r))
         den = np.sqrt(np.sum(np.abs(recon) ** 2 * pair.r)) + 1e-300

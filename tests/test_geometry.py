@@ -10,13 +10,13 @@ from baroflow.errors import DomainError
 from baroflow.geometry import TangentVector, curvature_sign_scan_1d, sectional_curvature
 from baroflow.grids import (
     CircleGrid,
-    DiscGrid,
     ScalarField,
     TorusGrid,
     VectorField,
 )
 from baroflow.pressure import polytropic
 from oracles import (
+    DiscGrid,
     LambdaModel,
     NormalizationError,
     christoffel,

@@ -8,7 +8,6 @@ from baroflow import grids
 from baroflow.errors import BaroflowError, DomainError, GridMismatchError
 from baroflow.grids import (
     CircleGrid,
-    DiscGrid,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -25,6 +24,7 @@ from baroflow.grids import (
     integrate,
 )
 from oracles import (
+    DiscGrid,
     disc_mesh,
     interp,
     interp_deriv,
