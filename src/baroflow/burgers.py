@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, ShockError
+from .errors import DomainError, GridMismatchError, ShockError, _check_scalar
 from .geodesic import FluidState
 from .grids import (
     CircleGrid,
@@ -157,7 +157,8 @@ class CharacteristicFlow:
 def _trace_back(u0: ScalarField, rho0: ScalarField, t: float):
     """The feet chi_+, chi_- at time 0 of the characteristics through the
     grid nodes at time t, each with its Riemann invariant's value there:
-    (grid, (chi_+, alpha_+), (chi_-, alpha_-))."""
+    (grid, (chi_+, alpha_+), (chi_-, alpha_-)), for t >= 0 only."""
+    _check_scalar("t", t, 0, closed=True)
     inv = riemann_invariants(u0, rho0)
     x = inv.grid.x
     return inv.grid, _flow(inv.alpha_plus)._invert(t, x), _flow(inv.alpha_minus)._invert(t, x)
@@ -192,6 +193,6 @@ def exact_jacobi(u0: ScalarField, rho0: ScalarField, v0: ScalarField,
 def conjugate_times(n: int, m_max: int) -> list[float]:
     """Conjugate times 2 pi m / n along the constant geodesic for the mode
     v0 = cos(nx)."""
-    if n < 1 or m_max < 1:
-        raise DomainError("n and m_max must be positive integers")
+    _check_scalar("n", n, 1, integer=True)
+    _check_scalar("m_max", m_max, 1, integer=True)
     return [2 * np.pi * m / n for m in range(1, m_max + 1)]

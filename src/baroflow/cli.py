@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, burgers, disc, geodesic, geometry, jacobi, torus
-from .errors import BaroflowError
+from .errors import BaroflowError, DomainError, _check_scalar
 from .grids import CircleGrid, ScalarField, TorusGrid, VectorField, grad, inner, integrate
 from .pressure import polytropic
 
@@ -101,31 +101,24 @@ class ExperimentConfig:
             raise TypeError(f"ExperimentConfig has no parameters {sorted(values)}")
 
     def validate(self) -> None:
-        for key, param in PARAMS.items():
-            value, name = getattr(self, key), key.replace("_", "-")
-            if param.parse is float and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-            if param.parse is float and param.low is not None and value <= param.low:
-                raise ValidationError(f"{name} must exceed {param.low}, got {value}")
-            if param.parse is integer and param.low is not None and value < param.low:
-                raise ValidationError(f"{name} must be at least {param.low}, got {value}")
-            if param.high is not None and value > param.high:
-                raise ValidationError(f"{name} must be at most {param.high}, got {value}")
-        if self.n_grid % 2:
-            raise ValidationError(f"n-grid must be even, got {self.n_grid}")
-        if self.k_max > self.n_nodes - 1:
-            raise ValidationError(f"k-max must not exceed n-nodes - 1 = {self.n_nodes - 1}, "
-                                  f"got {self.k_max}")
         if self.kind not in ("gradient", "divfree", "mixed"):
             raise ValidationError(f"kind must be gradient, divfree, or mixed, got {self.kind!r}")
-        # v0 = cos(n x) must lie below the Nyquist mode, which has no
-        # derivative; a conjugate time needs n >= 1
-        nyquist = self.n_grid // 2
-        if self.experiment in ("conjugate", "jacobi"):
-            low = 1 if self.experiment == "conjugate" else 1 - nyquist
-            if not low <= self.n_mode < nyquist:
-                raise ValidationError(f"n-mode must be from {low} to {nyquist - 1}, below the "
-                                      f"Nyquist mode n-grid / 2 = {nyquist}, got {self.n_mode}")
+        try:
+            for key, param in PARAMS.items():  # not `is integer`: a tracer may wrap it
+                if param.parse is not str:
+                    _check_scalar(key.replace("_", "-"), getattr(self, key), param.low,
+                                  param.high, integer=param.parse is not float)
+            if self.n_grid % 2:
+                raise ValidationError(f"n-grid must be even, got {self.n_grid}")
+            _check_scalar("k-max", self.k_max, 1, self.n_nodes - 1, integer=True)
+            # v0 = cos(n x) must lie below the Nyquist mode n-grid / 2, which
+            # has no derivative; a conjugate time needs n >= 1
+            nyquist = self.n_grid // 2
+            if self.experiment in ("conjugate", "jacobi"):
+                low = 1 if self.experiment == "conjugate" else 1 - nyquist
+                _check_scalar("n-mode", self.n_mode, low, nyquist - 1, integer=True)
+        except DomainError as exc:
+            raise ValidationError(str(exc)) from None
 
     def params(self) -> dict:
         """The parameters this experiment reads, by name."""

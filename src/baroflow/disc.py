@@ -8,13 +8,12 @@ the tests (tests/oracles.py), which no experiment runs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from .errors import DomainError, InstabilityFlagError, VacuumError
+from .errors import DomainError, InstabilityFlagError, VacuumError, _check_scalar
 
 BESSEL_MAX_ORDER = 64  # the largest order that bessel_first_root takes
 RAYLEIGH_TOL = 1e-9  # how far lam_1n may fall below its Rayleigh bound by rounding
@@ -30,9 +29,9 @@ class DiscBackground:
     rho0: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError("sound speed must be positive")
-        if self.rho0 <= self.omega**2 / (2 * self.c**2):
+        _check_scalar("omega", self.omega)
+        _check_scalar("c", self.c, 0)
+        if _check_scalar("rho0", self.rho0) <= self.omega**2 / (2 * self.c**2):
             raise VacuumError(
                 f"rho0={self.rho0} must exceed omega^2/(2c^2)="
                 f"{self.omega**2 / (2 * self.c**2)}")
@@ -53,15 +52,12 @@ class DiscBackground:
 def _sturm_liouville_matrix(background: DiscBackground, n: int, k_max: int,
                             n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric tridiagonal (diagonal, off-diagonal) whose k_max smallest
-    eigenvalues the solvers take, after checking n_nodes and k_max."""
-    if n_nodes < 16:
-        raise DomainError("radial resolution too coarse")
+    eigenvalues the solvers take, after checking n, n_nodes and k_max."""
+    _check_scalar("n", n, integer=True)
+    _check_scalar("n_nodes", n_nodes, 16, integer=True)
+    _check_scalar("k_max", k_max, 1, n_nodes - 1, integer=True)
     h = 1.0 / n_nodes
     ri = np.arange(1, n_nodes) / n_nodes  # interior nodes, Dirichlet at r=1
-    m = len(ri)
-    if not (isinstance(k_max, numbers.Integral) and 1 <= k_max <= m):
-        raise DomainError(f"k_max must be an integer between 1 and the {m} interior nodes, "
-                          f"got {k_max}")
     r_half_lo = ri - h / 2
     r_half_hi = ri + h / 2
     flux_lo = r_half_lo * background.rho(r_half_lo) / h**2
@@ -100,6 +96,10 @@ def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
 
 
 def characteristic_cubic_pq(lam: float, n: int, omega: float, c: float):
+    _check_scalar("lam", lam, 0)
+    _check_scalar("n", n, integer=True)
+    _check_scalar("omega", omega)
+    _check_scalar("c", c, 0)
     p = (c**2 * lam + 4 * omega**2) / 3.0
     q = n * omega**3
     return p, q
@@ -109,8 +109,6 @@ def characteristic_roots(lam: float, n: int, omega: float, c: float) -> np.ndarr
     """Real roots of y^3 - 3 p y - 2 q = 0 with p = (c^2 lam + 4 omega^2)/3,
     q = n omega^3, by the trigonometric method; the discriminant condition
     q^2 < p^3 (three distinct real roots) is asserted."""
-    if lam <= 0:
-        raise DomainError("eigenvalue must be positive")
     p, q = characteristic_cubic_pq(lam, n, omega, c)
     if p <= 0 or q**2 >= p**3:
         raise InstabilityFlagError(
@@ -130,8 +128,7 @@ def bessel_first_root(n: int) -> float:
     """First positive zero of the order-n Bessel function of the first kind
     (scipy.special.jn_zeros, after Zhang & Jin, Computation of Special
     Functions, 1996), for n in [0, BESSEL_MAX_ORDER]."""
-    if not 0 <= n <= BESSEL_MAX_ORDER:
-        raise DomainError(f"order must be in [0, {BESSEL_MAX_ORDER}], got {n}")
+    _check_scalar("order", n, 0, BESSEL_MAX_ORDER, integer=True)
     return float(scipy.special.jn_zeros(n, 1)[0])
 
 
@@ -176,9 +173,9 @@ def rayleigh_bound_check(background: DiscBackground, lam1) -> BoundReport:
         down = c**2 * lam - om**2 * (3 * n ** (2 / 3) - 4)
         arith = n**2 + 7 > 6 * n ** (2 / 3)
         rows.append(BoundRow(n, lam, bound, margin, down, arith))
-        if margin < -RAYLEIGH_TOL:
+        if not margin >= -RAYLEIGH_TOL:  # a NaN margin falsifies too
             bad.append(f"n={n}: lam1={lam:.6g} below Rayleigh bound {bound:.6g}")
-        if down <= 0:
+        if not down > 0:
             bad.append(f"n={n}: c^2 lam1 fails the downstream inequality")
         if not arith:
             bad.append(f"n={n}: arithmetic inequality n^2+7 > 6n^(2/3) fails")

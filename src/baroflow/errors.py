@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one scalar parameter check."""
+
+import math
+import numbers
 
 
 class BaroflowError(Exception):
@@ -37,3 +40,18 @@ class VacuumError(BaroflowError, ValueError):
 class InstabilityFlagError(BaroflowError, RuntimeError):
     """A spectral quantity violates the boundedness criterion it was supposed to satisfy."""
 
+
+def _check_scalar(name, value, low=None, high=None, integer=False, closed=False):
+    """value, if it is a real number (a numbers.Integral when `integer`), not a
+    bool, finite (tested on floats only: an int is finite however large) and in
+    (low, high], or in [low, high] for an integer or when `closed`; else a DomainError."""
+    closed = closed or integer
+    lo, hi = -math.inf if low is None else low, math.inf if high is None else high
+    if (not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or isinstance(value, bool)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+            or not ((lo <= value if closed else lo < value) and value <= hi)):
+        what = "an integer" if integer else "a finite real number"
+        raise DomainError(f"{name} must be {what} in {'[' if closed and low is not None else '('}"
+                          f"{lo}, {hi}{')' if high is None else ']'}, got {value!r}")
+    return value

@@ -10,14 +10,13 @@ evaluating the trigonometric interpolant of u at the particle positions.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import pressure
-from .errors import BaroflowError, DomainError, ShockError, StepSizeError
+from .errors import BaroflowError, DomainError, ShockError, StepSizeError, _check_scalar
 from .grids import (
     CircleGrid,
     ScalarField,
@@ -109,8 +108,7 @@ class Trajectory:
     jstates: list[JacobiState | None] = field(default_factory=list)
 
     def append(self, t, state, flowmap, jstate=None):
-        if self.times and t <= self.times[-1]:
-            raise ValueError("trajectory times must be strictly increasing")
+        _check_scalar("t", t, self.times[-1] if self.times else None)  # strictly increasing
         self.times.append(t)
         self.states.append(state)
         self.flowmaps.append(flowmap)
@@ -334,11 +332,9 @@ def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float):
     y to t_end, the last one shortened to land on t_end exactly, yielding
     (t, y) after each step.  It builds no fields; the caller reads the rows.
     dt is checked first, so a one-step call (t_end = dt) names a bad dt."""
-    if not 0 < dt < math.inf:
-        raise DomainError(f"dt must be finite and positive, got dt={dt}")
-    if not (0 <= t_end < math.inf and t_end / dt < math.inf):
-        raise DomainError(f"t_end must be finite and nonnegative, with t_end / dt finite, "
-                          f"got t_end={t_end}, dt={dt}")
+    _check_scalar("dt", dt, 0)
+    if not _check_scalar("t_end", t_end, 0, closed=True) / dt < math.inf:
+        raise DomainError(f"t_end={t_end} and dt={dt} must keep t_end / dt finite")
     t = 0.0
     for k in range(1, int(np.ceil(t_end / dt - 1e-12)) + 1):
         h = min(dt, t_end - t)
@@ -360,8 +356,7 @@ def _integrate(state0: FluidState, model: PressureModel, t_end: float, dt: float
     packed once and carried from step to step; fields are built for stored
     samples only.  The Jacobi state, if given, is stepped along, and circle
     runs carry a flow map from the identity."""
-    if not (isinstance(store_every, numbers.Integral) and store_every >= 1):
-        raise DomainError(f"store_every must be a positive integer, got {store_every}")
+    _check_scalar("store_every", store_every, 1, integer=True)
     flowmap = _default_flowmap(state0)
     g = state0.grid
     rho0 = None if flowmap is None else flowmap.rho0

@@ -4,13 +4,12 @@ arrays, and the seeded curvature sign scan on the circle."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grids
-from .errors import DomainError
+from .errors import DomainError, _check_scalar
 from .grids import ScalarField, VectorField, check_same_grid
 from .pressure import PressureModel
 
@@ -130,10 +129,8 @@ def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
     through sectional_curvature's quadrature in blocks of SCAN_BLOCK_POINTS
     grid points, so memory is O(block) whatever the number of trials, and
     every trial gets the bits it would get alone."""
-    if not (isinstance(trials, numbers.Integral) and isinstance(seed, numbers.Integral)
-            and trials >= 1 and seed >= 0):
-        raise DomainError(f"the scan needs integers trials >= 1 and seed >= 0, "
-                          f"got trials={trials}, seed={seed}")
+    _check_scalar("trials", trials, 1, integer=True)
+    _check_scalar("seed", seed, 0, integer=True)
     grid = grids.CircleGrid(n)
     modes = len(grids._band_modes(n))
     block = max(1, SCAN_BLOCK_POINTS // n)

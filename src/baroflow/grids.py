@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pfu
 
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError, GridMismatchError, _check_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,8 @@ class CircleGrid(PeriodicGrid):
     n: int
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2:
-            raise DomainError(f"circle grid needs n >= 8 and even, got {self.n}")
+        if _check_scalar("n", self.n, 8, integer=True) % 2:
+            raise DomainError(f"circle grid needs an even n, got {self.n}")
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -179,9 +179,9 @@ class TorusGrid(PeriodicGrid):
     ny: int
 
     def __post_init__(self):
-        for n in (self.nx, self.ny):
-            if n < 8 or n % 2:
-                raise DomainError(f"torus grid needs counts >= 8 and even, got {n}")
+        for name, n in (("nx", self.nx), ("ny", self.ny)):
+            if _check_scalar(name, n, 8, integer=True) % 2:
+                raise DomainError(f"torus grid needs even counts, got {name}={n}")
 
     @cached_property
     def x(self) -> np.ndarray:

@@ -75,8 +75,9 @@ class GrowthReport:
 def growth_report(times, jstates, v0: VectorField) -> GrowthReport:
     """max_t ||j(t)||_inf / (t ||v0||_inf) and a linear-fit slope of
     ||j(t)||_inf."""
-    if not jstates:
-        raise DomainError("empty Jacobi series")
+    if not jstates or len(times) != len(jstates):
+        raise DomainError(f"growth_report needs one time per Jacobi state, and at least one, "
+                          f"got {len(times)} times and {len(jstates)} states")
     vmax = float(np.max(np.abs(v0.values)))
     jmax = np.array([float(np.max(np.abs(js.j.values))) for js in jstates])
     t = np.asarray(times, dtype=float)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_scalar
 
 RHO_MIN = 1e-6
 RHO_MAX = 1e6
@@ -38,10 +38,8 @@ class PressureModel:
     C: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise DomainError("polytropic A must be positive")
-        if self.gamma <= 1:
-            raise DomainError("polytropic gamma must exceed 1 (phi degenerates otherwise)")
+        _check_scalar("A", self.A, 0)
+        _check_scalar("gamma", self.gamma, 1)  # phi degenerates at gamma = 1
         object.__setattr__(self, "C", (self.gamma - 1.0) / (2.0 * self.A))
 
     def lam(self, rho):

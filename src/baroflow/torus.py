@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import grids
-from .errors import DomainError
+from .errors import _check_scalar
 from .grids import TorusGrid, VectorField, _irfft2, hodge_decompose, integrate
 
 BOUNDED_TOL = 1e-10  # the divergence-free part's L^2 norm below which v0 is a gradient
@@ -28,6 +28,10 @@ class TorusModeSolution:
     z: VectorField
     omega: float
     c: float
+
+    def __post_init__(self):
+        _check_scalar("omega", self.omega)
+        _check_scalar("c", self.c, 0)
 
     @cached_property
     def _half_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -53,6 +57,7 @@ class TorusModeSolution:
         """j(t) = sum_k (a_k sin(c|k|t)/(c|k|)) grad phi_k(x, y - omega t)
         + t z(x, y - omega t), by one half-spectrum inverse transform, with
         one sine per kx row 0..nx/2, mirrored onto rows nx/2 + 1..nx - 1."""
+        _check_scalar("t", t)
         grad_hat, z_hat, ck, ky = self._half_spectra
         sines = np.sin(ck * t)
         spec = np.concatenate([sines, sines[-2:0:-1]]) * grad_hat
@@ -67,10 +72,8 @@ class TorusModeSolution:
         return float(total) / (self.c * n_total)
 
 def synthesize(v0: VectorField, omega: float, c: float) -> TorusModeSolution:
-    if c <= 0:
-        raise DomainError("sound speed must be positive")
     f, z = hodge_decompose(v0)
-    return TorusModeSolution(v0.grid, np.fft.fft2(f.values), z, float(omega), float(c))
+    return TorusModeSolution(v0.grid, np.fft.fft2(f.values), z, omega, c)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from baroflow.grids import (
     div,
     grad,
     integrate,
-    inner,
 )
 from baroflow.pressure import polytropic
 from oracles import (

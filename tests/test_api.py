@@ -128,6 +128,14 @@ def test_only_the_pressure_law_names_the_working_range():
     assert naming == {"pressure.py"}
 
 
+def test_only_the_scalar_check_names_the_number_classes():
+    # whether a parameter is a real or an integer is one decision, made in
+    # errors._check_scalar
+    naming = {p.name for p in SRC.glob("*.py")
+              if re.search(r"\bnumbers\.(Integral|Real)\b", p.read_text())}
+    assert naming == {"errors.py"}
+
+
 def test_allowed_names_are_defined_and_unused():
     # an allowed name that gains a caller, or goes, leaves the list
     public, members, referrers, attributes = _definitions()

@@ -1,6 +1,8 @@
+import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -589,8 +591,23 @@ def test_integer_bounds_are_inclusive(key):
     bound = cli.PARAMS[key].high
     cli.ExperimentConfig("geodesic", **{key: bound}).validate()
     # bound + 2 keeps n-grid even, so only its bound can reject it
-    with pytest.raises(cli.ValidationError, match=f"{key.replace('_', '-')} must be at most"):
+    name, low = key.replace("_", "-"), cli.PARAMS[key].low
+    with pytest.raises(cli.ValidationError, match=re.escape(
+            f"{name} must be an integer in [{low}, {bound}], got {bound + 2}")):
         cli.ExperimentConfig("geodesic", **{key: bound + 2}).validate()
+
+
+def test_validation_holds_with_the_integer_parser_wrapped(tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer rebinds cli.integer to a wrapper: every integer
+    # bound still holds (n-grid 4 is below 8), and seed 0 is still in range
+    original = cli.integer
+    monkeypatch.setattr(cli, "integer", functools.wraps(original)(lambda text: original(text)))
+    assert run(["geodesic", "--n-grid", "4"], tmp_path, monkeypatch) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation",
+                   "message": "n-grid must be an integer in [8, 2048], got 4"}
+    assert run(["curvature-scan", "--seed", "0", "--trials", "2", "--n-grid", "16"],
+               tmp_path, monkeypatch) == 0
 
 
 def test_readme_commands_validate(monkeypatch):

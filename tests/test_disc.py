@@ -71,7 +71,7 @@ class TestSturmLiouville:
         assert [p.k for p in sturm_liouville_modes(BG, 1, 15, n_nodes=16)] == \
             list(range(1, 16))
         for k_max in (16, 0, -1):
-            with pytest.raises(DomainError, match="15 interior nodes"):
+            with pytest.raises(DomainError, match=r"^k_max must be an integer in \[1, 15\], got "):
                 disc.sturm_liouville_eigs(BG, 1, k_max, n_nodes=16)
         with pytest.raises(DomainError):
             disc.sturm_liouville_eigs(BG, 0, 500, n_nodes=16)
@@ -201,6 +201,18 @@ class TestRayleighBounds:
     def test_rejects_a_lam1_that_is_no_spectrum(self, lam1):
         with pytest.raises(DomainError, match="lam1"):
             disc.rayleigh_bound_check(BG, lam1)
+
+    def test_a_nan_background_is_refused(self):
+        # its margins would all be NaN, which no comparison flags
+        with pytest.raises(DomainError, match="^omega must be a finite real number"):
+            disc.rayleigh_bound_check(disc.DiscBackground(np.nan, 1.0, 1.0), [1.0, 2.0])
+
+    def test_a_nan_margin_is_a_falsification(self, monkeypatch):
+        monkeypatch.setattr(disc, "bessel_first_root", lambda n: np.nan)
+        rep = disc.rayleigh_bound_check(BG, [10.0, 20.0])
+        assert not rep.all_hold
+        assert [f.split(":")[0] for f in rep.falsifications] == ["n=0", "n=1"]
+        assert all("below Rayleigh bound nan" in f for f in rep.falsifications)
 
 
 class TestModeEvolution:

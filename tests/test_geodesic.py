@@ -73,7 +73,7 @@ class TestTrajectory:
         traj.append(0.0, state, None)
         traj.append(0.1, state, None)
         for t in (0.1, 0.05):
-            with pytest.raises(ValueError, match="strictly increasing"):
+            with pytest.raises(DomainError, match=r"^t must be a finite real number in \(0.1, "):
                 traj.append(t, state, None)
         assert traj.times == [0.0, 0.1]
 
@@ -567,13 +567,23 @@ class TestDensityChecks:
 
 BAD_DT = [0.0, -0.01, np.nan, np.inf]
 
+# each rule's refusal, in the wording of errors._check_scalar
+REFUSALS = {
+    "dt must be finite and positive": r"^dt must be a finite real number in \(0, inf\), got ",
+    "t_end must be finite and nonnegative":
+        r"^t_end must be a finite real number in \[0, inf\), got ",
+    "t_end / dt finite": r"must keep t_end / dt finite$",
+    "store_every must be a positive integer":
+        r"^store_every must be an integer in \[1, inf\), got ",
+}
+
 
 class TestRunInputs:
     """The integrators and the one-step calls reject a bad run length, step
     or storage stride."""
 
     @pytest.mark.parametrize("linearized", [False, True])
-    @pytest.mark.parametrize("t_end, dt, store_every, match", [
+    @pytest.mark.parametrize("t_end, dt, store_every, rule", [
         *((0.1, dt, 1, "dt must be finite and positive") for dt in BAD_DT),
         (1.0, 5e-324, 1, "t_end / dt finite"),
         (np.nan, 0.01, 1, "t_end must be finite and nonnegative"),
@@ -583,9 +593,9 @@ class TestRunInputs:
         (0.1, 0.01, -3, "store_every must be a positive integer"),
         (0.1, 0.01, 2.5, "store_every must be a positive integer"),
     ])
-    def test_rejects_bad_input(self, linearized, t_end, dt, store_every, match):
+    def test_rejects_bad_input(self, linearized, t_end, dt, store_every, rule):
         state, model, v0 = run_case("circle")
-        with pytest.raises(DomainError, match=match):
+        with pytest.raises(DomainError, match=REFUSALS[rule]):
             run(linearized, state, model, t_end, dt, store_every, v0)
 
     @pytest.mark.parametrize("linearized", [False, True])
@@ -593,7 +603,7 @@ class TestRunInputs:
     def test_one_step_rejects_bad_dt(self, linearized, dt):
         state, model, v0 = run_case("circle")
         fm = geodesic.identity_flowmap(state.rho)
-        with pytest.raises(DomainError, match="dt must be finite and positive"):
+        with pytest.raises(DomainError, match=REFUSALS["dt must be finite and positive"]):
             if linearized:
                 jacobi.linearized_step(jacobi.initial_jacobi(v0), state, fm, model, dt)
             else:

@@ -343,6 +343,11 @@ class TestRawArrayCurvature:
             assert np.array_equal(q_operator(a, b).values, q_formula(a, b))
 
 
+# the scan's refusal of its first bad count, in the wording of errors._check_scalar
+SCAN_REFUSAL = (r"^(trials must be an integer in \[1, inf\)"
+                r"|seed must be an integer in \[0, inf\)), got ")
+
+
 class TestCurvatureScan:
     def test_gamma2_nonnegative(self):
         rep = curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=200, seed=7)
@@ -359,14 +364,14 @@ class TestCurvatureScan:
 
     @pytest.mark.parametrize("trials, seed", [(0, 7), (-1, 7), (5, -1)])
     def test_rejects_bad_trials_and_seed(self, trials, seed):
-        with pytest.raises(DomainError, match="trials >= 1 and seed >= 0"):
+        with pytest.raises(DomainError, match=SCAN_REFUSAL):
             curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=trials, seed=seed)
 
     @pytest.mark.parametrize("trials, seed", [(2.5, 7), (2, 2.5), (2.0, 7)])
     def test_rejects_non_integer_trials_and_seed(self, trials, seed, monkeypatch):
         # rejected before the generator is built
         monkeypatch.setattr(np.random, "Philox", None)
-        with pytest.raises(DomainError, match="integers trials >= 1 and seed >= 0"):
+        with pytest.raises(DomainError, match=SCAN_REFUSAL):
             curvature_sign_scan_1d(polytropic(1.0, 2.0), trials, seed)
 
 
