@@ -110,6 +110,8 @@ class ExperimentConfig:
                                   param.high, integer=param.parse is not float)
             if self.n_grid % 2:
                 raise ValidationError(f"n-grid must be even, got {self.n_grid}")
+            if self.experiment in ("geodesic", "jacobi"):  # a step count beyond the floats
+                _check_scalar("t-end / dt", self.t_end / self.dt, 0)
             _check_scalar("k-max", self.k_max, 1, self.n_nodes - 1, integer=True)
             # v0 = cos(n x) must lie below the Nyquist mode n-grid / 2, which
             # has no derivative; a conjugate time needs n >= 1
@@ -148,31 +150,43 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
-                  summary: dict, t0: tuple[float, float]) -> tuple[str, str]:
+def _failure(exc: BaroflowError, experiment: str) -> dict:
+    """A numerical failure's exit-1 JSON, which a failed manifest keeps too."""
+    return {"error": type(exc).__name__, "message": str(exc), "experiment": experiment,
+            "t": exc.t, "step": exc.step, "guard": exc.guard}
+
+
+def write_outputs(cfg: ExperimentConfig, run, t0: tuple[float, float]) -> tuple[str, str]:
+    """The one writer: the rows of the experiment's generator `run` (header
+    first, summary returned) go to <experiment>.csv as they come, then the
+    manifest.  What ends a run before its header opens no file; a BaroflowError
+    after it keeps the rows, writes a failed manifest and is raised again."""
+    header = next(run)
     out_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{cfg.experiment}.csv")
+    failure = None
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    # JSON has no NaN or infinity: a summary value that does not exist (no
-    # conjugate time detected, no shock) is written as null
-    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-               for k, v in summary.items()}
+        try:
+            while True:
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in next(run)])
+        except StopIteration as done:
+            # JSON has no NaN or infinity: a summary value that does not exist
+            # (no conjugate time detected, no shock) is written as null
+            outcome = {"status": "ok", "summary": {
+                k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in done.value.items()}}
+        except BaroflowError as exc:
+            failure, outcome = exc, {"status": "failed", "error": _failure(exc, cfg.experiment)}
     manifest = {
         "experiment": cfg.experiment,
         "parameters": cfg.params(),
         "rng": "Philox (counter-based; key=seed, counter=trial index)",
-        "versions": {
-            "baroflow": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-            "scipy": scipy.__version__,
-        },
-        "summary": summary,
+        "versions": {"baroflow": __version__, "numpy": np.__version__,
+                     "python": sys.version.split()[0], "scipy": scipy.__version__},
+        **outcome,
         "cpu_time_s": time.process_time() - t0[1],
         "wall_time_s": time.perf_counter() - t0[0],
     }
@@ -180,11 +194,14 @@ def write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list],
     with open(json_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+    if failure is not None:
+        raise failure
     return csv_path, json_path
 
 
 # ---------------------------------------------------------------------------
-# Experiments
+# Experiments.  Each runner is a generator: its usage checks and inputs, then
+# its CSV header, then each row as soon as it exists; it returns its summary.
 
 
 def _sine_background(cfg: ExperimentConfig):
@@ -206,48 +223,45 @@ def _check_dt(cfg: ExperimentConfig, state, model) -> None:
 
 def run_geodesic(cfg: ExperimentConfig):
     state, g, model, store = _sine_background(cfg)
-    traj = geodesic.integrate_geodesic(state, model, cfg.t_end, cfg.dt,
-                                       store_every=store)
-    rows = []
-    for t, st, fm, en in zip(traj.times, traj.states, traj.flowmaps, traj.energies):
-        rows.append([t, en, float(np.min(st.rho.values)),
-                     float(np.max(np.abs(st.u.values))),
-                     float(np.min(np.asarray(fm.jacobian())))])
-    summary = {"energy_drift": traj.energy_drift(),
-               "final_time": traj.times[-1]}
-    return ["t", "energy", "min_rho", "max_speed", "min_jacobian"], rows, summary
+    yield ["t", "energy", "min_rho", "max_speed", "min_jacobian"]
+    energies = []
+    for t, st, fm, _ in geodesic._samples(state, model, cfg.t_end, cfg.dt, store):
+        energies.append(geodesic.energy(st, model))
+        yield [t, energies[-1], float(np.min(st.rho.values)),
+               float(np.max(np.abs(st.u.values))),
+               float(np.min(np.asarray(fm.jacobian())))]
+    return {"energy_drift": geodesic.energy_drift(energies), "final_time": t}
 
 
 def run_jacobi(cfg: ExperimentConfig):
     state, g, model, store = _sine_background(cfg)
     v0 = VectorField(g, np.cos(cfg.n_mode * g.x)[None])
-    traj = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
-                                       cfg.t_end, cfg.dt, store_every=store)
-    rep = jacobi.growth_report(traj.times, traj.jstates, v0)
-    rows = []
-    for t, js, st in zip(traj.times, traj.jstates, traj.states):
-        sup = float(np.max(np.abs(js.j.values)))
-        l2 = float(np.sqrt(integrate(inner(js.j, js.j))))
-        rows.append([t, sup, l2, jacobi.constraint_residual(js, st)])
-    summary = {"max_growth_ratio": rep.max_ratio, "growth_rate": rep.growth_rate}
-    return ["t", "sup_j", "l2_j", "constraint_residual"], rows, summary
+    yield ["t", "sup_j", "l2_j", "constraint_residual"]
+    times, jstates = [], []
+    for t, st, _, js in geodesic._samples(state, model, cfg.t_end, cfg.dt, store,
+                                          jacobi.initial_jacobi(v0)):
+        times.append(t)
+        jstates.append(js)
+        yield [t, float(np.max(np.abs(js.j.values))),
+               float(np.sqrt(integrate(inner(js.j, js.j)))),
+               jacobi.constraint_residual(js, st)]
+    rep = jacobi.growth_report(times, jstates, v0)
+    return {"max_growth_ratio": rep.max_ratio, "growth_rate": rep.growth_rate}
 
 
 def run_burgers_exact(cfg: ExperimentConfig):
     g = CircleGrid(cfg.n_grid)
     u0 = ScalarField(g, cfg.amplitude * np.sin(g.x))
     rho0 = ScalarField(g, np.full(g.n, cfg.rho0))
+    yield ["t", "x", "u", "rho"]
     inv = burgers.riemann_invariants(u0, rho0)
-    tshock = min(burgers.shock_time(inv.alpha_plus),
-                 burgers.shock_time(inv.alpha_minus))
+    tshock = min(burgers.shock_time(inv.alpha_plus), burgers.shock_time(inv.alpha_minus))
     t_end = min(cfg.t_end, 0.95 * tshock)
-    rows = []
     for t in np.linspace(0.0, t_end, cfg.n_samples):
         st = burgers.exact_state(u0, rho0, float(t))
         for x, uv, rv in zip(g.x, st.u.values[0], st.rho.values):
-            rows.append([float(t), float(x), float(uv), float(rv)])
-    summary = {"shock_time": tshock, "sampled_until": t_end}
-    return ["t", "x", "u", "rho"], rows, summary
+            yield [float(t), float(x), float(uv), float(rv)]
+    return {"shock_time": tshock, "sampled_until": t_end}
 
 
 def run_conjugate(cfg: ExperimentConfig):
@@ -257,32 +271,26 @@ def run_conjugate(cfg: ExperimentConfig):
         VectorField(g, np.ones((1, g.n))), ScalarField(g, np.ones(g.n)), model)
     _check_dt(cfg, state, model)
     v0 = VectorField(g, np.cos(cfg.n_mode * g.x)[None])
+    yield ["m", "t_theory", "t_detected", "gap"]
     expect = burgers.conjugate_times(cfg.n_mode, cfg.m_max)
-    t_max = expect[-1] + 0.5
-    zeros = jacobi.detect_conjugate_times(state, v0, model, t_max=t_max, dt=cfg.dt)
-    rows = []
+    zeros = jacobi.detect_conjugate_times(state, v0, model, t_max=expect[-1] + 0.5, dt=cfg.dt)
     gaps = []
     for m, t_theory in enumerate(expect, 1):
         detected = min(zeros, key=lambda z: abs(z - t_theory)) if zeros else float("nan")
-        gap = abs(detected - t_theory)
-        gaps.append(gap)
-        rows.append([m, t_theory, detected, gap])
-    summary = {"max_gap": max(gaps), "n_detected": len(zeros)}
-    return ["m", "t_theory", "t_detected", "gap"], rows, summary
+        gaps.append(abs(detected - t_theory))
+        yield [m, t_theory, detected, gaps[-1]]
+    return {"max_gap": max(gaps), "n_detected": len(zeros)}
 
 
 def run_curvature_scan(cfg: ExperimentConfig):
     model = polytropic(cfg.a_coeff, cfg.gamma)
-    report = geometry.curvature_sign_scan_1d(model, cfg.trials, cfg.seed,
-                                             n=cfg.n_grid)
-    rows = [[tr.index, tr.total, tr.term_div, tr.term_Q, tr.term_grad]
-            for tr in report.trials]
-    summary = {"min_total": report.min_total,
-               "argmin": report.argmin,
-               "n_negative": int(sum(tr.total < 0 for tr in report.trials)),
-               "coef_min": report.coef_min,
-               "gamma": cfg.gamma}
-    return ["trial", "total", "term_div", "term_Q", "term_grad"], rows, summary
+    yield ["trial", "total", "term_div", "term_Q", "term_grad"]
+    report = geometry.curvature_sign_scan_1d(model, cfg.trials, cfg.seed, n=cfg.n_grid)
+    for tr in report.trials:
+        yield [tr.index, tr.total, tr.term_div, tr.term_Q, tr.term_grad]
+    return {"min_total": report.min_total, "argmin": report.argmin,
+            "n_negative": int(sum(tr.total < 0 for tr in report.trials)),
+            "coef_min": report.coef_min, "gamma": cfg.gamma}
 
 
 def _torus_perturbation(cfg: ExperimentConfig) -> VectorField:
@@ -298,37 +306,31 @@ def _torus_perturbation(cfg: ExperimentConfig) -> VectorField:
 
 
 def run_torus_modes(cfg: ExperimentConfig):
+    yield ["t", "sup_j"]
     # v0 and its parts go once synthesized: the sample loop holds only the
     # solution and its half-spectrum cache
     sol = torus.synthesize(_torus_perturbation(cfg), cfg.omega, cfg.c)
     rep = torus.classify_boundedness(sol)
-    rows = []
     for t in np.linspace(0.0, cfg.t_end, cfg.n_samples):
         jx, jy = sol.j_at(float(t)).values
-        rows.append([float(t), float(np.sqrt(np.max(jx**2 + jy**2)))])
-    summary = {"bounded": rep.bounded, "w_norm": rep.w_norm,
-               "series_bound": rep.series_bound}
-    return ["t", "sup_j"], rows, summary
+        yield [float(t), float(np.sqrt(np.max(jx**2 + jy**2)))]
+    return {"bounded": rep.bounded, "w_norm": rep.w_norm, "series_bound": rep.series_bound}
 
 
 def run_disc_spectrum(cfg: ExperimentConfig):
     bg = disc.DiscBackground(cfg.omega, cfg.c, cfg.rho0)
-    rows, lam1 = [], []
-    min_margin = float("inf")
+    yield ["n", "k", "lam", "y1", "y2", "y3", "discriminant_margin"]
+    lam1, margins = [], []
     for n in range(0, cfg.n_max + 1):
         lams = disc.sturm_liouville_eigs(bg, n, cfg.k_max, cfg.n_nodes).tolist()
         lam1.append(lams[0])
         for k, lam in enumerate(lams, 1):
             p, q = disc.characteristic_cubic_pq(lam, n, cfg.omega, cfg.c)
-            roots = disc.characteristic_roots(lam, n, cfg.omega, cfg.c)
-            margin = p**3 - q**2
-            min_margin = min(min_margin, margin)
-            rows.append([n, k, lam, roots[0], roots[1], roots[2], margin])
+            margins.append(p**3 - q**2)  # finite: characteristic_cubic_pq checks it
+            yield [n, k, lam, *disc.characteristic_roots(lam, n, cfg.omega, cfg.c), margins[-1]]
     bounds = disc.rayleigh_bound_check(bg, lam1)
-    summary = {"all_bounds_hold": bounds.all_hold,
-               "falsifications": bounds.falsifications,
-               "min_discriminant_margin": min_margin}
-    return ["n", "k", "lam", "y1", "y2", "y3", "discriminant_margin"], rows, summary
+    return {"all_bounds_hold": bounds.all_hold, "falsifications": bounds.falsifications,
+            "min_discriminant_margin": min(margins)}
 
 
 class Experiment(NamedTuple):
@@ -431,15 +433,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter(), time.process_time()
     try:
-        cfg = config_from_args(args)
-        header, rows, summary = EXPERIMENTS[cfg.experiment].run(cfg)
+        # the guards test finiteness: numpy's warnings would only print noise
+        with np.errstate(all="ignore"):
+            cfg = config_from_args(args)
+            csv_path, json_path = write_outputs(cfg, EXPERIMENTS[cfg.experiment].run(cfg), t0)
     except ValidationError as exc:
         return _report_error({"error": "validation", "message": str(exc)}, 2)
     except BaroflowError as exc:
-        return _report_error({"error": type(exc).__name__, "message": str(exc),
-                              "experiment": args.experiment, "t": exc.t,
-                              "step": exc.step, "guard": exc.guard}, 1)
-    csv_path, json_path = write_outputs(cfg, header, rows, summary, t0)
+        return _report_error(_failure(exc, args.experiment), 1)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

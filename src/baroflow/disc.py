@@ -31,10 +31,13 @@ class DiscBackground:
     def __post_init__(self):
         _check_scalar("omega", self.omega)
         _check_scalar("c", self.c, 0)
-        if _check_scalar("rho0", self.rho0) <= self.omega**2 / (2 * self.c**2):
-            raise VacuumError(
-                f"rho0={self.rho0} must exceed omega^2/(2c^2)="
-                f"{self.omega**2 / (2 * self.c**2)}")
+        try:
+            b = self.b
+        except ArithmeticError:  # omega^2 overflows, or 2c^2 underflows to 0
+            raise DomainError(f"omega^2/(2c^2) leaves the floats at omega={self.omega}, "
+                              f"c={self.c}") from None
+        if _check_scalar("rho0", self.rho0) <= b:
+            raise VacuumError(f"rho0={self.rho0} must exceed omega^2/(2c^2)={b}")
 
     @property
     def a(self) -> float:
@@ -52,7 +55,8 @@ class DiscBackground:
 def _sturm_liouville_matrix(background: DiscBackground, n: int, k_max: int,
                             n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric tridiagonal (diagonal, off-diagonal) whose k_max smallest
-    eigenvalues the solvers take, after checking n, n_nodes and k_max."""
+    eigenvalues the solvers take, after checking n, n_nodes and k_max and that
+    each entry squared (as LAPACK's bisection squares them) is finite."""
     _check_scalar("n", n, integer=True)
     _check_scalar("n_nodes", n_nodes, 16, integer=True)
     _check_scalar("k_max", k_max, 1, n_nodes - 1, integer=True)
@@ -67,7 +71,10 @@ def _sturm_liouville_matrix(background: DiscBackground, n: int, k_max: int,
         diag[0] -= flux_lo[0]  # zero flux through the origin
     off = -flux_hi[:-1]
     # similarity by diag(sqrt(r)) symmetrizes the weight
-    return diag / ri, off / np.sqrt(ri[:-1] * ri[1:])
+    diag, off = diag / ri, off / np.sqrt(ri[:-1] * ri[1:])
+    if not max(np.abs(diag).max(), np.abs(off).max()) <= np.sqrt(np.finfo(float).max):
+        raise DomainError(f"{background} at n={n}: a matrix entry squared overflows")
+    return diag, off
 
 
 def sturm_liouville_eigs(background: DiscBackground, n: int, k_max: int,
@@ -100,9 +107,13 @@ def characteristic_cubic_pq(lam: float, n: int, omega: float, c: float):
     _check_scalar("n", n, integer=True)
     _check_scalar("omega", omega)
     _check_scalar("c", c, 0)
-    p = (c**2 * lam + 4 * omega**2) / 3.0
-    q = n * omega**3
-    return p, q
+    try:
+        p, q = (c**2 * lam + 4 * omega**2) / 3.0, n * omega**3
+        if np.isfinite(p**3 - q**2):  # the discriminant that the roots test
+            return p, q
+    except OverflowError:
+        pass
+    raise DomainError(f"p^3 - q^2 overflows at lam={lam}, n={n}, omega={omega}, c={c}")
 
 
 def characteristic_roots(lam: float, n: int, omega: float, c: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 class BaroflowError(Exception):
@@ -43,13 +44,13 @@ class InstabilityFlagError(BaroflowError, RuntimeError):
 
 def _check_scalar(name, value, low=None, high=None, integer=False, closed=False):
     """value, if it is a real number (a numbers.Integral when `integer`), not a
-    bool, finite (tested on floats only: an int is finite however large) and in
-    (low, high], or in [low, high] for an integer or when `closed`; else a DomainError."""
+    bool, finite as a float unless `integer`, and in (low, high], or in [low,
+    high] for an integer or when `closed`; else a DomainError."""
     closed = closed or integer
     lo, hi = -math.inf if low is None else low, math.inf if high is None else high
     if (not isinstance(value, numbers.Integral if integer else numbers.Real)
             or isinstance(value, bool)
-            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+            or not (integer or abs(value) <= sys.float_info.max)
             or not ((lo <= value if closed else lo < value) and value <= hi)):
         what = "an integer" if integer else "a finite real number"
         raise DomainError(f"{name} must be {what} in {'[' if closed and low is not None else '('}"

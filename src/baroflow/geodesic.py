@@ -97,11 +97,9 @@ def identity_flowmap(rho0: ScalarField) -> FlowMap:
 
 @dataclass
 class Trajectory:
-    """The stored samples of one run: times, background states, flow maps
-    (None off the circle) and, for a linearized run, Jacobi states (None for
-    a geodesic run).  Energies are computed from the states and the model."""
+    """The samples of one run (see _samples): times, states, flow maps (None
+    off the circle) and Jacobi states (None for a geodesic run)."""
 
-    model: PressureModel
     times: list[float] = field(default_factory=list)
     states: list[FluidState] = field(default_factory=list)
     flowmaps: list[FlowMap | None] = field(default_factory=list)
@@ -113,16 +111,6 @@ class Trajectory:
         self.states.append(state)
         self.flowmaps.append(flowmap)
         self.jstates.append(jstate)
-
-    @property
-    def energies(self) -> list[float]:
-        return [energy(s, self.model) for s in self.states]
-
-    def energy_drift(self) -> float:
-        e = np.asarray(self.energies)
-        if e[0] == 0:
-            return float(np.max(np.abs(e)))
-        return float(np.max(np.abs(e - e[0]) / abs(e[0])))
 
 
 def barotropic_initializer(u0: VectorField, rho0: ScalarField, model: PressureModel) -> FluidState:
@@ -136,6 +124,12 @@ def energy(state: FluidState, model: PressureModel) -> float:
     lam = model.lam(state.rho.values)
     dens = state.q.values**2 / lam + state.rho.values * g.inner(state.u.values, state.u.values)
     return 0.5 * g.integrate(dens)
+
+
+def energy_drift(energies) -> float:
+    """max |E - E0| / |E0| over a run's energies, E0 the first (max |E| if E0 = 0)."""
+    e = np.asarray(energies)
+    return float(np.max(np.abs(e - e[0]) / (abs(e[0]) or 1.0)))
 
 
 def _cfl_bound(grid, u: np.ndarray, sound_speed: np.ndarray) -> float:
@@ -349,30 +343,20 @@ def _steps(y: np.ndarray, grid, model: PressureModel, t_end: float, dt: float):
         yield t, y
 
 
-def _integrate(state0: FluidState, model: PressureModel, t_end: float, dt: float,
-               store_every: int, jstate0: JacobiState | None = None) -> Trajectory:
-    """The run loop of every integrator: the steps of _steps, storing the
-    start, every store_every-th step and the last.  The stacked state is
-    packed once and carried from step to step; fields are built for stored
-    samples only.  The Jacobi state, if given, is stepped along, and circle
-    runs carry a flow map from the identity."""
+def _samples(state0: FluidState, model: PressureModel, t_end: float, dt: float,
+             store_every: int, jstate0: JacobiState | None = None):
+    """The run loop: (t, state, flow map, Jacobi state) at the start, after
+    every store_every-th step of _steps and after the last, with fields built
+    for these samples only.  The Jacobi state, if given, is stepped along;
+    circle runs carry a flow map from the identity."""
     _check_scalar("store_every", store_every, 1, integer=True)
     flowmap = _default_flowmap(state0)
     g = state0.grid
     rho0 = None if flowmap is None else flowmap.rho0
-    traj = Trajectory(model)
-    traj.append(0.0, state0, flowmap, jstate0)
+    yield 0.0, state0, flowmap, jstate0
     k = 0
     for k, (t, y) in enumerate(_steps(_pack(state0, flowmap, jstate0), g, model, t_end, dt), 1):
         if k % store_every == 0:
-            traj.append(t, *_unpack(y, g, rho0))
+            yield (t, *_unpack(y, g, rho0))
     if k % store_every:
-        traj.append(t, *_unpack(y, g, rho0))
-    return traj
-
-
-def integrate_geodesic(state0: FluidState, model: PressureModel, t_end: float,
-                       dt: float, store_every: int = 1) -> Trajectory:
-    """Integrate to t_end with fixed steps (last step shortened to land on
-    t_end exactly).  The flow map is carried on circle grids."""
-    return _integrate(state0, model, t_end, dt, store_every)
+        yield (t, *_unpack(y, g, rho0))

@@ -18,9 +18,9 @@ from .geodesic import (
     Trajectory,
     _advance,
     _default_flowmap,
-    _integrate,
     _pack,
     _parts,
+    _samples,
     _steps,
 )
 from .grids import ScalarField, VectorField, _minimize_bounded, check_same_grid
@@ -49,10 +49,13 @@ def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | N
 def integrate_linearized(state0: FluidState, jstate0: JacobiState,
                          model: PressureModel, t_end: float, dt: float,
                          store_every: int = 1) -> Trajectory:
-    """integrate_geodesic with the Jacobi field carried along: the same steps,
-    stored samples and flow map."""
+    """The samples of geodesic._samples (the start, every store_every-th step
+    and the last) with the Jacobi field carried along, as a Trajectory."""
     check_same_grid(jstate0.sigma, state0.rho)
-    return _integrate(state0, model, t_end, dt, store_every, jstate0)
+    traj = Trajectory()
+    for sample in _samples(state0, model, t_end, dt, store_every, jstate0):
+        traj.append(*sample)
+    return traj
 
 
 def constraint_residual(jstate: JacobiState, state: FluidState) -> float:

@@ -30,7 +30,13 @@ from baroflow.errors import (
     ShockError,
 )
 from baroflow.geometry import ScanReport, ScanTrial, TangentVector, sectional_curvature
-from baroflow.geodesic import FlowMap, FluidState, barotropic_initializer, integrate_geodesic
+from baroflow.geodesic import (
+    FlowMap,
+    FluidState,
+    Trajectory,
+    _samples,
+    barotropic_initializer,
+)
 from baroflow.grids import (
     CircleGrid,
     ScalarField,
@@ -361,6 +367,17 @@ def steady_euler_residual(state: FluidState, model: PressureModel) -> tuple[floa
         # compare coordinate components in the physical frame
         mom = mom * np.stack([np.ones_like(g.r), g.r])[:, :, None]
     return float(np.max(np.abs(mom))), float(np.max(np.abs(cont)))
+
+
+def integrate_geodesic(state0: FluidState, model: PressureModel, t_end: float,
+                       dt: float, store_every: int = 1) -> Trajectory:
+    """The stored samples of a geodesic run to t_end with fixed steps (the last
+    shortened to land on t_end exactly): the run loop that the geodesic
+    experiment streams, collected, with the flow map carried on circle grids."""
+    traj = Trajectory()
+    for sample in _samples(state0, model, t_end, dt, store_every):
+        traj.append(*sample)
+    return traj
 
 
 def compatibility_residual(flowmap: FlowMap, rho: ScalarField) -> float:

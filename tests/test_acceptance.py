@@ -18,12 +18,13 @@ from baroflow.grids import (
 )
 from baroflow.pressure import polytropic
 from oracles import (
-    DiscGrid,
-    ModeSystem,
     deviation_oracle,
     disc_theta,
+    DiscGrid,
     displacement_amplitude,
+    integrate_geodesic,
     j_along_flow,
+    ModeSystem,
     q_operator,
     radial_poisson_gradient_mode,
     random_band_limited_vector,
@@ -129,7 +130,7 @@ class TestExactVsNumericGeodesic:
         exact = burgers.exact_state(u0, rho0, t_end)
         gaps = []
         for dt in (0.004, 0.002):
-            traj = geodesic.integrate_geodesic(state0, GAMMA3, t_end, dt,
+            traj = integrate_geodesic(state0, GAMMA3, t_end, dt,
                                                store_every=10**9)
             last = traj.states[-1]
             gaps.append(max(float(np.max(np.abs(last.u.values - exact.u.values))),

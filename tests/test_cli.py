@@ -157,14 +157,38 @@ class TestPlumbing:
         assert err["step"] >= 1 and err["t"] == pytest.approx(0.005 * (err["step"] - 1))
 
     def test_shock_portrait_past_the_shock_says_where(self, tmp_path, monkeypatch, capsys):
-        rc = run(["geodesic", "--config", str(PRESETS / "shock-portrait.conf"),
-                  "--t-end", "2.5"], tmp_path, monkeypatch)
+        portrait = ["geodesic", "--config", str(PRESETS / "shock-portrait.conf")]
+        rc = run(portrait + ["--t-end", "2.5"], tmp_path / "failed", monkeypatch)
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShockError"
         # t is the time the failed step started from: step - 1 steps of dt
         assert (err["guard"], err["step"]) == ("stage_density", 601)
         assert err["t"] == pytest.approx(0.004 * 600)
+        # the run keeps the samples it stored before the shock, and its
+        # manifest says why it stopped
+        kept, manifest = read_outputs(tmp_path / "failed", "geodesic")
+        assert manifest["status"] == "failed" and manifest["error"] == err
+        assert "summary" not in manifest
+        # a run that ends where this one failed takes the same 600 full steps
+        # and stores every 12th, as ceil(t_end / dt) // n_samples is 12 for
+        # both: its CSV is the kept one, t = 0 to 2.40 in 51 rows
+        assert run(portrait + ["--t-end", repr(err["t"])], tmp_path / "whole",
+                   monkeypatch) == 0
+        whole = read_outputs(tmp_path / "whole", "geodesic")[0]
+        assert kept == whole and len(kept.splitlines()) == 52
+
+    def test_failure_after_the_header_keeps_a_header_only_csv(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the scan fails before its first row: the files still say what ran
+        rc = run(["curvature-scan", "--a-coeff", "1e-300", "--trials", "2", "--n-grid", "16"],
+                 tmp_path, monkeypatch)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        kept, manifest = read_outputs(tmp_path, "curvature-scan")
+        assert kept == b"trial,total,term_div,term_Q,term_grad\r\n"
+        assert manifest["status"] == "failed" and manifest["error"] == err
+        assert manifest["parameters"]["a_coeff"] == 1e-300
 
     def test_failure_outside_the_step_loop_has_null_location(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -173,6 +197,29 @@ class TestPlumbing:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "VacuumError"
         assert (err["t"], err["step"], err["guard"]) == (None, None, None)
+        # the background is the run's input: a failure before the header,
+        # like a usage error, writes nothing
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, code", [
+        (["disc-spectrum", "--omega", "1e200"], 1),
+        (["disc-spectrum", "--c", "1e-200"], 1),
+        (["disc-spectrum", "--omega", "1e100", "--rho0", "1e300"], 1),
+        (["geodesic", "--t-end", "1e300", "--dt", "1e-300"], 2),
+        (["jacobi", "--t-end", "1e300", "--dt", "1e-300"], 2),
+        (["curvature-scan", "--a-coeff", "1e-300"], 1),
+    ], ids=["omega_1e200", "c_1e-200", "disc_matrix", "geodesic_steps", "jacobi_steps",
+            "curvature_overflow"])
+    def test_finite_input_beyond_the_floats_prints_one_json_line(self, argv, code, tmp_path):
+        # a fresh process: its whole stderr is the JSON, no traceback and no
+        # numpy warning before it
+        out = subprocess.run([sys.executable, "-m", "baroflow.cli", *argv,
+                              "--output-dir", str(tmp_path)],
+                             capture_output=True, text=True, env=SRC_ENV)
+        assert out.returncode == code, out.stderr
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
+        assert json.loads(out.stderr)["error"] in ("validation", "DomainError")
 
     @pytest.mark.parametrize("experiment", ["geodesic", "jacobi", "conjugate"])
     def test_dt_over_cfl_bound_at_start_exits_2(self, experiment, tmp_path, monkeypatch,
@@ -500,6 +547,12 @@ class TestExperiments:
             assert manifest["parameters"][name[2:].replace("-", "_")] == float(value)
 
     @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+    def test_successful_manifest_says_ok(self, argv, tmp_path, monkeypatch):
+        assert run(argv, tmp_path, monkeypatch) == 0
+        manifest = read_outputs(tmp_path, argv[0])[1]
+        assert manifest["status"] == "ok" and "error" not in manifest
+
+    @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
     def test_manifest_records_process_cpu_time(self, argv, tmp_path, monkeypatch):
         assert run(argv, tmp_path, monkeypatch) == 0
         cpu = read_outputs(tmp_path, argv[0])[1]["cpu_time_s"]
@@ -625,9 +678,10 @@ def test_readme_commands_validate(monkeypatch):
 # Property test over CLI inputs.  Every parameter an experiment reads gets a
 # good value, chosen so that each run stays cheap (small grids, few steps and
 # trials), and then up to two entries are drawn from the bad values:
-# fractional integers, nan/inf, odd or tiny grids and garbage.  Keys that the
-# experiment does not read, keys that name no parameter, malformed config
-# lines and a missing config file are drawn too.
+# fractional integers, nan/inf, numbers whose arithmetic leaves the floats,
+# odd or tiny grids and garbage.  Keys that the experiment does not read,
+# keys that name no parameter, malformed config lines and a missing config
+# file are drawn too.
 GOOD = {
     "gamma": ["3", "2", "1.4"], "a_coeff": ["0.5", "0.25"], "omega": ["1", "0.5", "0"],
     "c": ["1", "0.5"], "rho0": ["1", "2"], "n_grid": ["16", "8", "10"],
@@ -637,8 +691,8 @@ GOOD = {
     "seed": ["7", "0"], "kind": ["divfree", "gradient", "mixed"],
 }
 BAD = {
-    "gamma": ["1", "nan", "x"], "a_coeff": ["0", "-inf"], "omega": ["nan"],
-    "c": ["0", "inf"], "rho0": ["0", "-1"],
+    "gamma": ["1", "nan", "x"], "a_coeff": ["0", "-inf", "1e-300"], "omega": ["nan", "1e200"],
+    "c": ["0", "inf", "1e-200"], "rho0": ["0", "-1", "1e200"],
     "n_grid": ["9", "6", "0", "12.5", "inf", "1e400", HUGE],
     "n_nodes": ["15", "24.5", "1e400", HUGE],
     "n_mode": ["0", "-1", "1.5", "1e400", HUGE], "m_max": ["0", "1.5", "1e400", HUGE],

@@ -7,8 +7,8 @@ integer is expected and a value below its bound, and every such call must
 raise a BaroflowError subclass: never a bare numpy, scipy or Python error,
 and never a result.  A completeness check walks the modules and fails on a
 public callable with a scalar parameter that is neither a door nor on the
-UNCHECKED list.  PROBES holds the refusals that a first front-door audit
-found missing, each as its own case.
+UNCHECKED list.  PROBES holds the refusals that front-door audits found
+missing, each as its own case.
 """
 
 import inspect
@@ -21,6 +21,7 @@ import pytest
 import baroflow.cli  # noqa: F401  (the walk covers every module)
 from baroflow import burgers, disc, geodesic, geometry, grids, jacobi, pressure, torus
 from baroflow.errors import BaroflowError, DomainError, VacuumError
+from oracles import integrate_geodesic
 
 MODULES = [sys.modules[f"baroflow.{name}"] for name in (
     "errors", "grids", "pressure", "geodesic", "jacobi", "burgers", "geometry",
@@ -62,7 +63,8 @@ class Door(NamedTuple):
 
 
 def _run(**kw):
-    return geodesic.integrate_geodesic(STATE, MODEL, **kw)
+    # the geodesic run loop that the geodesic experiment streams
+    return integrate_geodesic(STATE, MODEL, **kw)
 
 
 DOORS = {
@@ -72,8 +74,6 @@ DOORS = {
                                    dict(A=0.0, gamma=1.0)),
     "pressure.polytropic": Door(pressure.polytropic, dict(A=1.0, gamma=2.0),
                                 dict(A=0.0, gamma=1.0)),
-    "geodesic.integrate_geodesic": Door(
-        _run, dict(t_end=0.1, dt=0.05, store_every=1), dict(t_end=-0.1, dt=0.0, store_every=0)),
     "geodesic.step_geodesic": Door(
         lambda **kw: geodesic.step_geodesic(STATE, geodesic.identity_flowmap(STATE.rho),
                                             MODEL, **kw),
@@ -228,6 +228,16 @@ PROBES = {
     "exact_state(0.5 sin x, 1, t=-3)": lambda: burgers.exact_state(U0, RHO0, -3.0),
     "growth_report with more times than states":
         lambda: jacobi.growth_report([0.0, 0.1], [jacobi.initial_jacobi(V0)], V0),
+    # finite inputs whose arithmetic leaves the floats
+    "DiscBackground(1e200, 1, 1)": lambda: disc.DiscBackground(1e200, 1.0, 1.0),
+    "DiscBackground(1, 1e-200, 1)": lambda: disc.DiscBackground(1.0, 1e-200, 1.0),
+    "sturm_liouville_eigs on DiscBackground(1e100, 1, 1e300)":
+        lambda: disc.sturm_liouville_eigs(disc.DiscBackground(1e100, 1.0, 1e300), 1, 3),
+    "characteristic_cubic_pq(5, 1, 1e200, 1)":
+        lambda: disc.characteristic_cubic_pq(5.0, 1, 1e200, 1.0),
+    "characteristic_roots(5, 1, 1e60, 1)": lambda: disc.characteristic_roots(5.0, 1, 1e60, 1.0),
+    "integrate_linearized t_end=10**400": lambda: jacobi.integrate_linearized(
+        STATE, jacobi.initial_jacobi(V0), MODEL, t_end=10**400, dt=0.01),
 }
 
 

@@ -7,9 +7,10 @@ from baroflow.errors import BaroflowError, DomainError, ShockError, StepSizeErro
 from baroflow.grids import CircleGrid, ScalarField, TorusGrid, VectorField
 from baroflow.pressure import polytropic
 from oracles import (
-    DiscGrid,
     compatibility_residual,
     disc_state,
+    DiscGrid,
+    integrate_geodesic,
     interp,
     state_f,
     steady_euler_residual,
@@ -62,14 +63,18 @@ class TestEnergy:
 
     def test_conservation_along_trajectory(self):
         state, g = circle_state(n=128)
-        traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.8, dt=0.002)
-        assert traj.energy_drift() < 1e-8
+        traj = integrate_geodesic(state, GAMMA3, t_end=0.8, dt=0.002)
+        assert geodesic.energy_drift([geodesic.energy(s, GAMMA3) for s in traj.states]) < 1e-8
+
+    def test_drift_is_relative_to_the_first_energy(self):
+        assert geodesic.energy_drift([2.0, 2.5, 1.0]) == 0.5
+        assert geodesic.energy_drift([0.0, -1e-3, 2e-4]) == 1e-3  # absolute from E0 = 0
 
 
 class TestTrajectory:
     def test_non_increasing_time_rejected(self):
         state, g = circle_state(n=16)
-        traj = geodesic.Trajectory(GAMMA3)
+        traj = geodesic.Trajectory()
         traj.append(0.0, state, None)
         traj.append(0.1, state, None)
         for t in (0.1, 0.05):
@@ -96,7 +101,7 @@ class TestStepGeodesic:
         u0 = ScalarField(g, np.sin(g.x))
         rho0 = ScalarField(g, np.ones(n))
         state = geodesic.barotropic_initializer(VectorField(g, u0.values[None]), rho0, GAMMA3)
-        traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.5, dt=0.002)
+        traj = integrate_geodesic(state, GAMMA3, t_end=0.5, dt=0.002)
         exact = burgers.exact_state(u0, rho0, 0.5)
         err_u = np.max(np.abs(traj.states[-1].u.values - exact.u.values))
         err_r = np.max(np.abs(traj.states[-1].rho.values - exact.rho.values))
@@ -140,7 +145,7 @@ class TestStepGeodesic:
         with pytest.raises(ShockError, match="working range"):
             geodesic.step_geodesic(state, None, GAMMA3, 0.01)
         with pytest.raises(ShockError, match="working range"):
-            geodesic.integrate_geodesic(state, GAMMA3, t_end=0.05, dt=0.01)
+            integrate_geodesic(state, GAMMA3, t_end=0.05, dt=0.01)
 
     def test_input_density_outside_the_working_range_is_bad_input(self):
         state, g = circle_state(n=32)
@@ -185,7 +190,7 @@ class TestStepGeodesic:
     def test_shock_detection(self):
         state, g = circle_state(n=128)
         with pytest.raises(ShockError):
-            geodesic.integrate_geodesic(state, GAMMA3, t_end=1.3, dt=0.002)
+            integrate_geodesic(state, GAMMA3, t_end=1.3, dt=0.002)
 
     def test_dt_convergence_factor(self):
         n = 128
@@ -196,7 +201,7 @@ class TestStepGeodesic:
         exact = burgers.exact_state(u0, rho0, 0.4)
         for dt in (0.01, 0.005):
             state = geodesic.barotropic_initializer(VectorField(g, u0.values[None]), rho0, GAMMA3)
-            traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.4, dt=dt)
+            traj = integrate_geodesic(state, GAMMA3, t_end=0.4, dt=dt)
             errs.append(np.max(np.abs(traj.states[-1].u.values[0] - exact.u.values[0])))
         assert errs[0] / errs[1] > 8.0
 
@@ -204,7 +209,7 @@ class TestStepGeodesic:
 class TestFlowMapAndTransport:
     def test_density_compatibility(self):
         state, g = circle_state(n=128, amp=0.8)
-        traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.8, dt=0.002,
+        traj = integrate_geodesic(state, GAMMA3, t_end=0.8, dt=0.002,
                                            store_every=40)
         assert len(traj.times) >= 10
         for st, fm in zip(traj.states, traj.flowmaps):
@@ -212,7 +217,7 @@ class TestFlowMapAndTransport:
 
     def test_q_rho_transport(self):
         state, g = circle_state(n=128)
-        traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.7, dt=0.002)
+        traj = integrate_geodesic(state, GAMMA3, t_end=0.7, dt=0.002)
         for st in traj.states:
             assert np.max(np.abs(st.q.values - st.rho.values)) < 1e-8
 
@@ -223,7 +228,7 @@ class TestFlowMapAndTransport:
         rho0 = ScalarField(g, np.ones(n))
         s0 = ScalarField(g, 0.2 * np.cos(g.x))
         state = geodesic.FluidState(u0, rho0, ScalarField(g, rho0.values * np.exp(s0.values)))
-        traj = geodesic.integrate_geodesic(state, GAMMA3, t_end=0.5, dt=0.002,
+        traj = integrate_geodesic(state, GAMMA3, t_end=0.5, dt=0.002,
                                            store_every=50)
         # s = log(q/rho) should be advected: s(t, eta(t,x)) = s0(x)
         for st, fm in zip(traj.states[1:], traj.flowmaps[1:]):
@@ -276,7 +281,7 @@ def run(linearized, state, model, t_end, dt, store_every=1, v0=None):
     if linearized:
         return jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
                                            t_end, dt, store_every)
-    return geodesic.integrate_geodesic(state, model, t_end, dt, store_every)
+    return integrate_geodesic(state, model, t_end, dt, store_every)
 
 
 @pytest.mark.parametrize("grid", [CircleGrid(8), TorusGrid(8, 10)])
@@ -339,7 +344,7 @@ class TestRunLoop:
         if linearized:
             traj = jacobi.integrate_linearized(state, js0, model, 0.09, 0.01, store_every=100)
         else:
-            traj = geodesic.integrate_geodesic(state, model, 0.09, 0.01, store_every=100)
+            traj = integrate_geodesic(state, model, 0.09, 0.01, store_every=100)
         # nine steps, and only the last one stored: (u, rho, q) [+ (v, sigma, j, G)]
         assert len(traj.times) == 2
         assert len(built) == (7 if linearized else 3), built
@@ -611,7 +616,7 @@ class TestRunInputs:
 
     def test_zero_length_run_is_the_start(self):
         state, model, v0 = run_case("circle")
-        traj = geodesic.integrate_geodesic(state, model, 0.0, 0.01)
+        traj = integrate_geodesic(state, model, 0.0, 0.01)
         assert traj.times == [0.0] and traj.states == [state]
 
 
@@ -634,7 +639,7 @@ class TestSteadyShearTorus:
         g = TorusGrid(32, 32)
         m = polytropic(0.5, 2.0)
         st = steady_shear_torus(np.sin(g.x), g, m)
-        traj = geodesic.integrate_geodesic(st, m, t_end=1.0, dt=0.01)
+        traj = integrate_geodesic(st, m, t_end=1.0, dt=0.01)
         drift = np.max(np.abs(traj.states[-1].u.values - st.u.values))
         assert drift < 1e-7
 
@@ -680,7 +685,7 @@ class TestRigidRotationDisc:
         m = polytropic(0.5, 2.0)
         st = disc_state(DiscBackground(0.5, 1.0, 2.0), g)
         v0 = VectorField(g, np.ones((2,) + g.shape))
-        calls = {"geodesic": lambda: geodesic.integrate_geodesic(st, m, t_end=0.1, dt=0.01),
+        calls = {"geodesic": lambda: integrate_geodesic(st, m, t_end=0.1, dt=0.01),
                  "linearized": lambda: jacobi.integrate_linearized(
                      st, jacobi.initial_jacobi(v0), m, t_end=0.1, dt=0.01),
                  "one_step": lambda: geodesic.step_geodesic(st, None, m, 0.01)}

@@ -11,6 +11,7 @@ from oracles import (
     conjugate_G,
     conjugate_j,
     deviation_oracle,
+    integrate_geodesic,
     interp,
     j_along_flow,
     linearization_coefficient,
@@ -320,7 +321,7 @@ class TestSharedRunLoop:
     @pytest.mark.parametrize("case", ["circle_sine", "torus_shear"])
     def test_linearized_run_stores_the_geodesic_run(self, case):
         state, model, v0 = self.background(case)
-        geo = geodesic.integrate_geodesic(state, model, t_end=0.73, dt=0.011, store_every=7)
+        geo = integrate_geodesic(state, model, t_end=0.73, dt=0.011, store_every=7)
         lin = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
                                           t_end=0.73, dt=0.011, store_every=7)
         assert len(geo.times) == 11 and geo.times[-1] == pytest.approx(0.73, abs=1e-14)
@@ -336,10 +337,15 @@ class TestSharedRunLoop:
         assert geo.jstates == [None] * len(geo.times)
 
     def test_linearized_energies_come_from_the_states(self):
+        # the energies of a linearized run are those of its background
+        # states: the geodesic run's, bit for bit
         state, model, v0 = self.background("circle_sine")
-        traj = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
-                                           t_end=0.2, dt=0.01, store_every=5)
-        assert traj.energies == [geodesic.energy(s, model) for s in traj.states]
+        lin = jacobi.integrate_linearized(state, jacobi.initial_jacobi(v0), model,
+                                          t_end=0.2, dt=0.01, store_every=5)
+        geo = integrate_geodesic(state, model, t_end=0.2, dt=0.01, store_every=5)
+        energies = [geodesic.energy(s, model) for s in lin.states]
+        assert len(energies) == 5
+        assert energies == [geodesic.energy(s, model) for s in geo.states]
 
 
 class TestDeviationOracle:
