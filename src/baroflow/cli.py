@@ -88,6 +88,10 @@ PARAMS = {
     "output_dir": Param(str, ".", f"output directory (overridden by ${OUTPUT_DIR_ENV})"),
 }
 
+# Steps per run (run time / dt): a longer run would never finish, so never exit.
+# The largest README or preset run takes 1,985; conjugate --n 1 --m-max 100, 62,882.
+MAX_STEPS = 10**6
+
 
 class ExperimentConfig:
     """Everything an experiment run needs: one attribute per PARAMS entry,
@@ -110,8 +114,6 @@ class ExperimentConfig:
                                   param.high, integer=param.parse is not float)
             if self.n_grid % 2:
                 raise ValidationError(f"n-grid must be even, got {self.n_grid}")
-            if self.experiment in ("geodesic", "jacobi"):  # a step count beyond the floats
-                _check_scalar("t-end / dt", self.t_end / self.dt, 0)
             _check_scalar("k-max", self.k_max, 1, self.n_nodes - 1, integer=True)
             # v0 = cos(n x) must lie below the Nyquist mode n-grid / 2, which
             # has no derivative; a conjugate time needs n >= 1
@@ -119,12 +121,20 @@ class ExperimentConfig:
             if self.experiment in ("conjugate", "jacobi"):
                 low = 1 if self.experiment == "conjugate" else 1 - nyquist
                 _check_scalar("n-mode", self.n_mode, low, nyquist - 1, integer=True)
+            if self.experiment in ("geodesic", "jacobi", "conjugate"):
+                _check_scalar("run time / dt", self.run_time / self.dt, 0, MAX_STEPS)
         except DomainError as exc:
             raise ValidationError(str(exc)) from None
 
     def params(self) -> dict:
         """The parameters this experiment reads, by name."""
         return {k: getattr(self, k) for k in EXPERIMENTS[self.experiment].params}
+
+    @property
+    def run_time(self) -> float:
+        """t-end, or for conjugate 0.5 past the last conjugate time it looks for."""
+        return (burgers.conjugate_times(self.n_mode, self.m_max)[-1] + 0.5
+                if self.experiment == "conjugate" else self.t_end)
 
 
 def parse_config_file(path: str) -> dict:
@@ -273,7 +283,7 @@ def run_conjugate(cfg: ExperimentConfig):
     v0 = VectorField(g, np.cos(cfg.n_mode * g.x)[None])
     yield ["m", "t_theory", "t_detected", "gap"]
     expect = burgers.conjugate_times(cfg.n_mode, cfg.m_max)
-    zeros = jacobi.detect_conjugate_times(state, v0, model, t_max=expect[-1] + 0.5, dt=cfg.dt)
+    zeros = jacobi.detect_conjugate_times(state, v0, model, t_max=cfg.run_time, dt=cfg.dt)
     gaps = []
     for m, t_theory in enumerate(expect, 1):
         detected = min(zeros, key=lambda z: abs(z - t_theory)) if zeros else float("nan")
@@ -285,12 +295,17 @@ def run_conjugate(cfg: ExperimentConfig):
 def run_curvature_scan(cfg: ExperimentConfig):
     model = polytropic(cfg.a_coeff, cfg.gamma)
     yield ["trial", "total", "term_div", "term_Q", "term_grad"]
-    report = geometry.curvature_sign_scan_1d(model, cfg.trials, cfg.seed, n=cfg.n_grid)
-    for tr in report.trials:
-        yield [tr.index, tr.total, tr.term_div, tr.term_Q, tr.term_grad]
-    return {"min_total": report.min_total, "argmin": report.argmin,
-            "n_negative": int(sum(tr.total < 0 for tr in report.trials)),
-            "coef_min": report.coef_min, "gamma": cfg.gamma}
+    least, n_negative, coef_min = (math.inf, 0), 0, math.inf  # least: (total, trial)
+    for start, terms, block_coef_min in geometry.curvature_sign_scan_1d(
+            model, cfg.trials, cfg.seed, n=cfg.n_grid):
+        k = int(np.argmin(terms[:, 3]))
+        least = min(least, (float(terms[k, 3]), start + k))  # a tie keeps the first trial
+        n_negative += int(np.sum(terms[:, 3] < 0))
+        coef_min = min(coef_min, block_coef_min)
+        for i, (term_div, term_Q, term_grad, total) in enumerate(terms.tolist(), start):
+            yield [i, total, term_div, term_Q, term_grad]
+    return {"min_total": least[0], "argmin": least[1], "n_negative": n_negative,
+            "coef_min": coef_min, "gamma": cfg.gamma}
 
 
 def _torus_perturbation(cfg: ExperimentConfig) -> VectorField:

@@ -56,7 +56,8 @@ def _sturm_liouville_matrix(background: DiscBackground, n: int, k_max: int,
                             n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric tridiagonal (diagonal, off-diagonal) whose k_max smallest
     eigenvalues the solvers take, after checking n, n_nodes and k_max and that
-    each entry squared (as LAPACK's bisection squares them) is finite."""
+    the largest entry squared (as LAPACK's bisection squares them) is a
+    normal float: below, the bisection returns a wrong spectrum, silently."""
     _check_scalar("n", n, integer=True)
     _check_scalar("n_nodes", n_nodes, 16, integer=True)
     _check_scalar("k_max", k_max, 1, n_nodes - 1, integer=True)
@@ -72,8 +73,9 @@ def _sturm_liouville_matrix(background: DiscBackground, n: int, k_max: int,
     off = -flux_hi[:-1]
     # similarity by diag(sqrt(r)) symmetrizes the weight
     diag, off = diag / ri, off / np.sqrt(ri[:-1] * ri[1:])
-    if not max(np.abs(diag).max(), np.abs(off).max()) <= np.sqrt(np.finfo(float).max):
-        raise DomainError(f"{background} at n={n}: a matrix entry squared overflows")
+    big = max(np.abs(diag).max(), np.abs(off).max())
+    if not np.sqrt(np.finfo(float).tiny) <= big <= np.sqrt(np.finfo(float).max):
+        raise DomainError(f"{background} at n={n}: max |entry|^2 is not a normal float")
     return diag, off
 
 

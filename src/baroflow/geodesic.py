@@ -10,8 +10,9 @@ evaluating the trigonometric interpolant of u at the particle positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class FlowMap:
 
 @dataclass(frozen=True)
 class JacobiState:
-    """Linearized state: Eulerian perturbation (v, sigma), Lagrangian
-    displacement j, and the function-direction displacement G."""
+    """Linearized state: Eulerian perturbation (v, sigma), Lagrangian displacement
+    j, and the function-direction displacement G, tracked along a flow map only."""
 
     v: VectorField
     sigma: ScalarField
@@ -95,22 +96,14 @@ def identity_flowmap(rho0: ScalarField) -> FlowMap:
     return FlowMap(rho0.grid.x.copy(), rho0)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """The samples of one run (see _samples): times, states, flow maps (None
     off the circle) and Jacobi states (None for a geodesic run)."""
 
-    times: list[float] = field(default_factory=list)
-    states: list[FluidState] = field(default_factory=list)
-    flowmaps: list[FlowMap | None] = field(default_factory=list)
-    jstates: list[JacobiState | None] = field(default_factory=list)
-
-    def append(self, t, state, flowmap, jstate=None):
-        _check_scalar("t", t, self.times[-1] if self.times else None)  # strictly increasing
-        self.times.append(t)
-        self.states.append(state)
-        self.flowmaps.append(flowmap)
-        self.jstates.append(jstate)
+    times: list[float]
+    states: list[FluidState]
+    flowmaps: list[FlowMap | None]
+    jstates: list[JacobiState | None]
 
 
 def barotropic_initializer(u0: VectorField, rho0: ScalarField, model: PressureModel) -> FluidState:

@@ -95,65 +95,45 @@ def sectional_curvature(U: TangentVector, V: TangentVector, rho: ScalarField,
     return CurvatureReport(0.0, term_div, term_Q, term_grad, total, normalized)
 
 
-@dataclass(frozen=True)
-class ScanTrial:
-    index: int
-    seed: int
-    term_R: float
-    term_div: float
-    term_Q: float
-    term_grad: float
-    total: float
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    trials: list[ScanTrial]
-    min_total: float
-    argmin: int
-    coef_min: float  # the curvature coefficient's minimum over the sampled densities
-
-
 # Grid points per block of the curvature scan (32 trials at n = 128): enough
 # trials per numpy call to pay its overhead, few enough to keep memory small.
 SCAN_BLOCK_POINTS = 4096
 
 
-def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int,
-                           n: int = 64) -> ScanReport:
+def curvature_sign_scan_1d(model: PressureModel, trials: int, seed: int, n: int = 64):
     """Evaluate the curvature on seeded random 1D sections; nonnegative for
     polytropic gamma <= 3.  Trial i draws from its own stream
     Philox(key=seed, counter=i) the coefficients of five band-limited fields
     (grids._band_limited_1d), each scaled to sup norm one: u, f, v, g and
-    rho = 1 + 0.5 * the fifth, with U = (u, f) and V = (v, g).  The trials go
-    through sectional_curvature's quadrature in blocks of SCAN_BLOCK_POINTS
-    grid points, so memory is O(block) whatever the number of trials, and
-    every trial gets the bits it would get alone."""
+    rho = 1 + 0.5 * the fifth, with U = (u, f) and V = (v, g).  trials, seed
+    and n are checked on the call, which returns a stream of blocks of
+    SCAN_BLOCK_POINTS grid points, each yielded as soon as it is computed:
+    its first trial index, a (trials, 4) array of term_div, term_Q,
+    term_grad and total from sectional_curvature's quadrature, and its least
+    curvature coefficient.  Memory is O(block) whatever the number of
+    trials, and every trial gets the bits it would get alone."""
     _check_scalar("trials", trials, 1, integer=True)
     _check_scalar("seed", seed, 0, integer=True)
     grid = grids.CircleGrid(n)
-    modes = len(grids._band_modes(n))
-    block = max(1, SCAN_BLOCK_POINTS // n)
-    rows, totals, coef_min = [], np.empty(trials), np.inf
-    # one generator for the scan, rewound to counter i for trial i: the same
-    # draws as a fresh Philox(key=seed, counter=i), without building one
-    bitgen = np.random.Philox(key=seed)
-    rng, state = np.random.Generator(bitgen), bitgen.state
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        ab = np.empty((5, stop - start, modes, 2))
-        for b, i in enumerate(range(start, stop)):
-            state["state"]["counter"][:] = (i, 0, 0, 0)
-            bitgen.state = state
-            ab[:, b] = rng.standard_normal((5, modes, 2))
-        w = grids._band_limited_1d(n, ab, 0.0)
-        w /= np.max(np.abs(w), axis=-1, keepdims=True) + 1e-12
-        rho = 1.0 + 0.5 * w[4]
-        term_div, term_Q, term_grad, total, *_, coef = _curvature(
-            grid, model, rho, w[0:1], w[2:3], w[1], w[3], first=start)
-        totals[start:stop] = total
-        coef_min = min(coef_min, float(coef.min()))
-        terms = np.stack([term_div, term_Q, term_grad, total], axis=1).tolist()
-        rows += [ScanTrial(i, seed, 0.0, *t) for i, t in zip(range(start, stop), terms)]
-    k = int(np.argmin(totals))
-    return ScanReport(rows, float(totals[k]), k, coef_min)
+
+    def blocks():
+        modes = len(grids._band_modes(n))
+        block = max(1, SCAN_BLOCK_POINTS // n)
+        # one generator for the scan, rewound to counter i for trial i: the
+        # same draws as a fresh Philox(key=seed, counter=i), without building one
+        bitgen = np.random.Philox(key=seed)
+        rng, state = np.random.Generator(bitgen), bitgen.state
+        for start in range(0, trials, block):
+            stop = min(start + block, trials)
+            ab = np.empty((5, stop - start, modes, 2))
+            for b, i in enumerate(range(start, stop)):
+                state["state"]["counter"][:] = (i, 0, 0, 0)
+                bitgen.state = state
+                ab[:, b] = rng.standard_normal((5, modes, 2))
+            w = grids._band_limited_1d(n, ab, 0.0)
+            w /= np.max(np.abs(w), axis=-1, keepdims=True) + 1e-12
+            rho = 1.0 + 0.5 * w[4]
+            terms = _curvature(grid, model, rho, w[0:1], w[2:3], w[1], w[3], first=start)
+            yield start, np.stack(terms[:4], axis=1), float(terms[-1].min())
+
+    return blocks()

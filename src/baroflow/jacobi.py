@@ -23,7 +23,7 @@ from .geodesic import (
     _samples,
     _steps,
 )
-from .grids import ScalarField, VectorField, _minimize_bounded, check_same_grid
+from .grids import CircleGrid, ScalarField, VectorField, _minimize_bounded, check_same_grid
 from .pressure import PressureModel
 
 
@@ -35,13 +35,25 @@ def initial_jacobi(v0: VectorField) -> JacobiState:
                        VectorField(g, np.zeros_like(v0.values)), ScalarField(g, zeros))
 
 
+def _check_background(jstate: JacobiState, state: FluidState, flowmap: FlowMap | None,
+                      anywhere: bool = False) -> None:
+    """Refuse a background the linearized equations get wrong: fields on two
+    grids, q not rho bit for bit (no delta q is carried; a barotropic run keeps
+    them identical), or no flow map for G on the circle (on any grid if `anywhere`)."""
+    check_same_grid(jstate.sigma, state.rho)
+    if not np.array_equal(state.q.values, state.rho.values):
+        raise DomainError("the Jacobi equations need a barotropic background, q = rho")
+    if flowmap is None and (anywhere or isinstance(state.grid, CircleGrid)):
+        raise DomainError("G is tracked along a flow map only, and this background has none")
+
+
 def linearized_step(jstate: JacobiState, state: FluidState, flowmap: FlowMap | None,
                     model: PressureModel, dt: float
                     ) -> tuple[JacobiState, FluidState, FlowMap | None]:
     """One RK4 step of the background and the linearized system as one ODE:
     sigma_t = -div(sigma u) - div(rho v); v_t = -nabla_u v - nabla_v u
     - grad(h'(rho) sigma); j_t = v - [u, j]; G_t = g(eta)."""
-    check_same_grid(jstate.sigma, state.rho)
+    _check_background(jstate, state, flowmap)
     new_state, new_map, new_j = _advance(state, flowmap, model, dt, jstate)
     return new_j, new_state, new_map
 
@@ -51,11 +63,8 @@ def integrate_linearized(state0: FluidState, jstate0: JacobiState,
                          store_every: int = 1) -> Trajectory:
     """The samples of geodesic._samples (the start, every store_every-th step
     and the last) with the Jacobi field carried along, as a Trajectory."""
-    check_same_grid(jstate0.sigma, state0.rho)
-    traj = Trajectory()
-    for sample in _samples(state0, model, t_end, dt, store_every, jstate0):
-        traj.append(*sample)
-    return traj
+    _check_background(jstate0, state0, _default_flowmap(state0))
+    return Trajectory(*map(list, zip(*_samples(state0, model, t_end, dt, store_every, jstate0))))
 
 
 def constraint_residual(jstate: JacobiState, state: FluidState) -> float:
@@ -118,10 +127,10 @@ def detect_conjugate_times(state0: FluidState, v0: VectorField, model: PressureM
     norm is read off each stepped array, and the array of step k-1 is kept
     only when step k is a candidate minimum (norm no larger than at k-1,
     smaller than at k+1), so no trajectory is stored."""
-    jstate0 = initial_jacobi(v0)
-    check_same_grid(jstate0.sigma, state0.rho)
+    jstate0, flowmap = initial_jacobi(v0), _default_flowmap(state0)
+    _check_background(jstate0, state0, flowmap, anywhere=True)  # the norm reads G
     g = state0.grid
-    y = _pack(state0, _default_flowmap(state0), jstate0)
+    y = _pack(state0, flowmap, jstate0)
     times, norms2, candidates = [0.0], [_norm_sq(y, g)], []
     before, last = None, y  # the arrays of the two steps before this one
     for t, y in _steps(y, g, model, t_max, dt):

@@ -29,7 +29,7 @@ from baroflow.errors import (
     InstabilityFlagError,
     ShockError,
 )
-from baroflow.geometry import ScanReport, ScanTrial, TangentVector, sectional_curvature
+from baroflow.geometry import TangentVector, curvature_sign_scan_1d, sectional_curvature
 from baroflow.geodesic import (
     FlowMap,
     FluidState,
@@ -319,6 +319,31 @@ def random_section_1d(grid: CircleGrid, rng: np.random.Generator):
     return U, V, rho
 
 
+@dataclass(frozen=True)
+class ScanTrial:
+    index: int
+    seed: int
+    term_R: float
+    term_div: float
+    term_Q: float
+    term_grad: float
+    total: float
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    trials: list[ScanTrial]
+    min_total: float
+    argmin: int
+    coef_min: float  # the curvature coefficient's minimum over the sampled densities
+
+
+def _report(rows: list[ScanTrial], coef_min: float) -> ScanReport:
+    totals = np.array([r.total for r in rows])
+    k = int(np.argmin(totals))
+    return ScanReport(rows, float(totals[k]), k, coef_min)
+
+
 def curvature_scan_1d(model: PressureModel, trials: int, seed: int,
                       n: int = 64) -> ScanReport:
     """geometry.curvature_sign_scan_1d one trial at a time: each section from
@@ -334,9 +359,18 @@ def curvature_scan_1d(model: PressureModel, trials: int, seed: int,
         rows.append(ScanTrial(i, seed, rep.term_R, rep.term_div, rep.term_Q,
                               rep.term_grad, rep.total))
         coef_min = min(coef_min, float(np.min(model.curvature_coefficient(rho.values))))
-    totals = np.array([r.total for r in rows])
-    k = int(np.argmin(totals))
-    return ScanReport(rows, float(totals[k]), k, coef_min)
+    return _report(rows, coef_min)
+
+
+def collect_scan(model: PressureModel, trials: int, seed: int, n: int = 64) -> ScanReport:
+    """The blocks of geometry.curvature_sign_scan_1d collected into one
+    ScanReport, for the tests that want a whole scan."""
+    rows, coef_min = [], np.inf
+    for start, terms, block_coef_min in curvature_sign_scan_1d(model, trials, seed, n):
+        rows += [ScanTrial(i, seed, 0.0, *row)
+                 for i, row in enumerate(terms.tolist(), start)]
+        coef_min = min(coef_min, block_coef_min)
+    return _report(rows, coef_min)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +408,7 @@ def integrate_geodesic(state0: FluidState, model: PressureModel, t_end: float,
     """The stored samples of a geodesic run to t_end with fixed steps (the last
     shortened to land on t_end exactly): the run loop that the geodesic
     experiment streams, collected, with the flow map carried on circle grids."""
-    traj = Trajectory()
-    for sample in _samples(state0, model, t_end, dt, store_every):
-        traj.append(*sample)
-    return traj
+    return Trajectory(*map(list, zip(*_samples(state0, model, t_end, dt, store_every))))
 
 
 def compatibility_residual(flowmap: FlowMap, rho: ScalarField) -> float:

@@ -18,6 +18,7 @@ from baroflow.grids import (
 )
 from baroflow.pressure import polytropic
 from oracles import (
+    collect_scan,
     deviation_oracle,
     disc_theta,
     DiscGrid,
@@ -108,11 +109,11 @@ class TestCurvatureSignScan:
     @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
     def test_nonnegative(self, gamma):
         A = 1.0 / 3.0 if gamma == 3.0 else 1.0
-        rep = geometry.curvature_sign_scan_1d(polytropic(A, gamma), 200, seed=9)
+        rep = collect_scan(polytropic(A, gamma), 200, seed=9)
         assert rep.min_total >= -1e-10
 
     def test_negative_exhibit_gamma4(self):
-        rep = geometry.curvature_sign_scan_1d(polytropic(1.0, 4.0), 200, seed=9)
+        rep = collect_scan(polytropic(1.0, 4.0), 200, seed=9)
         assert rep.min_total < 0
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -16,8 +17,10 @@ import scipy.linalg
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from baroflow import cli, disc, jacobi
-from oracles import stored_conjugate_times
+from baroflow import cli, disc, geometry, jacobi
+from baroflow.errors import DomainError
+from baroflow.pressure import polytropic
+from oracles import curvature_scan_1d, stored_conjugate_times
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -146,6 +149,31 @@ class TestPlumbing:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert key in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["conjugate", "--dt", "1e-300"],
+        ["conjugate", "--n", "1", "--m-max", "100", "--dt", "0.0005"],
+        ["geodesic", "--t-end", "1", "--dt", "1e-300"],
+        ["geodesic", "--t-end", "1e300", "--dt", "1e-300"],
+        ["jacobi", "--dt", "1e-12"],
+        ["jacobi", "--t-end", "2", "--dt", "1.9e-6"],
+    ])
+    def test_a_run_of_more_than_max_steps_is_refused(self, argv):
+        # the config is refused before anything runs: no step is taken
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(cli.ValidationError,
+                           match=r"^run time / dt must be a finite real number in "
+                                 r"\(0, 1000000\], got "):
+            cli.config_from_args(args)
+
+    @pytest.mark.parametrize("argv, steps", [
+        (["conjugate", "--n", "1", "--m-max", "100"], 62_881.85),
+        (["conjugate", "--n", "2", "--m-max", "3"], 992.48),
+        (["jacobi", "--t-end", "2", "--dt", "2.1e-6"], 952_380.95),
+    ])
+    def test_a_run_within_max_steps_is_accepted(self, argv, steps):
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+        assert cfg.run_time / cfg.dt == pytest.approx(steps, abs=0.01)
 
     def test_numerical_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         rc = run(["geodesic", "--t-end", "3.0", "--dt", "0.005",
@@ -484,6 +512,80 @@ class TestExperiments:
             assert summary["coef_min"] < 0 and summary["n_negative"] > 0
         else:
             assert summary["coef_min"] >= -1e-12 and summary["n_negative"] == 0
+
+    def test_a_failed_scan_keeps_the_blocks_before_it(self, tmp_path, monkeypatch, capsys):
+        # 40 trials at n = 128 make two blocks, of 32 and 8 trials; the
+        # second fails, and the first block's rows are already written
+        argv = ["curvature-scan", "--trials", "40", "--seed", "3", "--n-grid", "128"]
+        assert run(argv, tmp_path / "whole", monkeypatch) == 0
+        whole = read_outputs(tmp_path / "whole", "curvature-scan")[0]
+        calls = []
+
+        def failing_second_block(*args, _curvature=geometry._curvature, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DomainError("curvature integrand has non-finite entries (trial 32)")
+            return _curvature(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "_curvature", failing_second_block)
+        assert run(argv, tmp_path / "failed", monkeypatch) == 1
+        err = json.loads(capsys.readouterr().err)
+        kept, manifest = read_outputs(tmp_path / "failed", "curvature-scan")
+        assert kept == b"".join(whole.splitlines(keepends=True)[:1 + 32])
+        assert manifest["status"] == "failed" and manifest["error"] == err
+        assert err["message"].endswith("(trial 32)")
+
+    def test_scan_memory_does_not_grow_with_the_trials(self, tmp_path, monkeypatch):
+        # the rows go out block by block: 20,000 trials peak as 2,000 do
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert run(["curvature-scan", "--trials", str(trials), "--n-grid", "16",
+                            "--seed", "1"], tmp_path, monkeypatch) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(["curvature-scan", "--trials", "300", "--n-grid", "16"], tmp_path, monkeypatch)
+        assert peak(20_000) <= 1.5 * peak(2_000)
+
+    def test_scan_summary_equals_the_per_trial_oracle(self, tmp_path, monkeypatch):
+        # blocks of 7 trials, so that min_total, argmin, n_negative and
+        # coef_min are folded over five blocks by the runner
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_POINTS", 7 * 64)
+        rc = run(["curvature-scan", "--gamma", "4", "--a-coeff", "1", "--trials", "33",
+                  "--seed", "9", "--n-grid", "64"], tmp_path, monkeypatch)
+        assert rc == 0
+        summary = read_outputs(tmp_path, "curvature-scan")[1]["summary"]
+        want = curvature_scan_1d(polytropic(1.0, 4.0), 33, 9, 64)
+        assert summary["n_negative"] == sum(t.total < 0 for t in want.trials) > 0
+        assert (summary["min_total"], summary["argmin"], summary["coef_min"]) == \
+            (want.min_total, want.argmin, want.coef_min)
+        assert summary["min_total"] == want.trials[want.argmin].total
+
+    @pytest.mark.parametrize("blocks", [
+        [[1.0, 0.0], [-0.0, 0.0]],
+        [[0.0, -0.0], [-0.0]],
+        [[2.0], [-1.0, 3.0, -1.0], [-1.0]],
+    ], ids=["zero_then_negative_zero", "negative_zero_first", "tie_across_blocks"])
+    def test_scan_argmin_is_the_first_least_total(self, blocks, tmp_path, monkeypatch):
+        # as np.argmin gives it over all trials, -0.0 and 0.0 being equal
+        def scan(model, trials, seed, n):
+            start = 0
+            for totals in blocks:
+                terms = np.zeros((len(totals), 4))
+                terms[:, 3] = totals
+                yield start, terms, 1.0
+                start += len(totals)
+
+        monkeypatch.setattr(geometry, "curvature_sign_scan_1d", scan)
+        assert run(["curvature-scan", "--n-grid", "16"], tmp_path, monkeypatch) == 0
+        summary = read_outputs(tmp_path, "curvature-scan")[1]["summary"]
+        totals = np.concatenate(blocks)
+        k = int(np.argmin(totals))
+        assert summary["argmin"] == k
+        assert np.float64(summary["min_total"]).tobytes() == totals[k].tobytes()
+        assert summary["n_negative"] == int(np.sum(totals < 0))
 
     def test_geodesic_energy_column(self, tmp_path, monkeypatch):
         rc = run(["geodesic", "--t-end", "0.5", "--dt", "0.005",

@@ -21,6 +21,7 @@ from oracles import (
     NormalizationError,
     christoffel,
     christoffel_weak,
+    collect_scan,
     curvature_scan_1d,
     density_functional_derivative,
     from_catalog,
@@ -350,16 +351,16 @@ SCAN_REFUSAL = (r"^(trials must be an integer in \[1, inf\)"
 
 class TestCurvatureScan:
     def test_gamma2_nonnegative(self):
-        rep = curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=200, seed=7)
+        rep = collect_scan(polytropic(1.0, 2.0), trials=200, seed=7)
         assert rep.min_total >= -1e-10
 
     def test_gamma3_div_term_vanishes(self):
-        rep = curvature_sign_scan_1d(from_catalog("3/rho"), trials=50, seed=3)
+        rep = collect_scan(from_catalog("3/rho"), trials=50, seed=3)
         assert all(abs(t.term_div) < 1e-10 for t in rep.trials)
 
     def test_determinism(self):
-        a = curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=5, seed=42)
-        b = curvature_sign_scan_1d(polytropic(1.0, 2.0), trials=5, seed=42)
+        a = collect_scan(polytropic(1.0, 2.0), trials=5, seed=42)
+        b = collect_scan(polytropic(1.0, 2.0), trials=5, seed=42)
         assert a.trials == b.trials
 
     @pytest.mark.parametrize("trials, seed", [(0, 7), (-1, 7), (5, -1)])
@@ -400,7 +401,7 @@ class TestBlockedCurvatureScan:
     @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("n", [8, 16, 64, 128])
     def test_matches_per_trial_oracle(self, n, gamma, trials):
-        rep = curvature_sign_scan_1d(scan_model(gamma), trials, 5, n)
+        rep = collect_scan(scan_model(gamma), trials, 5, n)
         assert [t.index for t in rep.trials] == list(range(trials))
         assert scan_bits(rep) == oracle_scan(gamma, trials, n)
 
@@ -408,7 +409,7 @@ class TestBlockedCurvatureScan:
     @pytest.mark.parametrize("n", [16, 64])
     def test_block_size_does_not_change_results(self, n, block, monkeypatch):
         monkeypatch.setattr(geometry, "SCAN_BLOCK_POINTS", block * n)
-        rep = curvature_sign_scan_1d(scan_model(4.0), 33, 5, n)
+        rep = collect_scan(scan_model(4.0), 33, 5, n)
         assert scan_bits(rep) == oracle_scan(4.0, 33, n)
 
     @pytest.mark.parametrize("block", [None, 3])
@@ -425,16 +426,17 @@ class TestBlockedCurvatureScan:
             monkeypatch.setattr(geometry, "SCAN_BLOCK_POINTS", block * 16)
         with pytest.raises(DomainError, match=r"^curvature integrand has non-finite "
                                               r"entries \(trial 4\)$"):
-            curvature_sign_scan_1d(model, 10, 2, 16)
+            list(curvature_sign_scan_1d(model, 10, 2, 16))
 
     def test_memory_stays_that_of_a_block(self):
-        # one batch of all 2,000 trials would peak near 75 MB; the parent's
-        # one-trial loop peaked at 0.7 MB, mostly the ScanTrial rows
+        # one batch of all 2,000 trials would peak near 75 MB, and keeping a
+        # record per trial near 1.5 MB; the stream holds one block at a time
         model = polytropic(1.0, 2.0)
-        curvature_sign_scan_1d(model, 2, 7, 128)  # warm the per-size caches
+        list(curvature_sign_scan_1d(model, 2, 7, 128))  # warm the per-size caches
         tracemalloc.start()
         try:
-            curvature_sign_scan_1d(model, 2000, 7, 128)
+            for _ in curvature_sign_scan_1d(model, 2000, 7, 128):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,7 +453,7 @@ class TestBlockedCurvatureScan:
             return _check(rho)
 
         monkeypatch.setattr(pressure, "_check_rho", counting_check)
-        curvature_sign_scan_1d(polytropic(1.0, 2.0), trials, 7, 128)
+        list(curvature_sign_scan_1d(polytropic(1.0, 2.0), trials, 7, 128))
         blocks = -(-trials // 32)
         assert 0 < len(checked) <= 3 * blocks
         assert {shape[0] for shape in checked} <= {trials, 32, trials % 32}
