@@ -29,8 +29,6 @@ from .errors import BaroflowError, DomainError, _check_scalar
 from .grids import CircleGrid, ScalarField, TorusGrid, VectorField, grad, inner, integrate
 from .pressure import polytropic
 
-OUTPUT_DIR_ENV = "BAROFLOW_OUTPUT_DIR"
-
 
 class ValidationError(Exception):
     """Invalid experiment parameters; carries the violated bound."""
@@ -85,7 +83,7 @@ PARAMS = {
     "n_samples": Param(integer, 50, "number of output samples", 1, 10_000),
     "seed": Param(integer, 0, "64-bit unsigned RNG seed", 0, 2**64 - 1),
     "kind": Param(str, "gradient", "torus perturbation kind: gradient | divfree | mixed"),
-    "output_dir": Param(str, ".", f"output directory (overridden by ${OUTPUT_DIR_ENV})"),
+    "output_dir": Param(str, ".", "output directory, made if missing"),
 }
 
 # Steps per run (run time / dt): a longer run would never finish, so never exit.
@@ -172,11 +170,14 @@ def write_outputs(cfg: ExperimentConfig, run, t0: tuple[float, float]) -> tuple[
     manifest.  What ends a run before its header opens no file; a BaroflowError
     after it keeps the rows, writes a failed manifest and is raised again."""
     header = next(run)
-    out_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{cfg.experiment}.csv")
+    base = os.path.join(cfg.output_dir, cfg.experiment)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        manifest_fh, fh = open(base + "_manifest.json", "w"), open(base + ".csv", "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output {exc.filename}: {exc.strerror}") from exc
     failure = None
-    with open(csv_path, "w", newline="") as fh:
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         try:
@@ -193,20 +194,20 @@ def write_outputs(cfg: ExperimentConfig, run, t0: tuple[float, float]) -> tuple[
     manifest = {
         "experiment": cfg.experiment,
         "parameters": cfg.params(),
-        "rng": "Philox (counter-based; key=seed, counter=trial index)",
         "versions": {"baroflow": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0], "scipy": scipy.__version__},
         **outcome,
         "cpu_time_s": time.process_time() - t0[1],
         "wall_time_s": time.perf_counter() - t0[0],
     }
-    json_path = os.path.join(out_dir, f"{cfg.experiment}_manifest.json")
-    with open(json_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    if "seed" in manifest["parameters"]:  # only a seeded experiment draws
+        manifest["rng"] = "Philox (counter-based; key=seed, counter=trial index)"
+    with manifest_fh:
+        json.dump(manifest, manifest_fh, indent=2, sort_keys=True, allow_nan=False)
+        manifest_fh.write("\n")
     if failure is not None:
         raise failure
-    return csv_path, json_path
+    return fh.name, manifest_fh.name
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,8 @@ def run_geodesic(cfg: ExperimentConfig):
         yield [t, energies[-1], float(np.min(st.rho.values)),
                float(np.max(np.abs(st.u.values))),
                float(np.min(np.asarray(fm.jacobian())))]
-    return {"energy_drift": geodesic.energy_drift(energies), "final_time": t}
+    return {"energy_drift": geodesic.energy_drift(energies), "final_time": t,
+            "n_rows": len(energies)}
 
 
 def run_jacobi(cfg: ExperimentConfig):
@@ -256,7 +258,8 @@ def run_jacobi(cfg: ExperimentConfig):
                float(np.sqrt(integrate(inner(js.j, js.j)))),
                jacobi.constraint_residual(js, st)]
     rep = jacobi.growth_report(times, jstates, v0)
-    return {"max_growth_ratio": rep.max_ratio, "growth_rate": rep.growth_rate}
+    return {"max_growth_ratio": rep.max_ratio, "growth_rate": rep.growth_rate,
+            "n_rows": len(times)}
 
 
 def run_burgers_exact(cfg: ExperimentConfig):
@@ -328,7 +331,8 @@ def run_torus_modes(cfg: ExperimentConfig):
     rep = torus.classify_boundedness(sol)
     for t in np.linspace(0.0, cfg.t_end, cfg.n_samples):
         jx, jy = sol.j_at(float(t)).values
-        yield [float(t), float(np.sqrt(np.max(jx**2 + jy**2)))]
+        sq = np.max(jx**2 + jy**2)  # may overflow where |j| does not
+        yield [float(t), float(np.sqrt(sq) if np.isfinite(sq) else np.max(np.hypot(jx, jy)))]
     return {"bounded": rep.bounded, "w_norm": rep.w_norm, "series_bound": rep.series_bound}
 
 

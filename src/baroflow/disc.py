@@ -111,6 +111,9 @@ def characteristic_cubic_pq(lam: float, n: int, omega: float, c: float):
     _check_scalar("c", c, 0)
     try:
         p, q = (c**2 * lam + 4 * omega**2) / 3.0, n * omega**3
+        if p**3 < np.finfo(float).tiny:  # q^2 >= p^3 would hold by underflow alone
+            raise DomainError(f"p^3 is not a normal float at lam={lam}, n={n}, "
+                              f"omega={omega}, c={c}")
         if np.isfinite(p**3 - q**2):  # the discriminant that the roots test
             return p, q
     except OverflowError:
@@ -123,7 +126,7 @@ def characteristic_roots(lam: float, n: int, omega: float, c: float) -> np.ndarr
     q = n omega^3, by the trigonometric method; the discriminant condition
     q^2 < p^3 (three distinct real roots) is asserted."""
     p, q = characteristic_cubic_pq(lam, n, omega, c)
-    if p <= 0 or q**2 >= p**3:
+    if q**2 >= p**3:
         raise InstabilityFlagError(
             f"discriminant failure: q^2={q**2:.6g} >= p^3={p**3:.6g} "
             f"(lam={lam}, n={n})")

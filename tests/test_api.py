@@ -128,6 +128,14 @@ def test_only_the_pressure_law_names_the_working_range():
     assert naming == {"pressure.py"}
 
 
+def test_only_the_package_init_reads_the_environment():
+    # a run's inputs are its flags and config file; the one environment
+    # access sets the BLAS thread default
+    naming = {p.name for p in SRC.glob("*.py")
+              if re.search(r"\bos\.environ\b", p.read_text())}
+    assert naming == {"__init__.py"}
+
+
 def test_only_the_scalar_check_names_the_number_classes():
     # whether a parameter is a real or an integer is one decision, made in
     # errors._check_scalar

@@ -9,7 +9,6 @@ import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +24,7 @@ from oracles import curvature_scan_1d, stored_conjugate_times
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
 # the environment of a fresh CLI process on this source tree
-SRC_ENV = {k: v for k, v in os.environ.items() if k != cli.OUTPUT_DIR_ENV}
-SRC_ENV["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
 HUGE = "1" + "0" * 400  # a 401-digit integer
 
 # the ExperimentConfig fields each experiment reads: its only flags and
@@ -58,11 +56,7 @@ def flag(key):
     return "--" + key.replace("_", "-")
 
 
-def run(argv, tmp_path, monkeypatch, env_dir=None):
-    if env_dir is not None:
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
-    else:
-        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+def run(argv, tmp_path):
     return cli.main(argv + ["--output-dir", str(tmp_path)])
 
 
@@ -96,8 +90,8 @@ class TestPlumbing:
         assert err["error"] == "usage"
         assert "--n-grid" in err["message"]
 
-    def test_validation_error_exits_2(self, tmp_path, monkeypatch, capsys):
-        rc = run(["curvature-scan", "--gamma", "0.5"], tmp_path, monkeypatch)
+    def test_validation_error_exits_2(self, tmp_path, capsys):
+        rc = run(["curvature-scan", "--gamma", "0.5"], tmp_path)
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
@@ -138,13 +132,12 @@ class TestPlumbing:
             "conjugate_zero_mode", "conjugate_negative_mode", "jacobi_nyquist_mode",
             "jacobi_nyquist_mode_config", "torus_amplitude_without_mixed",
             "torus_amplitude_without_mixed_config"])
-    def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path,
-                                         monkeypatch, capsys):
+    def test_bad_input_exits_2_with_json(self, argv, config, key, tmp_path, capsys):
         if config is not None:
             conf = tmp_path / "run.conf"
             conf.write_text(config)
             argv = argv + ["--config", str(conf)]
-        rc = run(argv, tmp_path, monkeypatch)
+        rc = run(argv, tmp_path)
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
@@ -175,18 +168,18 @@ class TestPlumbing:
         cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
         assert cfg.run_time / cfg.dt == pytest.approx(steps, abs=0.01)
 
-    def test_numerical_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+    def test_numerical_failure_exits_1(self, tmp_path, capsys):
         rc = run(["geodesic", "--t-end", "3.0", "--dt", "0.005",
-                  "--n-grid", "128"], tmp_path, monkeypatch)
+                  "--n-grid", "128"], tmp_path)
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShockError"
         assert err["guard"] == "stage_density"
         assert err["step"] >= 1 and err["t"] == pytest.approx(0.005 * (err["step"] - 1))
 
-    def test_shock_portrait_past_the_shock_says_where(self, tmp_path, monkeypatch, capsys):
+    def test_shock_portrait_past_the_shock_says_where(self, tmp_path, capsys):
         portrait = ["geodesic", "--config", str(PRESETS / "shock-portrait.conf")]
-        rc = run(portrait + ["--t-end", "2.5"], tmp_path / "failed", monkeypatch)
+        rc = run(portrait + ["--t-end", "2.5"], tmp_path / "failed")
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShockError"
@@ -201,16 +194,14 @@ class TestPlumbing:
         # a run that ends where this one failed takes the same 600 full steps
         # and stores every 12th, as ceil(t_end / dt) // n_samples is 12 for
         # both: its CSV is the kept one, t = 0 to 2.40 in 51 rows
-        assert run(portrait + ["--t-end", repr(err["t"])], tmp_path / "whole",
-                   monkeypatch) == 0
+        assert run(portrait + ["--t-end", repr(err["t"])], tmp_path / "whole") == 0
         whole = read_outputs(tmp_path / "whole", "geodesic")[0]
         assert kept == whole and len(kept.splitlines()) == 52
 
-    def test_failure_after_the_header_keeps_a_header_only_csv(self, tmp_path, monkeypatch,
-                                                              capsys):
+    def test_failure_after_the_header_keeps_a_header_only_csv(self, tmp_path, capsys):
         # the scan fails before its first row: the files still say what ran
         rc = run(["curvature-scan", "--a-coeff", "1e-300", "--trials", "2", "--n-grid", "16"],
-                 tmp_path, monkeypatch)
+                 tmp_path)
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         kept, manifest = read_outputs(tmp_path, "curvature-scan")
@@ -218,9 +209,8 @@ class TestPlumbing:
         assert manifest["status"] == "failed" and manifest["error"] == err
         assert manifest["parameters"]["a_coeff"] == 1e-300
 
-    def test_failure_outside_the_step_loop_has_null_location(self, tmp_path, monkeypatch,
-                                                             capsys):
-        rc = run(["disc-spectrum", "--omega", "10"], tmp_path, monkeypatch)
+    def test_failure_outside_the_step_loop_has_null_location(self, tmp_path, capsys):
+        rc = run(["disc-spectrum", "--omega", "10"], tmp_path)
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "VacuumError"
@@ -236,8 +226,11 @@ class TestPlumbing:
         (["geodesic", "--t-end", "1e300", "--dt", "1e-300"], 2),
         (["jacobi", "--t-end", "1e300", "--dt", "1e-300"], 2),
         (["curvature-scan", "--a-coeff", "1e-300"], 1),
+        # p^3 underflows while p > 0: the cubic's discriminant cannot be read
+        (["disc-spectrum", "--omega", "0", "--c", "1e-150"], 1),
+        (["disc-spectrum", "--omega", "1e-100", "--c", "1e-100"], 1),
     ], ids=["omega_1e200", "c_1e-200", "disc_matrix", "geodesic_steps", "jacobi_steps",
-            "curvature_overflow"])
+            "curvature_overflow", "static_disc_p3", "slow_disc_p3"])
     def test_finite_input_beyond_the_floats_prints_one_json_line(self, argv, code, tmp_path):
         # a fresh process: its whole stderr is the JSON, no traceback and no
         # numpy warning before it
@@ -249,10 +242,41 @@ class TestPlumbing:
         assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
         assert json.loads(out.stderr)["error"] in ("validation", "DomainError")
 
+    @pytest.mark.parametrize("out_dir, taken", [
+        ("taken", "taken"), ("taken/sub", "taken"),
+        ("out", "out/curvature-scan_manifest.json/")],  # a trailing / makes a directory
+        ids=["a_file", "under_a_file", "manifest_is_a_directory"])
+    def test_output_that_cannot_be_written_exits_2(self, out_dir, taken, tmp_path):
+        # as a config file that cannot be read: one JSON line, no traceback,
+        # and no file written
+        if taken.endswith("/"):
+            (tmp_path / taken).mkdir(parents=True)
+        else:
+            (tmp_path / taken).write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        out = subprocess.run([sys.executable, "-m", "baroflow.cli", "curvature-scan",
+                              "--trials", "2", "--n-grid", "16",
+                              "--output-dir", str(tmp_path / out_dir)],
+                             capture_output=True, text=True, env=SRC_ENV)
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
+        err = json.loads(out.stderr)
+        assert err["error"] == "validation"
+        assert err["message"].startswith("cannot write output ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_the_environment_does_not_move_the_outputs(self, tmp_path, monkeypatch):
+        # --output-dir alone decides where a run writes
+        monkeypatch.setenv("BAROFLOW_OUTPUT_DIR", str(tmp_path / "env"))
+        assert run(["curvature-scan", "--trials", "2", "--n-grid", "16"], tmp_path / "out") == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "curvature-scan.csv", "curvature-scan_manifest.json"]
+
     @pytest.mark.parametrize("experiment", ["geodesic", "jacobi", "conjugate"])
-    def test_dt_over_cfl_bound_at_start_exits_2(self, experiment, tmp_path, monkeypatch,
-                                                capsys):
-        rc = run([experiment, "--dt", "1.0"], tmp_path, monkeypatch)
+    def test_dt_over_cfl_bound_at_start_exits_2(self, experiment, tmp_path, capsys):
+        rc = run([experiment, "--dt", "1.0"], tmp_path)
         assert rc == 2
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
@@ -261,11 +285,10 @@ class TestPlumbing:
         assert "CFL bound" in err["message"] and "1.0" in err["message"]
         assert not list(tmp_path.iterdir())  # stopped before the first step
 
-    def test_config_file_and_flag_override(self, tmp_path, monkeypatch):
+    def test_config_file_and_flag_override(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("trials = 5\ngamma = 2.0\nseed = 3\nn-grid = 32\n")
-        rc = run(["curvature-scan", "--config", str(conf), "--trials", "7"],
-                 tmp_path, monkeypatch)
+        rc = run(["curvature-scan", "--config", str(conf), "--trials", "7"], tmp_path)
         assert rc == 0
         _, manifest = read_outputs(tmp_path, "curvature-scan")
         assert manifest["parameters"]["trials"] == 7  # flag wins
@@ -277,11 +300,11 @@ class TestPlumbing:
         ("geodesic", ["n_grid = 64", "# the same value again", "n-grid = 64"]),
         ("conjugate", ["n-mode = 2", "dt = 0.01", "n_mode = 1"])])
     def test_config_key_given_twice_is_a_validation_error(self, experiment, lines, tmp_path,
-                                                          monkeypatch, capsys):
+                                                          capsys):
         # the last value does not silently win
         conf = tmp_path / "twice.conf"
         conf.write_text("\n".join(lines) + "\n")
-        assert run([experiment, "--config", str(conf)], tmp_path, monkeypatch) == 2
+        assert run([experiment, "--config", str(conf)], tmp_path) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert err["message"].startswith(f"{conf}:{len(lines)}: parameter ")
@@ -296,9 +319,9 @@ class TestPlumbing:
         ["jacobi", "--n", "1", "--n", "2"],
         ["curvature-scan", "--config", "a.conf", "--config", "b.conf"],
         ["curvature-scan", "--output-dir", "elsewhere"]])  # run() gives --output-dir again
-    def test_flag_given_twice_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+    def test_flag_given_twice_is_a_usage_error(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(argv, tmp_path, monkeypatch)
+            run(argv, tmp_path)
         assert exc.value.code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage"
@@ -316,14 +339,13 @@ class TestPlumbing:
         ("1e2", 100), ("100.0", 100), ("+7", 7), ("2.5", None), ("1/2", None),
         ("1/0", None), ("inf", None), ("nan", None), ("abc", None),
         ("1e999999999", None)])  # a billion-digit integer, refused unexpanded
-    def test_flags_and_config_files_parse_integers_alike(self, text, trials, tmp_path,
-                                                          monkeypatch, capsys):
+    def test_flags_and_config_files_parse_integers_alike(self, text, trials, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text(f"trials = {text}\n")
         for source, argv in [("flag", ["--trials", text]), ("config", ["--config", str(conf)])]:
             out = tmp_path / source
             try:
-                code = run(["curvature-scan", "--n-grid", "16"] + argv, out, monkeypatch)
+                code = run(["curvature-scan", "--n-grid", "16"] + argv, out)
             except SystemExit as exc:
                 code = exc.code
             if trials is not None:
@@ -336,8 +358,7 @@ class TestPlumbing:
             assert ("--trials" if source == "flag" else "trials") in err["message"]
             assert "0x" not in err["message"]
 
-    def test_parser_is_built_once_and_each_parse_is_fresh(self, tmp_path, monkeypatch,
-                                                          capsys):
+    def test_parser_is_built_once_and_each_parse_is_fresh(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
         fresh = cli.build_parser.__wrapped__()
         argvs = [["curvature-scan", "--trials", "3", "--seed", "5", "--n-grid", "16"],
@@ -345,33 +366,25 @@ class TestPlumbing:
                  ["curvature-scan", "--trials", "2", "--n-grid", "16"]]
         for argv in argvs:
             assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
-        assert run(argvs[0], tmp_path / "a", monkeypatch) == 0
-        assert run(argvs[1], tmp_path / "b", monkeypatch) == 0
+        assert run(argvs[0], tmp_path / "a") == 0
+        assert run(argvs[1], tmp_path / "b") == 0
         with pytest.raises(SystemExit) as exc:
-            run(["curvature-scan", "--seed", "x"], tmp_path / "c", monkeypatch)
+            run(["curvature-scan", "--seed", "x"], tmp_path / "c")
         assert exc.value.code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
-        assert run(argvs[2], tmp_path / "d", monkeypatch) == 0
+        assert run(argvs[2], tmp_path / "d") == 0
         # the seed of the first run and the bad one leave no trace
         _, manifest = read_outputs(tmp_path / "d", "curvature-scan")
         assert manifest["parameters"] == {"gamma": 3.0, "a_coeff": 1.0 / 3.0, "n_grid": 16,
                                           "trials": 2, "seed": 0}
 
-    def test_malformed_config_rejected(self, tmp_path, monkeypatch, capsys):
+    def test_malformed_config_rejected(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("gamma 2.0\n")
-        rc = run(["curvature-scan", "--config", str(conf)], tmp_path, monkeypatch)
+        rc = run(["curvature-scan", "--config", str(conf)], tmp_path)
         assert rc == 2
 
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env_out"
-        rc = run(["curvature-scan", "--trials", "3", "--n-grid", "32"],
-                 tmp_path, monkeypatch, env_dir=env_dir)
-        assert rc == 0
-        assert (env_dir / "curvature-scan.csv").exists()
-        assert not (tmp_path / "curvature-scan.csv").exists()
-
-    def test_determinism(self, tmp_path, monkeypatch):
+    def test_determinism(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
             rc = cli.main(["curvature-scan", "--trials", "10", "--seed", "42",
@@ -423,21 +436,21 @@ class TestPlumbing:
                              capture_output=True, text=True, check=True, env=SRC_ENV)
         assert out.stdout.splitlines()[-1] == "0 []"
 
-    def test_disc_spectrum_loads_scipy_at_call_time(self, tmp_path, monkeypatch):
+    def test_disc_spectrum_loads_scipy_at_call_time(self, tmp_path):
         # this process has loaded scipy.linalg already; a fresh one has not
         argv = ["disc-spectrum", "--n-max", "2", "--k-max", "2", "--n-nodes", "40"]
         out = subprocess.run(
             [sys.executable, "-m", "baroflow.cli", *argv, "--output-dir", str(tmp_path / "a")],
             capture_output=True, text=True, env=SRC_ENV)
         assert out.returncode == 0, out.stderr
-        assert run(argv, tmp_path / "b", monkeypatch) == 0
+        assert run(argv, tmp_path / "b") == 0
         csvs = [read_outputs(tmp_path / side, argv[0])[0] for side in "ab"]
         assert csvs[0] == csvs[1]
 
-    def test_manifest_records_library_versions(self, tmp_path, monkeypatch):
+    def test_manifest_records_library_versions(self, tmp_path):
         import scipy
 
-        rc = run(["curvature-scan", "--trials", "3", "--n-grid", "32"], tmp_path, monkeypatch)
+        rc = run(["curvature-scan", "--trials", "3", "--n-grid", "32"], tmp_path)
         assert rc == 0
         _, manifest = read_outputs(tmp_path, "curvature-scan")
         versions = manifest["versions"]
@@ -449,10 +462,9 @@ class TestPlumbing:
                                       ["disc-spectrum", "--dt", "5"],
                                       ["curvature-scan", "--n", "64"]],
                              ids=["conjugate_gamma", "disc_dt", "no_abbreviation"])
-    def test_flag_the_experiment_does_not_read_exits_2(self, argv, tmp_path,
-                                                       monkeypatch, capsys):
+    def test_flag_the_experiment_does_not_read_exits_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(argv, tmp_path, monkeypatch)
+            run(argv, tmp_path)
         assert exc.value.code == 2
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
@@ -477,9 +489,9 @@ class TestPlumbing:
 
 
 class TestExperiments:
-    def test_conjugate_example(self, tmp_path, monkeypatch):
+    def test_conjugate_example(self, tmp_path):
         rc = run(["conjugate", "--n", "2", "--m-max", "2", "--n-grid", "64",
-                  "--dt", "0.02"], tmp_path, monkeypatch)
+                  "--dt", "0.02"], tmp_path)
         assert rc == 0
         csv_text, manifest = read_outputs(tmp_path, "conjugate")
         rows = csv_text.decode().strip().splitlines()[1:]
@@ -487,9 +499,9 @@ class TestExperiments:
         assert theory == pytest.approx([np.pi, 2 * np.pi], rel=1e-12)
         assert manifest["summary"]["max_gap"] < 1e-4
 
-    def test_curvature_scan_nonnegative(self, tmp_path, monkeypatch):
+    def test_curvature_scan_nonnegative(self, tmp_path):
         rc = run(["curvature-scan", "--gamma", "2", "--trials", "20",
-                  "--seed", "7", "--n-grid", "64"], tmp_path, monkeypatch)
+                  "--seed", "7", "--n-grid", "64"], tmp_path)
         assert rc == 0
         _, manifest = read_outputs(tmp_path, "curvature-scan")
         assert manifest["summary"]["min_total"] >= -1e-10
@@ -497,13 +509,12 @@ class TestExperiments:
     @pytest.mark.parametrize("gamma, a_coeff", [("1.4", ["--a-coeff", "1"]),
                                                  ("2", ["--a-coeff", "1"]), ("3", []),
                                                  ("4", ["--a-coeff", "1"])])
-    def test_curvature_scan_reports_the_predicted_sign(self, gamma, a_coeff, tmp_path,
-                                                       monkeypatch):
+    def test_curvature_scan_reports_the_predicted_sign(self, gamma, a_coeff, tmp_path):
         # coef_min is the minimum of x phi'(x) + phi(x)^2 / lambda(x) over the
         # sampled densities: it predicts the sign that n_negative counts (the
         # default a_coeff 1/3 at gamma = 3)
         rc = run(["curvature-scan", "--gamma", gamma, "--trials", "200", "--seed", "9",
-                  "--n-grid", "64"] + a_coeff, tmp_path, monkeypatch)
+                  "--n-grid", "64"] + a_coeff, tmp_path)
         assert rc == 0
         csv_text, manifest = read_outputs(tmp_path, "curvature-scan")
         summary = manifest["summary"]
@@ -517,7 +528,7 @@ class TestExperiments:
         # 40 trials at n = 128 make two blocks, of 32 and 8 trials; the
         # second fails, and the first block's rows are already written
         argv = ["curvature-scan", "--trials", "40", "--seed", "3", "--n-grid", "128"]
-        assert run(argv, tmp_path / "whole", monkeypatch) == 0
+        assert run(argv, tmp_path / "whole") == 0
         whole = read_outputs(tmp_path / "whole", "curvature-scan")[0]
         calls = []
 
@@ -528,25 +539,25 @@ class TestExperiments:
             return _curvature(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "_curvature", failing_second_block)
-        assert run(argv, tmp_path / "failed", monkeypatch) == 1
+        assert run(argv, tmp_path / "failed") == 1
         err = json.loads(capsys.readouterr().err)
         kept, manifest = read_outputs(tmp_path / "failed", "curvature-scan")
         assert kept == b"".join(whole.splitlines(keepends=True)[:1 + 32])
         assert manifest["status"] == "failed" and manifest["error"] == err
         assert err["message"].endswith("(trial 32)")
 
-    def test_scan_memory_does_not_grow_with_the_trials(self, tmp_path, monkeypatch):
+    def test_scan_memory_does_not_grow_with_the_trials(self, tmp_path):
         # the rows go out block by block: 20,000 trials peak as 2,000 do
         def peak(trials):
             tracemalloc.start()
             try:
                 assert run(["curvature-scan", "--trials", str(trials), "--n-grid", "16",
-                            "--seed", "1"], tmp_path, monkeypatch) == 0
+                            "--seed", "1"], tmp_path) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        run(["curvature-scan", "--trials", "300", "--n-grid", "16"], tmp_path, monkeypatch)
+        run(["curvature-scan", "--trials", "300", "--n-grid", "16"], tmp_path)
         assert peak(20_000) <= 1.5 * peak(2_000)
 
     def test_scan_summary_equals_the_per_trial_oracle(self, tmp_path, monkeypatch):
@@ -554,7 +565,7 @@ class TestExperiments:
         # coef_min are folded over five blocks by the runner
         monkeypatch.setattr(geometry, "SCAN_BLOCK_POINTS", 7 * 64)
         rc = run(["curvature-scan", "--gamma", "4", "--a-coeff", "1", "--trials", "33",
-                  "--seed", "9", "--n-grid", "64"], tmp_path, monkeypatch)
+                  "--seed", "9", "--n-grid", "64"], tmp_path)
         assert rc == 0
         summary = read_outputs(tmp_path, "curvature-scan")[1]["summary"]
         want = curvature_scan_1d(polytropic(1.0, 4.0), 33, 9, 64)
@@ -579,7 +590,7 @@ class TestExperiments:
                 start += len(totals)
 
         monkeypatch.setattr(geometry, "curvature_sign_scan_1d", scan)
-        assert run(["curvature-scan", "--n-grid", "16"], tmp_path, monkeypatch) == 0
+        assert run(["curvature-scan", "--n-grid", "16"], tmp_path) == 0
         summary = read_outputs(tmp_path, "curvature-scan")[1]["summary"]
         totals = np.concatenate(blocks)
         k = int(np.argmin(totals))
@@ -587,26 +598,25 @@ class TestExperiments:
         assert np.float64(summary["min_total"]).tobytes() == totals[k].tobytes()
         assert summary["n_negative"] == int(np.sum(totals < 0))
 
-    def test_geodesic_energy_column(self, tmp_path, monkeypatch):
+    def test_geodesic_energy_column(self, tmp_path):
         rc = run(["geodesic", "--t-end", "0.5", "--dt", "0.005",
-                  "--n-grid", "64"], tmp_path, monkeypatch)
+                  "--n-grid", "64"], tmp_path)
         assert rc == 0
         csv_text, manifest = read_outputs(tmp_path, "geodesic")
         header = csv_text.decode().splitlines()[0].split(",")
         assert header == ["t", "energy", "min_rho", "max_speed", "min_jacobian"]
         assert manifest["summary"]["energy_drift"] < 1e-8
 
-    def test_torus_modes_mixed_unbounded(self, tmp_path, monkeypatch):
+    def test_torus_modes_mixed_unbounded(self, tmp_path):
         rc = run(["torus-modes", "--n-grid", "32", "--t-end", "10",
-                  "--kind", "mixed", "--amplitude", "0.01"],
-                 tmp_path, monkeypatch)
+                  "--kind", "mixed", "--amplitude", "0.01"], tmp_path)
         assert rc == 0
         _, manifest = read_outputs(tmp_path, "torus-modes")
         assert manifest["summary"]["bounded"] is False
 
-    def test_disc_spectrum_bounds(self, tmp_path, monkeypatch):
+    def test_disc_spectrum_bounds(self, tmp_path):
         rc = run(["disc-spectrum", "--n-max", "4", "--k-max", "4",
-                  "--n-nodes", "200"], tmp_path, monkeypatch)
+                  "--n-nodes", "200"], tmp_path)
         assert rc == 0
         _, manifest = read_outputs(tmp_path, "disc-spectrum")
         assert manifest["summary"]["all_bounds_hold"] is True
@@ -626,8 +636,7 @@ class TestExperiments:
             checked.append(np.array(lam1))
             return bound_check(bg, lam1)
         monkeypatch.setattr(disc, "rayleigh_bound_check", check)
-        assert run(["disc-spectrum", "--n-max", "16", "--k-max", "12"],
-                   tmp_path, monkeypatch) == 0
+        assert run(["disc-spectrum", "--n-max", "16", "--k-max", "12"], tmp_path) == 0
         assert calls == {"eigvalsh_tridiagonal": 17, "eigh_tridiagonal": 0}
         csv_text, manifest = read_outputs(tmp_path, "disc-spectrum")
         rows = [r.split(",") for r in csv_text.decode().strip().splitlines()[1:]]
@@ -640,8 +649,8 @@ class TestExperiments:
         assert manifest["summary"]["falsifications"] == report.falsifications
 
     @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
-    def test_manifest_parameters_are_the_ones_read(self, argv, tmp_path, monkeypatch):
-        rc = run(argv, tmp_path, monkeypatch)
+    def test_manifest_parameters_are_the_ones_read(self, argv, tmp_path):
+        rc = run(argv, tmp_path)
         assert rc == 0
         _, manifest = read_outputs(tmp_path, argv[0])
         assert set(manifest["parameters"]) == READS[argv[0]]
@@ -649,27 +658,48 @@ class TestExperiments:
             assert manifest["parameters"][name[2:].replace("-", "_")] == float(value)
 
     @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
-    def test_successful_manifest_says_ok(self, argv, tmp_path, monkeypatch):
-        assert run(argv, tmp_path, monkeypatch) == 0
+    def test_successful_manifest_says_ok(self, argv, tmp_path):
+        assert run(argv, tmp_path) == 0
         manifest = read_outputs(tmp_path, argv[0])[1]
         assert manifest["status"] == "ok" and "error" not in manifest
+        # only the experiment that draws from a seed names its generator
+        assert ("rng" in manifest) == (argv[0] == "curvature-scan")
+
+    @pytest.mark.parametrize("experiment", ["geodesic", "jacobi"])
+    @pytest.mark.parametrize("t_end, n_samples, rows", [("0.1", "50", 11), ("1", "3", 5)])
+    def test_time_stepped_summary_counts_its_rows(self, experiment, t_end, n_samples, rows,
+                                                  tmp_path):
+        # 10 steps, fewer than --n-samples, store every step; 100 steps store
+        # every 33rd and the last, so neither writes n-samples rows
+        assert run([experiment, "--n-grid", "16", "--dt", "0.01", "--t-end", t_end,
+                    "--n-samples", n_samples], tmp_path) == 0
+        csv_text, manifest = read_outputs(tmp_path, experiment)
+        assert manifest["summary"]["n_rows"] == len(csv_text.splitlines()) - 1 == rows
+
+    def test_torus_sup_j_stays_finite_where_its_squares_overflow(self, tmp_path):
+        # j is the divergence-free rounding residual times t, about 1e285 at
+        # t = 1e300, and finite; its squared components are not
+        assert run(["torus-modes", "--t-end", "1e300", "--n-grid", "16", "--n-samples", "3"],
+                   tmp_path) == 0
+        rows = read_outputs(tmp_path, "torus-modes")[0].decode().splitlines()[1:]
+        sup_j = [float(row.split(",")[1]) for row in rows]
+        assert all(np.isfinite(sup_j)) and 1e280 < sup_j[-1] < 1e290
 
     @pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
-    def test_manifest_records_process_cpu_time(self, argv, tmp_path, monkeypatch):
-        assert run(argv, tmp_path, monkeypatch) == 0
+    def test_manifest_records_process_cpu_time(self, argv, tmp_path):
+        assert run(argv, tmp_path) == 0
         cpu = read_outputs(tmp_path, argv[0])[1]["cpu_time_s"]
         assert isinstance(cpu, float) and np.isfinite(cpu) and cpu >= 0
 
     def test_missing_conjugate_time_is_null(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.jacobi, "detect_conjugate_times", lambda *a, **k: [])
-        assert run(["conjugate", "--n-grid", "16", "--dt", "0.05", "--m-max", "2"],
-                   tmp_path, monkeypatch) == 0
+        assert run(["conjugate", "--n-grid", "16", "--dt", "0.05", "--m-max", "2"], tmp_path) == 0
         _, manifest = read_outputs(tmp_path, "conjugate")
         assert manifest["summary"] == {"max_gap": None, "n_detected": 0}
 
-    def test_burgers_without_shock_is_null(self, tmp_path, monkeypatch):
+    def test_burgers_without_shock_is_null(self, tmp_path):
         assert run(["burgers-exact", "--n-grid", "16", "--amplitude", "0",
-                    "--n-samples", "2"], tmp_path, monkeypatch) == 0
+                    "--n-samples", "2"], tmp_path) == 0
         _, manifest = read_outputs(tmp_path, "burgers-exact")
         assert manifest["summary"]["shock_time"] is None
 
@@ -679,23 +709,22 @@ class TestExperiments:
         for detector in (jacobi.detect_conjugate_times, stored_conjugate_times):
             monkeypatch.setattr(cli.jacobi, "detect_conjugate_times", detector)
             out = tmp_path / detector.__name__
-            assert run(["conjugate", "--n", "2", "--m-max", "3"], out, monkeypatch) == 0
+            assert run(["conjugate", "--n", "2", "--m-max", "3"], out) == 0
             csvs.append(read_outputs(out, "conjugate")[0])
         assert len(csvs[0].splitlines()) == 4
         assert csvs[0] == csvs[1]
 
-    def test_disc_spectrum_k_max_at_node_limit(self, tmp_path, monkeypatch):
-        rc = run(["disc-spectrum", "--n-max", "1", "--k-max", "15", "--n-nodes", "16"],
-                 tmp_path, monkeypatch)
+    def test_disc_spectrum_k_max_at_node_limit(self, tmp_path):
+        rc = run(["disc-spectrum", "--n-max", "1", "--k-max", "15", "--n-nodes", "16"], tmp_path)
         assert rc == 0
         csv_text, _ = read_outputs(tmp_path, "disc-spectrum")
         rows = [r.split(",") for r in csv_text.decode().strip().splitlines()[1:]]
         assert [(int(r[0]), int(r[1])) for r in rows] == \
             [(n, k) for n in (0, 1) for k in range(1, 16)]
 
-    def test_burgers_exact_columns(self, tmp_path, monkeypatch):
+    def test_burgers_exact_columns(self, tmp_path):
         rc = run(["burgers-exact", "--t-end", "0.8", "--n-samples", "3",
-                  "--n-grid", "32"], tmp_path, monkeypatch)
+                  "--n-grid", "32"], tmp_path)
         assert rc == 0
         csv_text, manifest = read_outputs(tmp_path, "burgers-exact")
         assert csv_text.decode().splitlines()[0] == "t,x,u,rho"
@@ -757,12 +786,11 @@ def test_validation_holds_with_the_integer_parser_wrapped(tmp_path, monkeypatch,
     # bound still holds (n-grid 4 is below 8), and seed 0 is still in range
     original = cli.integer
     monkeypatch.setattr(cli, "integer", functools.wraps(original)(lambda text: original(text)))
-    assert run(["geodesic", "--n-grid", "4"], tmp_path, monkeypatch) == 2
+    assert run(["geodesic", "--n-grid", "4"], tmp_path) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "validation",
                    "message": "n-grid must be an integer in [8, 2048], got 4"}
-    assert run(["curvature-scan", "--seed", "0", "--trials", "2", "--n-grid", "16"],
-               tmp_path, monkeypatch) == 0
+    assert run(["curvature-scan", "--seed", "0", "--trials", "2", "--n-grid", "16"], tmp_path) == 0
 
 
 def test_readme_commands_validate(monkeypatch):
@@ -844,9 +872,7 @@ def test_any_input_exits_0_1_or_2_without_traceback(inputs):
         elif config == "missing":
             argv += ["--config", str(Path(tmp) / "missing.conf")]
         err = io.StringIO()
-        with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), \
-                redirect_stderr(err):
-            os.environ.pop(cli.OUTPUT_DIR_ENV, None)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:

@@ -247,6 +247,11 @@ PROBES = {
     # squares to below the normal floats and the spectrum came out wrong
     "sturm_liouville_eigs on DiscBackground(0, 1, 1e-300)":
         lambda: disc.sturm_liouville_eigs(disc.DiscBackground(0.0, 1.0, 1e-300), 1, 3),
+    # p^3 underflows while p > 0, so q^2 >= p^3 would flag a stable mode
+    "characteristic_roots(5.78, 0, 0, 1e-150)":
+        lambda: disc.characteristic_roots(5.783199058396027, 0, 0.0, 1e-150),
+    "characteristic_roots(4.37, 0, 1e-100, 1e-100)":
+        lambda: disc.characteristic_roots(4.3698107985755, 0, 1e-100, 1e-100),
     # backgrounds whose Jacobi fields the linearized equations get wrong:
     # q != rho (no delta q is carried), and no flow map to carry G along
     "linearized_step with q != rho": lambda: jacobi.linearized_step(
